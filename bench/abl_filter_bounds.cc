@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
               "popped%", "vo_KB");
   std::printf("----------------------------------------------------------------------\n");
 
-  auto run = [&](const char* name, const invindex::MerkleInvertedIndex& index) {
+  auto run = [&](const char* name, const invindex::PostingIndex& index) {
     invindex::InvSearchParams params;
     params.k = kK;
     double sp_ms = 0, client_ms = 0, popped = 0, kb = 0;
@@ -54,11 +54,11 @@ int main(int argc, char** argv) {
                 client_ms / kQ, popped / kQ, kb / kQ);
   };
 
-  auto loose = invindex::MerkleInvertedIndex::Build(kClusters, corpus, weights,
-                                                    /*with_filters=*/false);
+  auto loose = invindex::PostingIndex::Build(kClusters, corpus, weights,
+                                             /*with_filters=*/false);
   run("loose bounds (Eq.10)", loose);
   for (uint32_t bits : {4, 8, 12, 16}) {
-    auto index = invindex::MerkleInvertedIndex::Build(
+    auto index = invindex::PostingIndex::Build(
         kClusters, corpus, weights, /*with_filters=*/true, bits);
     char name[64];
     std::snprintf(name, sizeof(name), "cuckoo %2u-bit fp", bits);

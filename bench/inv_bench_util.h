@@ -13,8 +13,6 @@
 
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
-#include "freqgroup/fg_search.h"
-#include "freqgroup/fg_verify.h"
 #include "invindex/search.h"
 #include "invindex/verify.h"
 #include "workload/synthetic.h"
@@ -37,9 +35,9 @@ inline const char* Name(InvScheme s) {
 struct InvFixture {
   workload::CorpusParams params;
   std::vector<std::pair<bovw::ImageId, bovw::BovwVector>> corpus;
-  std::unique_ptr<invindex::MerkleInvertedIndex> plain;     // Baseline
-  std::unique_ptr<invindex::MerkleInvertedIndex> filtered;  // InvSearch
-  std::unique_ptr<freqgroup::FgInvertedIndex> grouped;      // Optimized
+  std::unique_ptr<invindex::InvertedIndex> plain;     // Baseline
+  std::unique_ptr<invindex::InvertedIndex> filtered;  // InvSearch
+  std::unique_ptr<invindex::InvertedIndex> grouped;   // Optimized
 
   InvFixture(size_t num_images, size_t num_clusters, uint64_t seed = 7) {
     params.num_images = num_images;
@@ -50,15 +48,25 @@ struct InvFixture {
     vecs.reserve(corpus.size());
     for (auto& [id, v] : corpus) vecs.push_back(v);
     auto weights = bovw::ClusterWeights::FromCorpus(num_clusters, vecs);
-    plain = std::make_unique<invindex::MerkleInvertedIndex>(
-        invindex::MerkleInvertedIndex::Build(num_clusters, corpus, weights,
-                                             /*with_filters=*/false));
-    filtered = std::make_unique<invindex::MerkleInvertedIndex>(
-        invindex::MerkleInvertedIndex::Build(num_clusters, corpus, weights,
-                                             /*with_filters=*/true));
-    grouped = std::make_unique<freqgroup::FgInvertedIndex>(
-        freqgroup::FgInvertedIndex::Build(num_clusters, corpus, weights,
-                                          /*with_filters=*/true));
+    auto build = [&](invindex::EntryKind kind, bool with_filters) {
+      return std::make_unique<invindex::InvertedIndex>(
+          invindex::InvertedIndex::Build(kind, num_clusters, corpus, weights,
+                                         with_filters, 8, 0xF117E2));
+    };
+    plain = build(invindex::EntryKind::kPosting, /*with_filters=*/false);
+    filtered = build(invindex::EntryKind::kPosting, /*with_filters=*/true);
+    grouped = build(invindex::EntryKind::kGroup, /*with_filters=*/true);
+  }
+
+  const invindex::InvertedIndex& Index(InvScheme scheme) const {
+    switch (scheme) {
+      case InvScheme::kBaseline:
+        return *plain;
+      case InvScheme::kInvSearch:
+        return *filtered;
+      default:
+        return *grouped;
+    }
   }
 };
 
@@ -82,36 +90,20 @@ inline InvMeasurement RunInvQueries(const InvFixture& fx, InvScheme scheme,
         fx.corpus[(seed + q) * 2654435761u % fx.corpus.size()].second;
     bovw::BovwVector query = workload::QueryFromImage(
         fx.params, source, num_features, /*noise_fraction=*/0.2, seed + q);
+    const invindex::InvertedIndex& index = fx.Index(scheme);
     Stopwatch sp_timer;
-    Bytes vo;
-    std::vector<bovw::ScoredImage> topk;
-    invindex::InvSearchStats stats;
-    if (scheme == InvScheme::kOptimized) {
-      auto r = freqgroup::FgSearch(*fx.grouped, query, params);
-      vo = std::move(r.vo);
-      topk = std::move(r.topk);
-      stats = r.stats;
-    } else {
-      const auto& index =
-          scheme == InvScheme::kBaseline ? *fx.plain : *fx.filtered;
-      auto r = invindex::InvSearch(index, query, params);
-      vo = std::move(r.vo);
-      topk = std::move(r.topk);
-      stats = r.stats;
-    }
+    invindex::InvSearchResult r = invindex::InvSearch(index, query, params);
     m.sp_ms += sp_timer.ElapsedMillis();
-    m.popped_pct += 100.0 * stats.PoppedFraction();
-    m.vo_kb += vo.size() / 1024.0;
+    m.popped_pct += 100.0 * r.stats.PoppedFraction();
+    m.vo_kb += r.vo.size() / 1024.0;
 
     std::vector<bovw::ImageId> claimed;
-    for (const auto& si : topk) claimed.push_back(si.id);
+    for (const auto& si : r.topk) claimed.push_back(si.id);
     Stopwatch client_timer;
     invindex::InvVerifyResult verified;
-    Status s = scheme == InvScheme::kOptimized
-                   ? freqgroup::FgVerifyVo(vo, query, claimed, k, true, &verified)
-                   : invindex::VerifyInvVo(vo, query, claimed, k,
-                                           scheme != InvScheme::kBaseline,
-                                           &verified);
+    Status s = invindex::VerifyInvVo(index.kind(), r.vo, query, claimed, k,
+                                     scheme != InvScheme::kBaseline,
+                                     &verified);
     m.client_ms += client_timer.ElapsedMillis();
     if (!s.ok()) {
       std::fprintf(stderr, "bench: %s verify FAILED: %s\n", Name(scheme),

@@ -51,6 +51,13 @@ size_t GroupVarintEncodedBytes(const uint32_t* values, size_t n) {
 }
 
 Status GroupVarintDecode(ByteReader& r, size_t n, uint32_t* out) {
+  // Canonical tail: the unused fields of the last control byte must be
+  // zero, so a flipped padding bit is rejected rather than ignored.
+  const size_t num_ctrl = (n + 3) / 4;
+  if (n % 4 != 0 && r.remaining() >= num_ctrl &&
+      (r.data()[num_ctrl - 1] >> (2 * (n % 4))) != 0) {
+    return Status::Corrupted("gv: nonzero unused control bits");
+  }
   return DecodeDispatch(r, n, out);
 }
 

@@ -45,7 +45,8 @@ void GroupVarintEncode(const uint32_t* values, size_t n, ByteWriter& w);
 size_t GroupVarintEncodedBytes(const uint32_t* values, size_t n);
 
 // Decodes the block for exactly n values from `r`, advancing it past the
-// block. kCorrupted if the stream is truncated. n == 0 reads nothing.
+// block. kCorrupted if the stream is truncated or the tail quad's unused
+// control fields are nonzero. n == 0 reads nothing.
 Status GroupVarintDecode(ByteReader& r, size_t n, uint32_t* out);
 
 // ZigZag mapping for signed deltas (ids that are not monotone on the

@@ -7,7 +7,6 @@
 #include "common/stopwatch.h"
 #include "crypto/hasher.h"
 #include "crypto/sha3.h"
-#include "freqgroup/fg_verify.h"
 #include "invindex/verify.h"
 #include "mrkd/verify.h"
 #include "obs/metrics.h"
@@ -234,11 +233,10 @@ Result<VerifiedResults> Client::VerifyImpl(
   for (const ResultImage& ri : vo.results) claimed.push_back(ri.id);
 
   invindex::InvVerifyResult inv;
-  Status s = config.freq_grouped
-                 ? freqgroup::FgVerifyVo(vo.inv_vo, query_bovw, claimed, k,
-                                         config.with_filters, &inv)
-                 : invindex::VerifyInvVo(vo.inv_vo, query_bovw, claimed, k,
-                                         config.with_filters, &inv);
+  Status s = invindex::VerifyInvVo(
+      config.freq_grouped ? invindex::EntryKind::kGroup
+                          : invindex::EntryKind::kPosting,
+      vo.inv_vo, query_bovw, claimed, k, config.with_filters, &inv);
   if (!s.ok()) return s;
 
   // Cross-check the reconstructed list digests against the MRKD-anchored

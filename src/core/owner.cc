@@ -96,18 +96,13 @@ size_t SpPackage::AdsBytes() const {
   n += codebook.size() * crypto::kDigestSize;
   // Inverted-index digests and filters.
   if (inv_index) {
-    for (size_t c = 0; c < inv_index->num_clusters(); ++c) {
-      const auto& list = inv_index->list(static_cast<bovw::ClusterId>(c));
-      n += list.postings.size() * crypto::kDigestSize;
-      if (list.filter.has_value()) n += list.filter->Serialize().size();
-    }
-  }
-  if (fg_index) {
-    for (size_t c = 0; c < fg_index->num_clusters(); ++c) {
-      const auto& list = fg_index->list(static_cast<bovw::ClusterId>(c));
-      n += list.postings.size() * crypto::kDigestSize;
-      if (list.filter.has_value()) n += list.filter->Serialize().size();
-    }
+    inv_index->Visit([&n](const auto& index) {
+      for (size_t c = 0; c < index.num_clusters(); ++c) {
+        const auto& list = index.list(static_cast<bovw::ClusterId>(c));
+        n += list.postings.size() * crypto::kDigestSize;
+        if (list.filter.has_value()) n += list.filter->Serialize().size();
+      }
+    });
   }
   // Per-image signatures.
   for (const auto& [id, sig] : image_signatures) n += sig.size();
@@ -159,21 +154,13 @@ OwnerOutput BuildDeployment(
       overrides.weights ? *overrides.weights
                         : bovw::ClusterWeights::FromCorpus(num_clusters, vecs);
 
-  if (config.freq_grouped) {
-    pkg.fg_index = std::make_unique<freqgroup::FgInvertedIndex>(
-        freqgroup::FgInvertedIndex::Build(num_clusters, pkg.corpus, weights,
-                                          config.with_filters,
-                                          config.fingerprint_bits,
-                                          config.filter_seed));
-    pkg.list_digests = pkg.fg_index->ListDigests();
-  } else {
-    pkg.inv_index = std::make_unique<invindex::MerkleInvertedIndex>(
-        invindex::MerkleInvertedIndex::Build(num_clusters, pkg.corpus, weights,
-                                             config.with_filters,
-                                             config.fingerprint_bits,
-                                             config.filter_seed));
-    pkg.list_digests = pkg.inv_index->ListDigests();
-  }
+  pkg.inv_index =
+      std::make_unique<invindex::InvertedIndex>(invindex::InvertedIndex::Build(
+          config.freq_grouped ? invindex::EntryKind::kGroup
+                              : invindex::EntryKind::kPosting,
+          num_clusters, pkg.corpus, weights, config.with_filters,
+          config.fingerprint_bits, config.filter_seed));
+  pkg.list_digests = pkg.inv_index->ListDigests();
 
   // Randomized k-d forest and the MRKD decorations.
   pkg.forest = std::make_unique<ann::RkdForest>(pkg.codebook, config.forest);

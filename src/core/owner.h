@@ -21,7 +21,6 @@
 #include "ann/rkd_forest.h"
 #include "core/config.h"
 #include "core/vo.h"
-#include "freqgroup/fg_index.h"
 #include "invindex/merkle_inv_index.h"
 #include "mrkd/mrkd_tree.h"
 
@@ -65,9 +64,8 @@ struct SpPackage {
 
   std::unique_ptr<ann::RkdForest> forest;
   std::vector<std::unique_ptr<mrkd::MrkdTree>> mrkd_trees;
-  // Exactly one of the two indexes is populated, per config.freq_grouped.
-  std::unique_ptr<invindex::MerkleInvertedIndex> inv_index;
-  std::unique_ptr<freqgroup::FgInvertedIndex> fg_index;
+  // Posting or frequency-group entries, per config.freq_grouped.
+  std::unique_ptr<invindex::InvertedIndex> inv_index;
   std::vector<crypto::Digest> list_digests;
 
   // Set for a disk-backed package: image payloads come from here and the

@@ -7,7 +7,6 @@
 #include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "core/proof_memo.h"
-#include "freqgroup/fg_search.h"
 #include "obs/metrics.h"
 #include "obs/registry.h"
 
@@ -252,19 +251,11 @@ Status ServiceProvider::Query(const std::vector<std::vector<float>>& features,
   params.compress_vo = serve.compress_vo;
   params.settle_exact_topk = serve.settle_exact_topk;
   kern::SearchScratch* inv_scratch = scratch ? &scratch->inv : nullptr;
-  if (config.freq_grouped) {
-    freqgroup::FgSearchResult r = freqgroup::FgSearch(
-        *pkg_->fg_index, query_bovw, params, inv_scratch);
-    resp.topk = std::move(r.topk);
-    resp.vo.inv_vo = std::move(r.vo);
-    resp.stats.inv = r.stats;
-  } else {
-    invindex::InvSearchResult r =
-        invindex::InvSearch(*pkg_->inv_index, query_bovw, params, inv_scratch);
-    resp.topk = std::move(r.topk);
-    resp.vo.inv_vo = std::move(r.vo);
-    resp.stats.inv = r.stats;
-  }
+  invindex::InvSearchResult r =
+      invindex::InvSearch(*pkg_->inv_index, query_bovw, params, inv_scratch);
+  resp.topk = std::move(r.topk);
+  resp.vo.inv_vo = std::move(r.vo);
+  resp.stats.inv = r.stats;
   inv_stage_timer.Stop();
   resp.stats.sp_inv_ms = inv_timer.ElapsedMillis();
   resp.stats.inv_vo_bytes = resp.vo.inv_vo.size();

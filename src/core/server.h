@@ -9,8 +9,8 @@
 //      because the range search is exact, is the true nearest cluster —
 //      and builds the shared candidate-reveal section (full vectors, or
 //      partial dimensions under Optimization A),
-//   4. encodes B_Q and runs InvSearch (or FgSearch) for the top-k and
-//      VO_inv,
+//   4. encodes B_Q and runs InvSearch over the posting or frequency-group
+//      index for the top-k and VO_inv,
 //   5. attaches the result images and their Eq. (15) signatures.
 
 #ifndef IMAGEPROOF_CORE_SERVER_H_

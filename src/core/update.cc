@@ -57,44 +57,20 @@ Result<UpdateStats> InsertImage(SpPackage* package,
   double norm = bovw.L2Norm();
   std::vector<bovw::ClusterId> touched;
   for (const auto& [c, f] : bovw.entries) {
-    Status s = Status::Ok();
-    if (package->config.freq_grouped) {
-      if (c >= package->fg_index->num_clusters()) {
-        s = Status::Error("update: cluster out of range");
-      } else {
-        s = package->fg_index->ApplyInsert(c, id, f, norm);
-      }
-    } else {
-      if (c >= package->inv_index->num_clusters()) {
-        s = Status::Error("update: cluster out of range");
-      } else {
-        double weight = package->inv_index->list(c).weight;
-        s = package->inv_index->ApplyInsert(
-            c, id, bovw::ImpactValue(weight, f, norm));
-      }
-    }
+    Status s = package->inv_index->ApplyInsert(c, id, f, norm);
     if (!s.ok()) {
       // Roll back the lists already updated so the package still matches
       // the published signature.
       for (bovw::ClusterId rc : touched) {
-        if (package->config.freq_grouped) {
-          (void)package->fg_index->ApplyRemove(rc, id);
-        } else {
-          (void)package->inv_index->ApplyRemove(rc, id);
-        }
-        package->list_digests[rc] =
-            package->config.freq_grouped
-                ? package->fg_index->list(rc).digest
-                : package->inv_index->list(rc).digest;
+        (void)package->inv_index->ApplyRemove(rc, id);
+        package->list_digests[rc] = package->inv_index->list_digest(rc);
       }
       if (!touched.empty()) {
         RefreshAndResign(package, owner_key, public_params, touched);
       }
       return s;
     }
-    package->list_digests[c] = package->config.freq_grouped
-                                   ? package->fg_index->list(c).digest
-                                   : package->inv_index->list(c).digest;
+    package->list_digests[c] = package->inv_index->list_digest(c);
     touched.push_back(c);
     ++stats.lists_updated;
   }
@@ -129,13 +105,9 @@ Result<UpdateStats> DeleteImage(SpPackage* package,
   UpdateStats stats;
   std::vector<bovw::ClusterId> touched;
   for (const auto& [c, f] : corpus_it->second.entries) {
-    Status s = package->config.freq_grouped
-                   ? package->fg_index->ApplyRemove(c, id)
-                   : package->inv_index->ApplyRemove(c, id);
+    Status s = package->inv_index->ApplyRemove(c, id);
     if (!s.ok()) return s;  // structurally impossible for consistent data
-    package->list_digests[c] = package->config.freq_grouped
-                                   ? package->fg_index->list(c).digest
-                                   : package->inv_index->list(c).digest;
+    package->list_digests[c] = package->inv_index->list_digest(c);
     touched.push_back(c);
     ++stats.lists_updated;
   }

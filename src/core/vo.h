@@ -30,7 +30,7 @@ struct QueryVO {
   std::vector<double> thresholds_sq;  // squared threshold per feature vector
   Bytes reveal_section;               // shared candidate reveals (union C_i)
   std::vector<Bytes> tree_vos;        // one token stream per MRKD-tree
-  Bytes inv_vo;                       // InvSearch / FgSearch VO
+  Bytes inv_vo;                       // InvSearch VO
   std::vector<ResultImage> results;   // top-k images + signatures
 
   size_t TotalBytes() const;

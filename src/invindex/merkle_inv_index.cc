@@ -1,7 +1,7 @@
 #include "invindex/merkle_inv_index.h"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 
 #include "common/parallel.h"
 #include "crypto/hasher.h"
@@ -11,51 +11,58 @@ namespace imageproof::invindex {
 
 namespace {
 
-// Canonical little-endian stores for assembling posting preimages outside
-// DigestBuilder (same bytes AddU64/AddF64 stream into the sponge).
-void PutU64Le(uint8_t* p, uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-void PutF64Le(uint8_t* p, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64Le(p, bits);
-}
+// Appends the canonical little-endian field encodings DigestBuilder streams
+// into the sponge, so an entry's Preimage() can fill a message buffer.
+struct PreimageWriter {
+  Bytes* buf;
 
-// Posting preimage: id(8) | impact(8) | next(32) — one sponge block.
-constexpr size_t kPostingMsg = 8 + 8 + crypto::kDigestSize;
+  void Put(uint64_t v, int n) {
+    for (int i = 0; i < n; ++i) {
+      buf->push_back(static_cast<uint8_t>(v >> (8 * i)));
+    }
+  }
+  void AddU32(uint32_t v) { Put(v, 4); }
+  void AddU64(uint64_t v) { Put(v, 8); }
+  void AddF64(double v) { Put(std::bit_cast<uint64_t>(v), 8); }
+  void AddDigest(const Digest& d) {
+    buf->insert(buf->end(), d.bytes.begin(), d.bytes.end());
+  }
+};
 
 // Walks the backward digest chains of a range of lists four at a time on
-// the lane-interleaved Keccak. A chain is inherently sequential (posting i
+// the lane-interleaved Keccak. A chain is inherently sequential (entry i
 // needs digest i+1), but chains of different lists are independent, so each
-// lane carries one list and every Step() completes one posting per lane —
-// the same digests as the serial loop at ~4x the permutation throughput.
-// A drained lane picks up the next list in the range.
-void ChainLists(MerkleInvertedList** lists, size_t n) {
+// lane carries one list and completes its entries strictly in chain order —
+// the same digests as the serial loop at ~4x the permutation throughput. A
+// message may take several Steps (groups vary in length); a drained lane
+// picks up the next list in the range.
+template <class E>
+void ChainLists(InvertedList<E>** lists, size_t n) {
   struct Lane {
-    MerkleInvertedList* list = nullptr;
-    size_t i = 0;  // postings remaining (current posting is i - 1)
+    InvertedList<E>* list = nullptr;
+    size_t i = 0;  // entries remaining (current entry is i - 1)
     Digest next = Digest::Zero();
+    Bytes buf;     // message buffer, reused across the lane's entries
   };
   crypto::Sha3x4 eng;
   Lane lanes[crypto::Sha3x4::kLanes];
-  uint8_t buf[crypto::Sha3x4::kLanes][kPostingMsg];
   size_t next_list = 0;
   int active = 0;
 
   auto start_msg = [&](int j) {
     Lane& lane = lanes[j];
-    const MerklePosting& p = lane.list->postings[lane.i - 1];
-    PutU64Le(buf[j], p.id);
-    PutF64Le(buf[j] + 8, p.impact);
-    std::memcpy(buf[j] + 16, lane.next.bytes.data(), crypto::kDigestSize);
-    eng.Start(j, buf[j], kPostingMsg);
+    lane.buf.clear();
+    PreimageWriter w{&lane.buf};
+    lane.list->postings[lane.i - 1].Preimage(w, lane.next);
+    eng.Start(j, lane.buf.data(), lane.buf.size());
   };
   auto feed = [&](int j) -> bool {
     while (next_list < n) {
-      MerkleInvertedList* l = lists[next_list++];
+      InvertedList<E>* l = lists[next_list++];
       if (l->postings.empty()) continue;
-      lanes[j] = Lane{l, l->postings.size(), Digest::Zero()};
+      lanes[j].list = l;
+      lanes[j].i = l->postings.size();
+      lanes[j].next = Digest::Zero();
       start_msg(j);
       return true;
     }
@@ -83,14 +90,6 @@ void ChainLists(MerkleInvertedList** lists, size_t n) {
 
 }  // namespace
 
-Digest PostingDigest(ImageId id, double impact, const Digest& next) {
-  return crypto::DigestBuilder()
-      .AddU64(id)
-      .AddF64(impact)
-      .AddDigest(next)
-      .Finalize();
-}
-
 Digest ListDigest(double weight, const Digest& theta_digest,
                   const Digest& first_posting_digest) {
   return crypto::DigestBuilder()
@@ -100,7 +99,8 @@ Digest ListDigest(double weight, const Digest& theta_digest,
       .Finalize();
 }
 
-MerkleInvertedIndex MerkleInvertedIndex::Build(
+template <class E>
+MerkleInvertedIndex<E> MerkleInvertedIndex<E>::Build(
     size_t num_clusters,
     const std::vector<std::pair<ImageId, bovw::BovwVector>>& corpus,
     const bovw::ClusterWeights& weights, bool with_filters,
@@ -110,14 +110,13 @@ MerkleInvertedIndex MerkleInvertedIndex::Build(
   index.with_filters_ = with_filters;
   index.lists_.resize(num_clusters);
 
-  // Gather raw postings per cluster.
-  std::vector<std::vector<std::pair<ImageId, double>>> raw(num_clusters);
+  // Gather each cluster's occurrences.
+  std::vector<std::vector<Occurrence>> raw(num_clusters);
   for (const auto& [id, vec] : corpus) {
     double norm = vec.L2Norm();
     for (const auto& [c, f] : vec.entries) {
       if (c >= num_clusters) continue;
-      double impact = bovw::ImpactValue(weights.WeightOf(c), f, norm);
-      raw[c].emplace_back(id, impact);
+      raw[c].push_back({id, f, norm});
     }
   }
 
@@ -131,36 +130,28 @@ MerkleInvertedIndex MerkleInvertedIndex::Build(
   }
   const cuckoo::CuckooParams& filter_params = index.filter_params_;
 
-  // Every list is built independently (sort, filter, digest chain), so the
+  // Every list is built independently (order, filter, digest chain), so the
   // per-cluster loop parallelizes with bit-identical results. Chunked so
   // each worker can interleave the digest chains of its lists across the
   // four Keccak lanes.
   ParallelChunks(num_clusters, /*chunk=*/16, [&](size_t begin, size_t end) {
     for (size_t c = begin; c < end; ++c) {
-      MerkleInvertedList& list = index.lists_[c];
+      List& list = index.lists_[c];
       list.cluster = static_cast<ClusterId>(c);
       list.weight = weights.WeightOf(static_cast<ClusterId>(c));
-
-      auto& postings = raw[c];
-      std::sort(postings.begin(), postings.end(),
-                [](const auto& a, const auto& b) {
-                  if (a.second != b.second) return a.second > b.second;
-                  return a.first < b.first;
-                });
-      list.postings.resize(postings.size());
-      for (size_t i = 0; i < postings.size(); ++i) {
-        list.postings[i].id = postings[i].first;
-        list.postings[i].impact = postings[i].second;
-      }
+      list.postings = E::Assemble(raw[c], list.weight);
+      std::vector<Occurrence>().swap(raw[c]);
 
       if (with_filters) {
         cuckoo::CuckooFilter filter(filter_params);
-        for (const MerklePosting& p : list.postings) {
+        for (const E& e : list.postings) {
           // The 60% sizing rule keeps load under ~42%, so insertion cannot
-          // realistically fail; if it ever did the ADS would be unusable, so
-          // treat it as a fatal construction error.
-          bool ok = filter.Insert(p.id);
-          (void)ok;
+          // realistically fail; if it ever did the ADS would be unusable,
+          // so treat it as a fatal construction error.
+          e.ForEachMember(list.weight, [&](ImageId id, double) {
+            bool ok = filter.Insert(id);
+            (void)ok;
+          });
         }
         list.theta_digest = filter.StateDigest();
         list.filter = std::move(filter);
@@ -169,12 +160,12 @@ MerkleInvertedIndex MerkleInvertedIndex::Build(
       }
     }
 
-    std::vector<MerkleInvertedList*> ptrs;
+    std::vector<List*> ptrs;
     ptrs.reserve(end - begin);
     for (size_t c = begin; c < end; ++c) ptrs.push_back(&index.lists_[c]);
     ChainLists(ptrs.data(), ptrs.size());
     for (size_t c = begin; c < end; ++c) {
-      MerkleInvertedList& list = index.lists_[c];
+      List& list = index.lists_[c];
       list.digest = ListDigest(list.weight, list.theta_digest,
                                list.FirstPostingDigest());
     }
@@ -182,25 +173,28 @@ MerkleInvertedIndex MerkleInvertedIndex::Build(
   return index;
 }
 
-Result<MerkleInvertedIndex> MerkleInvertedIndex::Restore(
+template <class E>
+Result<MerkleInvertedIndex<E>> MerkleInvertedIndex<E>::Restore(
     const cuckoo::CuckooParams& geometry, bool with_filters,
-    std::vector<MerkleInvertedList> lists) {
+    std::vector<List> lists) {
   MerkleInvertedIndex index;
   index.with_filters_ = with_filters;
   index.filter_params_ = geometry;
   for (size_t c = 0; c < lists.size(); ++c) {
-    MerkleInvertedList& list = lists[c];
+    List& list = lists[c];
     if (list.cluster != static_cast<ClusterId>(c)) {
       return Status::Corrupted("inv restore: cluster id out of place");
     }
-    // The committed ordering invariant (impact desc, id asc on ties) is what
-    // PostingSearch's early-exit bounds rely on; a stored list violating it
-    // is corrupt regardless of what its digests say.
-    for (size_t i = 1; i < list.postings.size(); ++i) {
-      const MerklePosting& a = list.postings[i - 1];
-      const MerklePosting& b = list.postings[i];
-      if (!(a.impact > b.impact || (a.impact == b.impact && a.id < b.id))) {
-        return Status::Corrupted("inv restore: postings out of order");
+    // The committed ordering invariants are what PostingSearch's early-exit
+    // bounds rely on; a stored list violating them is corrupt regardless
+    // of what its digests say.
+    for (size_t i = 0; i < list.postings.size(); ++i) {
+      if (!list.postings[i].WellFormed()) {
+        return Status::Corrupted("inv restore: malformed entry");
+      }
+      if (i > 0 && !E::Precedes(list.postings[i - 1], list.postings[i],
+                                list.weight)) {
+        return Status::Corrupted("inv restore: entries out of order");
       }
     }
     if (with_filters) {
@@ -222,43 +216,49 @@ Result<MerkleInvertedIndex> MerkleInvertedIndex::Restore(
   return index;
 }
 
-Status MerkleInvertedIndex::VerifyChains() const {
-  for (const MerkleInvertedList& list : lists_) {
+template <class E>
+Status MerkleInvertedIndex<E>::VerifyChains() const {
+  for (const List& list : lists_) {
     Digest next = Digest::Zero();
     for (size_t i = list.postings.size(); i-- > 0;) {
-      next = PostingDigest(list.postings[i].id, list.postings[i].impact, next);
+      next = EntryDigest(list.postings[i], next);
       if (next != list.postings[i].digest) {
-        return Status::Corrupted("inv: stored posting chain digest diverges");
+        return Status::Corrupted("inv: stored chain digest diverges");
       }
     }
   }
   return Status::Ok();
 }
 
-Status MerkleInvertedIndex::RepairList(MerkleInvertedList* list, size_t upto) {
+template <class E>
+Status MerkleInvertedIndex<E>::RepairList(List* list, size_t upto) {
   if (with_filters_) {
     // The filter's state depends on insertion order over the whole list, so
     // it is always rebuilt in full (theta_digest must stay byte-identical
     // to a from-scratch build).
     cuckoo::CuckooFilter filter(filter_params_);
-    for (const MerklePosting& p : list->postings) {
-      if (!filter.Insert(p.id)) {
-        return Status::Error(
-            "inv: list outgrew the shared filter geometry; full rebuild "
-            "required");
-      }
+    bool fits = true;
+    for (const E& e : list->postings) {
+      e.ForEachMember(list->weight, [&](ImageId id, double) {
+        fits = fits && filter.Insert(id);
+      });
+    }
+    if (!fits) {
+      return Status::Error(
+          "inv: list outgrew the shared filter geometry; full rebuild "
+          "required");
     }
     list->theta_digest = filter.StateDigest();
     list->filter = std::move(filter);
   }
-  // A posting's digest depends only on the chain suffix from it onward, so
+  // An entry's digest depends only on the chain suffix from it onward, so
   // entries at index >= upto are still valid: anchor there and recompute
   // only the prefix.
   upto = std::min(upto, list->postings.size());
   Digest next = upto < list->postings.size() ? list->postings[upto].digest
                                              : Digest::Zero();
   for (size_t i = upto; i-- > 0;) {
-    next = PostingDigest(list->postings[i].id, list->postings[i].impact, next);
+    next = EntryDigest(list->postings[i], next);
     list->postings[i].digest = next;
   }
   list->digest =
@@ -266,52 +266,52 @@ Status MerkleInvertedIndex::RepairList(MerkleInvertedList* list, size_t upto) {
   return Status::Ok();
 }
 
-Status MerkleInvertedIndex::ApplyInsert(ClusterId c, ImageId id, double impact) {
+template <class E>
+Status MerkleInvertedIndex<E>::ApplyInsert(ClusterId c, ImageId id,
+                                           uint32_t freq, double norm) {
   if (c >= lists_.size()) return Status::Error("inv: cluster out of range");
-  MerkleInvertedList& list = lists_[c];
-  for (const MerklePosting& p : list.postings) {
-    if (p.id == id) return Status::Error("inv: image already in list");
+  if (freq == 0 || !(norm > 0)) return Status::Error("inv: bad entry values");
+  List& list = lists_[c];
+  for (const E& e : list.postings) {
+    if (e.Contains(id)) return Status::Error("inv: image already in list");
   }
-  MerklePosting posting;
-  posting.id = id;
-  posting.impact = impact;
-  auto pos = std::lower_bound(
-      list.postings.begin(), list.postings.end(), posting,
-      [](const MerklePosting& a, const MerklePosting& b) {
-        if (a.impact != b.impact) return a.impact > b.impact;
-        return a.id < b.id;
-      });
-  const size_t p = static_cast<size_t>(pos - list.postings.begin());
-  list.postings.insert(pos, posting);
-  // Digests after the insertion point are untouched: recompute [0, p].
-  return RepairList(&list, p + 1);
+  size_t upto = E::Insert(&list.postings, {id, freq, norm}, list.weight);
+  return RepairList(&list, upto);
 }
 
-Status MerkleInvertedIndex::ApplyRemove(ClusterId c, ImageId id) {
+template <class E>
+Status MerkleInvertedIndex<E>::ApplyRemove(ClusterId c, ImageId id) {
   if (c >= lists_.size()) return Status::Error("inv: cluster out of range");
-  MerkleInvertedList& list = lists_[c];
-  auto pos = std::find_if(list.postings.begin(), list.postings.end(),
-                          [id](const MerklePosting& p) { return p.id == id; });
-  if (pos == list.postings.end()) {
-    return Status::Error("inv: image not in list");
-  }
-  const size_t p = static_cast<size_t>(pos - list.postings.begin());
-  list.postings.erase(pos);
-  // The suffix that followed the removed posting keeps its digests:
-  // recompute [0, p).
-  return RepairList(&list, p);
+  List& list = lists_[c];
+  std::optional<size_t> upto = E::Remove(&list.postings, id, list.weight);
+  if (!upto.has_value()) return Status::Error("inv: image not in list");
+  return RepairList(&list, *upto);
 }
 
-std::vector<Digest> MerkleInvertedIndex::ListDigests() const {
+template <class E>
+std::vector<Digest> MerkleInvertedIndex<E>::ListDigests() const {
   std::vector<Digest> out(lists_.size());
   for (size_t i = 0; i < lists_.size(); ++i) out[i] = lists_[i].digest;
   return out;
 }
 
-size_t MerkleInvertedIndex::TotalPostings() const {
-  size_t n = 0;
-  for (const auto& l : lists_) n += l.postings.size();
-  return n;
+template class MerkleInvertedIndex<Posting>;
+template class MerkleInvertedIndex<Group>;
+
+InvertedIndex InvertedIndex::Build(
+    EntryKind kind, size_t num_clusters,
+    const std::vector<std::pair<ImageId, bovw::BovwVector>>& corpus,
+    const bovw::ClusterWeights& weights, bool with_filters,
+    uint32_t fingerprint_bits, uint64_t filter_seed,
+    std::optional<cuckoo::CuckooParams> geometry) {
+  if (kind == EntryKind::kGroup) {
+    return InvertedIndex(GroupIndex::Build(num_clusters, corpus, weights,
+                                           with_filters, fingerprint_bits,
+                                           filter_seed, geometry));
+  }
+  return InvertedIndex(PostingIndex::Build(num_clusters, corpus, weights,
+                                           with_filters, fingerprint_bits,
+                                           filter_seed, geometry));
 }
 
 }  // namespace imageproof::invindex

@@ -1,12 +1,9 @@
 #include "invindex/search.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <limits>
 #include <map>
 
-#include "common/varint_kernels.h"
 #include "crypto/sha3.h"
 #include "invindex/vo_compress.h"
 
@@ -15,19 +12,31 @@ namespace imageproof::invindex {
 namespace {
 
 // SP-side view of one relevant list during the search.
+template <class E>
 struct SearchList {
-  const MerkleInvertedList* list = nullptr;
+  const InvertedList<E>* list = nullptr;
   double q_impact = 0.0;
-  size_t next_pop = 0;  // postings [0, next_pop) have been popped
+  size_t next_pop = 0;  // entries [0, next_pop) have been popped
 };
+
+// Feeds entry e of list li to the engine: each member with the entry's cap.
+template <class E>
+void AddPopped(BoundsEngine& engine, size_t li, const E& e, double weight) {
+  const double cap = e.Cap(weight);
+  e.ForEachMember(weight, [&](ImageId id, double impact) {
+    Status s = engine.AddPopped(li, id, impact, cap);
+    (void)s;  // owner-built data always satisfies the invariants
+  });
+}
 
 // Rebuilds a bounds engine exactly as the client will: lists in cluster
 // order, pops in prefix order.
-BoundsEngine CanonicalEngine(const std::vector<SearchList>& lists,
+template <class E>
+BoundsEngine CanonicalEngine(const std::vector<SearchList<E>>& lists,
                              bool use_filters) {
   std::vector<BoundsList> bl;
   bl.reserve(lists.size());
-  for (const SearchList& sl : lists) {
+  for (const SearchList<E>& sl : lists) {
     BoundsList b;
     b.cluster = sl.list->cluster;
     b.q_impact = sl.q_impact;
@@ -37,11 +46,9 @@ BoundsEngine CanonicalEngine(const std::vector<SearchList>& lists,
   }
   BoundsEngine engine(std::move(bl), use_filters);
   for (size_t li = 0; li < lists.size(); ++li) {
-    const SearchList& sl = lists[li];
+    const SearchList<E>& sl = lists[li];
     for (size_t i = 0; i < sl.next_pop; ++i) {
-      Status s = engine.AddPopped(li, sl.list->postings[i].id,
-                                  sl.list->postings[i].impact);
-      (void)s;  // owner-built data always satisfies the invariants
+      AddPopped(engine, li, sl.list->postings[i], sl.list->weight);
     }
     if (sl.next_pop >= sl.list->postings.size()) engine.MarkExhausted(li);
   }
@@ -63,7 +70,8 @@ bool ConditionsHold(const BoundsEngine& engine,
 
 }  // namespace
 
-InvSearchResult InvSearch(const MerkleInvertedIndex& index,
+template <class E>
+InvSearchResult InvSearch(const MerkleInvertedIndex<E>& index,
                           const bovw::BovwVector& query_bovw,
                           const InvSearchParams& params,
                           kern::SearchScratch* scratch) {
@@ -75,19 +83,16 @@ InvSearchResult InvSearch(const MerkleInvertedIndex& index,
 
   // Support clusters (sorted by construction of BovwVector) and the
   // relevant subset (q_impact > 0, nonempty list).
-  std::vector<SearchList> relevant;
+  std::vector<SearchList<E>> relevant;
   for (const auto& [c, f] : query_bovw.entries) {
     if (c >= index.num_clusters()) continue;
-    const MerkleInvertedList& list = index.list(c);
+    const InvertedList<E>& list = index.list(c);
     double q_impact = bovw::ImpactValue(list.weight, f, norm);
     if (q_impact > 0 && !list.empty()) {
-      relevant.push_back(SearchList{&list, q_impact, 0});
+      relevant.push_back(SearchList<E>{&list, q_impact, 0});
     }
   }
   result.stats.relevant_lists = relevant.size();
-  for (const SearchList& sl : relevant) {
-    result.stats.relevant_postings += sl.list->postings.size();
-  }
 
   // Exact top-k by full accumulation over the relevant lists: flat
   // open-addressing accumulator (zero-alloc when warm) + bounded size-k
@@ -96,9 +101,12 @@ InvSearchResult InvSearch(const MerkleInvertedIndex& index,
   // materializing or ordering the non-winners.
   kern::ScoreAccumulator& exact = scr.scores;
   exact.Clear();
-  for (const SearchList& sl : relevant) {
-    for (const MerklePosting& p : sl.list->postings) {
-      exact.Add(p.id, sl.q_impact * p.impact);
+  for (const SearchList<E>& sl : relevant) {
+    for (const E& e : sl.list->postings) {
+      e.ForEachMember(sl.list->weight, [&](ImageId id, double impact) {
+        exact.Add(id, sl.q_impact * impact);
+        ++result.stats.relevant_postings;
+      });
     }
   }
   scr.score_heap.clear();
@@ -118,6 +126,15 @@ InvSearchResult InvSearch(const MerkleInvertedIndex& index,
   // k == 0 asks for nothing, so nothing needs proving: emit a pop-free VO
   // (the client skips the termination conditions for an empty request).
   const bool trivial = k == 0;
+  // Entries popped per condition-1, settle and re-check step.
+  const size_t step = E::kBatchedPops ? params.check_batch : 1;
+  auto has_topk = [&](const E& e, double weight) {
+    bool found = false;
+    e.ForEachMember(weight, [&](ImageId id, double) {
+      found = found || topk_set.contains(id);
+    });
+    return found;
+  };
 
   // Line 1 of Algorithm 3: pop everything up to the deepest top-k
   // occurrence in each list, and at least the head posting of every list so
@@ -126,52 +143,58 @@ InvSearchResult InvSearch(const MerkleInvertedIndex& index,
   // them applied — one feed instead of two. The lazy extension pops only
   // the heads and reveals top-k occurrences on demand later.
   for (size_t li = 0; !trivial && li < relevant.size(); ++li) {
-    const auto& postings = relevant[li].list->postings;
+    const InvertedList<E>& list = *relevant[li].list;
     size_t deepest = 0;  // pop at least one
     if (!params.lazy_topk_pops) {
-      for (size_t i = 0; i < postings.size(); ++i) {
-        if (topk_set.contains(postings[i].id)) deepest = i;
+      for (size_t i = 0; i < list.postings.size(); ++i) {
+        if (has_topk(list.postings[i], list.weight)) deepest = i;
       }
     }
     relevant[li].next_pop = deepest + 1;
-    result.stats.popped_initial += relevant[li].next_pop;
-    result.stats.popped_postings += relevant[li].next_pop;
+    for (size_t i = 0; i <= deepest; ++i) {
+      result.stats.popped_initial += list.postings[i].NumMembers();
+    }
   }
+  result.stats.popped_postings = result.stats.popped_initial;
   BoundsEngine engine = CanonicalEngine(relevant, use_filters);
 
   // Lazy mode: the schedule of unrevealed top-k occurrences, highest impact
   // first (each reveal pops the containing list down to the occurrence).
-  struct Occurrence {
+  struct Reveal {
     double impact;
     size_t li;
     size_t pos;
   };
-  std::vector<Occurrence> claimed_occurrences;
+  std::vector<Reveal> claimed_occurrences;
   if (params.lazy_topk_pops && !trivial) {
     for (size_t li = 0; li < relevant.size(); ++li) {
-      const auto& postings = relevant[li].list->postings;
-      for (size_t i = 0; i < postings.size(); ++i) {
-        if (topk_set.contains(postings[i].id)) {
-          claimed_occurrences.push_back({postings[i].impact, li, i});
-        }
+      const InvertedList<E>& list = *relevant[li].list;
+      for (size_t i = 0; i < list.postings.size(); ++i) {
+        list.postings[i].ForEachMember(
+            list.weight, [&](ImageId id, double impact) {
+              if (topk_set.contains(id)) {
+                claimed_occurrences.push_back({impact, li, i});
+              }
+            });
       }
     }
     std::sort(claimed_occurrences.begin(), claimed_occurrences.end(),
-              [](const Occurrence& a, const Occurrence& b) {
+              [](const Reveal& a, const Reveal& b) {
                 return a.impact > b.impact;
               });
   }
   size_t next_occurrence = 0;
 
-  auto pop_one = [&](size_t li) -> bool {
-    SearchList& sl = relevant[li];
-    if (sl.next_pop >= sl.list->postings.size()) return false;
-    const MerklePosting& p = sl.list->postings[sl.next_pop++];
-    Status s = engine.AddPopped(li, p.id, p.impact);
-    (void)s;
-    ++result.stats.popped_postings;
+  // Pops the next entry of list li; returns the image entries it revealed
+  // (0 once the list is exhausted).
+  auto pop_one = [&](size_t li) -> size_t {
+    SearchList<E>& sl = relevant[li];
+    if (sl.next_pop >= sl.list->postings.size()) return 0;
+    const E& e = sl.list->postings[sl.next_pop++];
+    AddPopped(engine, li, e, sl.list->weight);
+    result.stats.popped_postings += e.NumMembers();
     if (sl.next_pop >= sl.list->postings.size()) engine.MarkExhausted(li);
-    return true;
+    return e.NumMembers();
   };
 
   // During the search s_k^L = min lower-bound score over the claimed top-k.
@@ -183,28 +206,43 @@ InvSearchResult InvSearch(const MerkleInvertedIndex& index,
     return topk_ids.empty() ? 0.0 : skl;
   };
 
+  // Pops up to `step` entries of list li; returns the image entries
+  // revealed.
+  auto pop_step = [&](size_t li) {
+    size_t total = 0;
+    for (size_t i = 0; i < step; ++i) {
+      size_t n = pop_one(li);
+      if (n == 0) break;
+      total += n;
+    }
+    return total;
+  };
+
+  // Greedy target: the list with the largest remaining contribution
+  // q_impact * cap, or relevant.size() once every list is exhausted.
+  auto largest_remaining = [&]() {
+    size_t best = relevant.size();
+    double best_val = -1;
+    for (size_t li = 0; li < relevant.size(); ++li) {
+      if (engine.Exhausted(li)) continue;
+      double v = relevant[li].q_impact * engine.Cap(li);
+      if (v > best_val) {
+        best_val = v;
+        best = li;
+      }
+    }
+    return best;
+  };
+
   // Condition 1 loop: pop from the list with the largest remaining
   // contribution until s_k^L >= pi^U.
   auto run_condition1 = [&]() {
     while (!trivial) {
       ++result.stats.condition_checks;
       if (sk_lower() >= engine.PiUpper()) break;
-      // Greedy: reduce the largest q_impact * cap.
-      size_t best = relevant.size();
-      double best_val = -1;
-      for (size_t li = 0; li < relevant.size(); ++li) {
-        if (engine.Exhausted(li)) continue;
-        double v = relevant[li].q_impact * engine.Cap(li);
-        if (v > best_val) {
-          best_val = v;
-          best = li;
-        }
-      }
+      size_t best = largest_remaining();
       if (best == relevant.size()) break;  // everything popped
-      for (size_t i = 0; i < params.check_batch; ++i) {
-        if (!pop_one(best)) break;
-        ++result.stats.popped_cond1;
-      }
+      result.stats.popped_cond1 += pop_step(best);
     }
   };
 
@@ -236,8 +274,9 @@ InvSearchResult InvSearch(const MerkleInvertedIndex& index,
         // so we stop as soon as the remaining caps alone settle it.
         size_t popped_here = 0;
         while (!engine.Exhausted(li) && !engine.PoppedIn(li, violator)) {
-          if (!pop_one(li)) break;
-          ++result.stats.popped_cond2;
+          size_t n = pop_one(li);
+          if (n == 0) break;
+          result.stats.popped_cond2 += n;
           ++popped_here;
           if (popped_here % params.check_batch == 0 &&
               engine.SUpper(violator) <= skl_now) {
@@ -269,10 +308,7 @@ InvSearchResult InvSearch(const MerkleInvertedIndex& index,
         }
       }
       if (pop_li == relevant.size()) break;  // every claimed score is exact
-      for (size_t i = 0; i < params.check_batch; ++i) {
-        if (!pop_one(pop_li)) break;
-        ++result.stats.popped_settle;
-      }
+      result.stats.popped_settle += pop_step(pop_li);
       run_condition2();
     }
   };
@@ -289,10 +325,10 @@ InvSearchResult InvSearch(const MerkleInvertedIndex& index,
     if (VerifyClaimedTopK(engine, topk_ids, &skl_check)) break;
     bool revealed = false;
     while (next_occurrence < claimed_occurrences.size()) {
-      const Occurrence& occ = claimed_occurrences[next_occurrence++];
+      const Reveal& occ = claimed_occurrences[next_occurrence++];
       if (occ.pos < relevant[occ.li].next_pop) continue;  // already popped
       while (relevant[occ.li].next_pop <= occ.pos) {
-        if (!pop_one(occ.li)) break;
+        if (pop_one(occ.li) == 0) break;
       }
       revealed = true;
       break;
@@ -311,20 +347,9 @@ InvSearchResult InvSearch(const MerkleInvertedIndex& index,
     BoundsEngine canonical = CanonicalEngine(relevant, use_filters);
     ++result.stats.condition_checks;
     if (ConditionsHold(canonical, topk_ids)) break;
-    size_t best = relevant.size();
-    double best_val = -1;
-    for (size_t li = 0; li < relevant.size(); ++li) {
-      if (engine.Exhausted(li)) continue;
-      double v = relevant[li].q_impact * engine.Cap(li);
-      if (v > best_val) {
-        best_val = v;
-        best = li;
-      }
-    }
+    size_t best = largest_remaining();
     if (best == relevant.size()) break;  // fully popped; conditions maximal
-    for (size_t i = 0; i < params.check_batch; ++i) {
-      if (!pop_one(best)) break;
-    }
+    pop_step(best);
   }
 
   // ----- VO serialization -----
@@ -337,10 +362,10 @@ InvSearchResult InvSearch(const MerkleInvertedIndex& index,
   for (size_t li = 0; li < relevant.size(); ++li) {
     relevant_by_cluster[relevant[li].list->cluster] = li;
   }
-  std::vector<uint32_t> id_u32, hi_u32;  // reused across lists
+  typename E::VoScratch codec_scratch;  // reused across lists
   w.PutVarint(query_bovw.entries.size());
   for (const auto& [c, f] : query_bovw.entries) {
-    const MerkleInvertedList& list = index.list(c);
+    const InvertedList<E>& list = index.list(c);
     w.PutVarint(c);
     w.PutF64(list.weight);
     auto it = relevant_by_cluster.find(c);
@@ -348,52 +373,8 @@ InvSearchResult InvSearch(const MerkleInvertedIndex& index,
                         ? 0
                         : relevant[it->second].next_pop;
     w.PutVarint(popped);
-    if (!compress) {
-      for (size_t i = 0; i < popped; ++i) {
-        w.PutVarint(list.postings[i].id);
-        w.PutF64(list.postings[i].impact);
-      }
-    } else if (popped > 0) {
-      // Two split streams (see verify.cc ParseLists): zigzag-delta ids and
-      // impact bit patterns as non-increasing high words (delta-coded) +
-      // raw low words. Either stream falls back per list when a value
-      // does not fit its u32 coding.
-      id_u32.clear();
-      hi_u32.clear();
-      bool gv_ids = true, gv_impacts = true;
-      uint64_t prev_id = 0;
-      uint32_t prev_hi = 0;
-      for (size_t i = 0; i < popped; ++i) {
-        int64_t delta = static_cast<int64_t>(list.postings[i].id) -
-                        static_cast<int64_t>(prev_id);
-        prev_id = list.postings[i].id;
-        uint64_t zz = (static_cast<uint64_t>(delta) << 1) ^
-                      static_cast<uint64_t>(delta >> 63);
-        if (zz > 0xFFFFFFFFull) gv_ids = false;
-        id_u32.push_back(static_cast<uint32_t>(zz));
-        uint64_t bits = std::bit_cast<uint64_t>(list.postings[i].impact);
-        uint32_t hi = static_cast<uint32_t>(bits >> 32);
-        if (i > 0 && hi > prev_hi) gv_impacts = false;
-        hi_u32.push_back(i == 0 ? hi : prev_hi - hi);
-        prev_hi = hi;
-      }
-      w.PutU8(static_cast<uint8_t>((gv_ids ? kGvIds : 0) |
-                                   (gv_impacts ? kGvImpacts : 0)));
-      if (gv_ids) {
-        kern::GroupVarintEncode(id_u32.data(), id_u32.size(), w);
-      } else {
-        for (size_t i = 0; i < popped; ++i) w.PutVarint(list.postings[i].id);
-      }
-      if (gv_impacts) {
-        kern::GroupVarintEncode(hi_u32.data(), hi_u32.size(), w);
-        for (size_t i = 0; i < popped; ++i) {
-          uint64_t bits = std::bit_cast<uint64_t>(list.postings[i].impact);
-          w.PutU32(static_cast<uint32_t>(bits));
-        }
-      } else {
-        for (size_t i = 0; i < popped; ++i) w.PutF64(list.postings[i].impact);
-      }
-    }
+    E::PutVo(w, std::span<const E>(list.postings.data(), popped), compress,
+             &codec_scratch);
     bool has_remaining = popped < list.postings.size();
     bool relevant_list = it != relevant_by_cluster.end();
     bool filter_included = use_filters && relevant_list && has_remaining;
@@ -412,6 +393,23 @@ InvSearchResult InvSearch(const MerkleInvertedIndex& index,
   }
   result.vo = w.Take();
   return result;
+}
+
+template InvSearchResult InvSearch(const PostingIndex&,
+                                   const bovw::BovwVector&,
+                                   const InvSearchParams&,
+                                   kern::SearchScratch*);
+template InvSearchResult InvSearch(const GroupIndex&, const bovw::BovwVector&,
+                                   const InvSearchParams&,
+                                   kern::SearchScratch*);
+
+InvSearchResult InvSearch(const InvertedIndex& index,
+                          const bovw::BovwVector& query_bovw,
+                          const InvSearchParams& params,
+                          kern::SearchScratch* scratch) {
+  return index.Visit([&](const auto& i) {
+    return InvSearch(i, query_bovw, params, scratch);
+  });
 }
 
 }  // namespace imageproof::invindex

@@ -1,8 +1,11 @@
 // PostingSearch + InvSearch (Algorithms 3 and 4): SP-side top-k search over
-// the Merkle inverted index and VO generation.
+// the Merkle inverted index and VO generation, for either entry kind
+// (invindex/entries.h). Under Optimization B the same algorithms run at
+// group granularity: popping a group reveals all of its member images at
+// once and lowers the list's remaining cap to the group's impact.
 //
 // The SP first pops, for every relevant list, the prefix covering all
-// occurrences of the exact top-k images (plus at least the head posting so
+// occurrences of the exact top-k images (plus at least the head entry so
 // every remaining-impact cap is finite), then keeps popping until both
 // termination conditions hold:
 //   Condition 1: s_k^L >= pi^U
@@ -20,15 +23,23 @@
 //   per list (cluster ascending):           BoVW support, relevant or not
 //     varint cluster_id
 //     f64 weight w_c
-//     varint num_popped
-//       uncompressed: per posting varint image_id, f64 impact
-//       compressed (num_popped > 0): u8 list_flags (bit0 ids as one
-//         group-varint zigzag-delta block, bit1 impacts as a group-varint
-//         block of non-increasing IEEE-754 high words plus raw low words);
-//         then the id stream, then the impact stream, with per-value
-//         fallbacks (absolute varint ids / raw f64) when a bit is clear
+//     varint num_popped                  -- entries (postings or groups)
+//     popped entries, per kind:
+//       Posting, raw: per posting varint image_id, f64 impact
+//       Posting, compressed (num_popped > 0): u8 list_flags (bit0 ids as
+//         one group-varint zigzag-delta block, bit1 impacts as a
+//         group-varint block of non-increasing IEEE-754 high words plus
+//         raw low words); then the id stream, then the impact stream, with
+//         per-value fallbacks (absolute varint ids / raw f64) when a bit is
+//         clear
+//       Group, per group: varint freq; varint num_members; then
+//         raw:        members id-ascending as (varint d-gap id, f64 norm)
+//         compressed: u8 group_flags (bit0 ids group-varint, bit1 norms as
+//                     u32 squared values); then the id-gap stream, then the
+//                     norm stream — group-varint blocks or the per-value
+//                     fallbacks (LEB128 gaps / raw f64 norms)
 //     u8 flags (bit0 has_remaining, bit1 filter_included)
-//     [has_remaining]   digest of first unpopped posting
+//     [has_remaining]   digest of first unpopped entry
 //     [filter_included] blob: original cuckoo filter
 //     [use_filters && !filter_included] digest h(Theta)
 
@@ -46,8 +57,9 @@ namespace imageproof::invindex {
 
 struct InvSearchParams {
   size_t k = 10;
-  // Postings popped between termination-condition re-checks (the paper's
-  // batching optimization over [15], which re-checked per posting).
+  // Entries popped between termination-condition re-checks (the paper's
+  // batching optimization over [15], which re-checked per posting). A
+  // group-kind search steps conditions 1 and settle one group at a time.
   size_t check_batch = 16;
   // Extension (off by default = Algorithm 3 line 1 verbatim): instead of
   // eagerly popping every occurrence of every top-k image up front, start
@@ -56,7 +68,7 @@ struct InvSearchParams {
   // low-impact occurrences of result images — which line 1 pays for in
   // full — are then usually never popped. See bench/abl_lazy_topk.
   bool lazy_topk_pops = false;
-  // Extension (off by default): serialize popped postings/groups with
+  // Extension (off by default): serialize popped entries with
   // group-varint compression (common/varint_kernels.h). Signalled on the
   // wire by flag-byte bit 1, which pre-compression parsers reject as
   // non-canonical, so it is only enabled for clients that negotiated it
@@ -76,9 +88,10 @@ struct InvSearchParams {
   bool settle_exact_topk = false;
 };
 
+// Popped and relevant counts are image entries: a group counts its members.
 struct InvSearchStats {
   size_t popped_postings = 0;
-  size_t relevant_postings = 0;  // total postings in relevant lists
+  size_t relevant_postings = 0;  // total image entries in relevant lists
   size_t relevant_lists = 0;
   size_t condition_checks = 0;
   // Breakdown of popped_postings by search phase.
@@ -104,8 +117,15 @@ struct InvSearchResult {
 // mode (filters vs. loose) follows index.with_filters(). `scratch`
 // (optional) supplies the reusable score accumulator and top-k heap so a
 // warm exact-scoring pass allocates nothing; output is identical either
-// way.
-InvSearchResult InvSearch(const MerkleInvertedIndex& index,
+// way. Instantiated for Posting and Group.
+template <class E>
+InvSearchResult InvSearch(const MerkleInvertedIndex<E>& index,
+                          const bovw::BovwVector& query_bovw,
+                          const InvSearchParams& params,
+                          kern::SearchScratch* scratch = nullptr);
+
+// The same over the deployment's index, whichever its kind.
+InvSearchResult InvSearch(const InvertedIndex& index,
                           const bovw::BovwVector& query_bovw,
                           const InvSearchParams& params,
                           kern::SearchScratch* scratch = nullptr);

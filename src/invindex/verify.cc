@@ -1,22 +1,20 @@
 #include "invindex/verify.h"
 
 #include <algorithm>
-#include <bit>
 #include <unordered_set>
 
-#include "common/varint_kernels.h"
 #include "crypto/sha3.h"
-#include "invindex/merkle_inv_index.h"
 #include "invindex/vo_compress.h"
 
 namespace imageproof::invindex {
 
 namespace {
 
+template <class E>
 struct ParsedList {
   ClusterId cluster = 0;
   double weight = 0.0;
-  std::vector<std::pair<ImageId, double>> popped;
+  std::vector<E> popped;
   bool has_remaining = false;
   bool filter_included = false;
   Digest first_remaining = Digest::Zero();
@@ -24,10 +22,11 @@ struct ParsedList {
   Digest theta_digest = Digest::Zero();
 };
 
+template <class E>
 Status ParseLists(const Bytes& vo, bool expect_filters,
-                  std::vector<ParsedList>* out) {
+                  std::vector<ParsedList<E>>* out) {
   ByteReader r(vo);
-  uint8_t vo_flags;
+  uint8_t vo_flags = 0;
   Status s = r.GetU8(&vo_flags);
   if (!s.ok()) return s;
   if (vo_flags > 3) return Status::Error("inv: non-canonical flag byte");
@@ -43,80 +42,23 @@ Status ParseLists(const Bytes& vo, bool expect_filters,
   }
   out->clear();
   out->reserve(num_lists);
-  std::vector<uint32_t> id_buf, hi_buf;  // reused across lists
+  typename E::VoScratch scratch;  // reused across lists
   for (uint64_t i = 0; i < num_lists; ++i) {
-    ParsedList pl;
+    ParsedList<E> pl;
     uint64_t cid;
     if (!(s = r.GetVarint(&cid)).ok()) return s;
     pl.cluster = static_cast<ClusterId>(cid);
     if (!(s = r.GetF64(&pl.weight)).ok()) return s;
     uint64_t num_popped;
     if (!(s = r.GetVarint(&num_popped)).ok()) return s;
-    // Each popped posting occupies at least 9 bytes uncompressed (varint
-    // id + f64 impact) and at least 6 compressed (>=1.25-byte group-varint
-    // id and impact-high words + 4-byte impact-low word), so a count
-    // beyond the remaining input is a lie; this bounds the allocation by
-    // the input size.
-    if (num_popped > r.remaining() / (compressed ? 6 : 9)) {
+    // A count beyond what the remaining input can hold is a lie; this
+    // bounds the allocation by the input size.
+    if (num_popped > r.remaining() / E::MinVoBytes(compressed)) {
       return Status::Error("inv: popped count exceeds input size");
     }
-    pl.popped.reserve(num_popped);
-    if (!compressed) {
-      for (uint64_t j = 0; j < num_popped; ++j) {
-        uint64_t id;
-        double impact;
-        if (!(s = r.GetVarint(&id)).ok()) return s;
-        if (!(s = r.GetF64(&impact)).ok()) return s;
-        pl.popped.emplace_back(id, impact);
-      }
-    } else if (num_popped > 0) {
-      uint8_t lflags = 0;
-      if (!(s = r.GetU8(&lflags)).ok()) return s;
-      if (lflags & ~(kGvIds | kGvImpacts)) {
-        return Status::Error("inv: unknown list flags");
-      }
-      pl.popped.resize(num_popped);
-      if (lflags & kGvIds) {
-        // ZigZag deltas (postings ride in impact order, so ids are not
-        // monotone); the first value is the absolute id, zigzagged.
-        id_buf.resize(num_popped);
-        if (!(s = kern::GroupVarintDecode(r, num_popped, id_buf.data())).ok()) {
-          return s;
-        }
-        uint64_t prev = 0;
-        for (uint64_t j = 0; j < num_popped; ++j) {
-          prev = static_cast<uint64_t>(static_cast<int64_t>(prev) +
-                                       kern::ZigZagDecode32(id_buf[j]));
-          pl.popped[j].first = prev;
-        }
-      } else {
-        for (uint64_t j = 0; j < num_popped; ++j) {
-          uint64_t id;
-          if (!(s = r.GetVarint(&id)).ok()) return s;
-          pl.popped[j].first = id;
-        }
-      }
-      if (lflags & kGvImpacts) {
-        // Impacts descend, so the high words of their IEEE-754 bit
-        // patterns never increase: ship the first high word absolute and
-        // the rest as non-negative deltas, then the raw low words.
-        hi_buf.resize(num_popped);
-        if (!(s = kern::GroupVarintDecode(r, num_popped, hi_buf.data())).ok()) {
-          return s;
-        }
-        uint32_t hi = 0;
-        for (uint64_t j = 0; j < num_popped; ++j) {
-          hi = (j == 0) ? hi_buf[j] : hi - hi_buf[j];
-          uint32_t lo = 0;
-          if (!(s = r.GetU32(&lo)).ok()) return s;
-          uint64_t bits = (static_cast<uint64_t>(hi) << 32) | lo;
-          pl.popped[j].second = std::bit_cast<double>(bits);
-        }
-      } else {
-        for (uint64_t j = 0; j < num_popped; ++j) {
-          if (!(s = r.GetF64(&pl.popped[j].second)).ok()) return s;
-        }
-      }
+    if (!(s = E::GetVo(r, num_popped, compressed, &pl.popped, &scratch))
+             .ok()) {
+      return s;
     }
     uint8_t flags = 0;
     if (!(s = r.GetU8(&flags)).ok()) return s;
@@ -144,11 +86,12 @@ Status ParseLists(const Bytes& vo, bool expect_filters,
 
 }  // namespace
 
+template <class E>
 Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
                    const std::vector<ImageId>& claimed_topk,
                    size_t requested_k, bool expect_filters,
                    InvVerifyResult* out) {
-  std::vector<ParsedList> lists;
+  std::vector<ParsedList<E>> lists;
   Status s = ParseLists(vo, expect_filters, &lists);
   if (!s.ok()) return s;
 
@@ -164,9 +107,9 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
 
   const double norm = query_bovw.L2Norm();
   std::vector<BoundsList> bounds_lists;
-  std::vector<const ParsedList*> relevant;  // aligned with bounds_lists
+  std::vector<const ParsedList<E>*> relevant;  // aligned with bounds_lists
 
-  for (const ParsedList& pl : lists) {
+  for (const ParsedList<E>& pl : lists) {
     // Reconstruct h_Gamma.
     if (pl.weight < 0) return Status::Error("inv: negative weight");
     Digest theta = Digest::Zero();
@@ -183,11 +126,11 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
     }
     Digest chain = pl.has_remaining ? pl.first_remaining : Digest::Zero();
     for (size_t j = pl.popped.size(); j-- > 0;) {
-      chain = PostingDigest(pl.popped[j].first, pl.popped[j].second, chain);
+      chain = EntryDigest(pl.popped[j], chain);
     }
     out->list_digests[pl.cluster] = ListDigest(pl.weight, theta, chain);
     out->weights[pl.cluster] = pl.weight;
-    out->popped_postings += pl.popped.size();
+    for (const E& e : pl.popped) out->popped_postings += e.NumMembers();
 
     uint32_t freq = query_bovw.FrequencyOf(pl.cluster);
     double q_impact = bovw::ImpactValue(pl.weight, freq, norm);
@@ -196,9 +139,9 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
 
     if (!is_relevant) {
       // Reveal discipline: an irrelevant (or empty) list must not pop
-      // postings or ship a filter.
+      // entries or ship a filter.
       if (q_impact <= 0 && !pl.popped.empty()) {
-        return Status::Error("inv: postings popped for irrelevant list");
+        return Status::Error("inv: entries popped for irrelevant list");
       }
       if (pl.filter_included) {
         return Status::Error("inv: filter shipped for irrelevant list");
@@ -208,7 +151,7 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
     // A relevant list must be bounded: either something was popped (finite
     // cap) or it is exhausted.
     if (requested_k > 0 && pl.popped.empty() && pl.has_remaining) {
-      return Status::Error("inv: relevant list with no popped postings");
+      return Status::Error("inv: relevant list with no popped entries");
     }
     if (expect_filters && pl.has_remaining && !pl.filter_included) {
       return Status::Error("inv: missing filter for relevant list");
@@ -224,8 +167,12 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
   // Replay every pop in canonical order.
   BoundsEngine engine(std::move(bounds_lists), expect_filters);
   for (size_t li = 0; li < relevant.size(); ++li) {
-    for (const auto& [id, impact] : relevant[li]->popped) {
-      s = engine.AddPopped(li, id, impact);
+    const double weight = relevant[li]->weight;
+    for (const E& e : relevant[li]->popped) {
+      const double cap = e.Cap(weight);
+      e.ForEachMember(weight, [&](ImageId id, double impact) {
+        if (s.ok()) s = engine.AddPopped(li, id, impact, cap);
+      });
       if (!s.ok()) return s;
     }
     if (!relevant[li]->has_remaining) engine.MarkExhausted(li);
@@ -253,7 +200,7 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
     // provably drained and contain no further distinct image.
     for (size_t li = 0; li < relevant.size(); ++li) {
       if (!engine.Exhausted(li)) {
-        return Status::Error("inv: short result set with unpopped postings");
+        return Status::Error("inv: short result set with unpopped entries");
       }
     }
     if (engine.Scores().size() != claimed_topk.size()) {
@@ -295,6 +242,25 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
               return a.id < b.id;
             });
   return Status::Ok();
+}
+
+template Status VerifyInvVo<Posting>(const Bytes&, const bovw::BovwVector&,
+                                     const std::vector<ImageId>&, size_t,
+                                     bool, InvVerifyResult*);
+template Status VerifyInvVo<Group>(const Bytes&, const bovw::BovwVector&,
+                                   const std::vector<ImageId>&, size_t, bool,
+                                   InvVerifyResult*);
+
+Status VerifyInvVo(EntryKind kind, const Bytes& vo,
+                   const bovw::BovwVector& query_bovw,
+                   const std::vector<ImageId>& claimed_topk,
+                   size_t requested_k, bool expect_filters,
+                   InvVerifyResult* out) {
+  return kind == EntryKind::kGroup
+             ? VerifyInvVo<Group>(vo, query_bovw, claimed_topk, requested_k,
+                                  expect_filters, out)
+             : VerifyInvVo<Posting>(vo, query_bovw, claimed_topk, requested_k,
+                                    expect_filters, out);
 }
 
 }  // namespace imageproof::invindex

@@ -1,11 +1,12 @@
-// Client-side verification of an InvSearch VO (Section IV-B "Verification").
+// Client-side verification of an InvSearch VO (Section IV-B "Verification"),
+// for either entry kind (invindex/entries.h).
 //
 // The client
-//   1. parses the per-list reveals, checks the impact ordering of every
-//      popped prefix, and reconstructs each list digest h_Gamma from the
-//      popped postings + first-remaining digest + h(Theta) — these digests
-//      are then compared (by the caller) against the ones bound into the
-//      MRKD-tree leaves;
+//   1. parses the per-list reveals (group members come back re-sorted into
+//      their canonical (norm, id) digest order) and reconstructs each list
+//      digest h_Gamma from the popped entries + first-remaining digest +
+//      h(Theta) — these digests are then compared (by the caller) against
+//      the ones bound into the MRKD-tree leaves;
 //   2. recomputes the query impacts p_{Q,c} from the verified BoVW vector
 //      and the w_c values in the VO, checking the reveal discipline
 //      (relevant lists have pops + filters, irrelevant ones do not);
@@ -23,6 +24,7 @@
 #include "common/bytes.h"
 #include "common/status.h"
 #include "invindex/bounds.h"
+#include "invindex/merkle_inv_index.h"
 
 namespace imageproof::invindex {
 
@@ -48,8 +50,17 @@ struct InvVerifyResult {
 
 // `query_bovw` is the client's (already verified) BoVW vector of the query;
 // `claimed_topk` the SP's result ids; `requested_k` the k the client asked
-// for; `expect_filters` selects ImageProof vs. Baseline VO layout.
+// for; `expect_filters` selects ImageProof vs. Baseline VO layout; E the
+// entry kind of the deployment's index. Instantiated for Posting and Group.
+template <class E = Posting>
 Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
+                   const std::vector<ImageId>& claimed_topk,
+                   size_t requested_k, bool expect_filters,
+                   InvVerifyResult* out);
+
+// The same with the entry kind chosen at run time.
+Status VerifyInvVo(EntryKind kind, const Bytes& vo,
+                   const bovw::BovwVector& query_bovw,
                    const std::vector<ImageId>& claimed_topk,
                    size_t requested_k, bool expect_filters,
                    InvVerifyResult* out);

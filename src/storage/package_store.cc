@@ -226,37 +226,15 @@ Status ReadHeaderAndToc(const MmapFile& map, Header* header,
 Bytes EncodePostings(const core::SpPackage& package) {
   ByteWriter w;
   const bool filters = package.config.with_filters;
-  if (package.config.freq_grouped) {
-    const auto& idx = *package.fg_index;
+  package.inv_index->Visit([&](const auto& idx) {
     w.PutVarint(idx.num_clusters());
     for (size_t c = 0; c < idx.num_clusters(); ++c) {
       const auto& list = idx.list(static_cast<bovw::ClusterId>(c));
       w.PutVarint(list.postings.size());
-      for (const auto& g : list.postings) {
-        w.PutU32(g.freq);
-        w.PutVarint(g.members.size());
-        for (const auto& m : g.members) {
-          w.PutU64(m.id);
-          w.PutF64(m.norm);
-        }
-        crypto::PutDigest(w, g.digest);
-      }
+      for (const auto& e : list.postings) e.PutIpk(w);
       if (filters) w.PutBlob(list.filter->Serialize());
     }
-  } else {
-    const auto& idx = *package.inv_index;
-    w.PutVarint(idx.num_clusters());
-    for (size_t c = 0; c < idx.num_clusters(); ++c) {
-      const auto& list = idx.list(static_cast<bovw::ClusterId>(c));
-      w.PutVarint(list.postings.size());
-      for (const auto& p : list.postings) {
-        w.PutU64(p.id);
-        w.PutF64(p.impact);
-        crypto::PutDigest(w, p.digest);
-      }
-      if (filters) w.PutBlob(list.filter->Serialize());
-    }
-  }
+  });
   return w.Take();
 }
 
@@ -274,78 +252,40 @@ Status DecodeFilter(ByteReader& r, const cuckoo::CuckooParams& geo,
   return Status::Ok();
 }
 
-Status DecodePlainPostings(ByteReader& r, const core::SpPackage& pkg,
-                           const std::vector<double>& weights,
-                           const cuckoo::CuckooParams& geo,
-                           std::vector<invindex::MerkleInvertedList>* lists) {
+// Decodes the postings section into lists and restores the index over
+// them (no chain rehash).
+template <class E>
+Result<invindex::InvertedIndex> DecodePostings(
+    ByteReader& r, const core::SpPackage& pkg,
+    const std::vector<double>& weights, const cuckoo::CuckooParams& geo) {
   uint64_t nl = 0;
   Status s;
   if (!(s = r.GetVarint(&nl)).ok()) return s;
   if (nl != weights.size()) return Corrupt("posting list count diverges");
-  lists->resize(nl);
+  std::vector<invindex::InvertedList<E>> lists(nl);
   for (uint64_t c = 0; c < nl; ++c) {
-    invindex::MerkleInvertedList& list = (*lists)[c];
+    invindex::InvertedList<E>& list = lists[c];
     list.cluster = static_cast<bovw::ClusterId>(c);
     list.weight = weights[c];
-    uint64_t np = 0;
-    if (!(s = r.GetVarint(&np)).ok()) return s;
-    // id(8) + impact(8) + digest(32) per posting: cap the allocation
-    // against bytes actually present.
-    if (np > r.remaining() / (16 + crypto::kDigestSize)) {
+    uint64_t n = 0;
+    if (!(s = r.GetVarint(&n)).ok()) return s;
+    // Cap the allocation against bytes actually present.
+    if (n > r.remaining() / E::kMinIpkBytes) {
       return Corrupt("posting count exceeds input size");
     }
-    list.postings.resize(np);
-    for (auto& p : list.postings) {
-      if (!(s = r.GetU64(&p.id)).ok()) return s;
-      if (!(s = r.GetF64(&p.impact)).ok()) return s;
-      if (!(s = crypto::GetDigest(r, &p.digest)).ok()) return s;
+    list.postings.resize(n);
+    for (E& e : list.postings) {
+      if (!(s = E::GetIpk(r, &e)).ok()) return s;
     }
     if (pkg.config.with_filters) {
       if (!(s = DecodeFilter(r, geo, &list.filter)).ok()) return s;
     }
   }
-  return Status::Ok();
-}
-
-Status DecodeFgPostings(ByteReader& r, const core::SpPackage& pkg,
-                        const std::vector<double>& weights,
-                        const cuckoo::CuckooParams& geo,
-                        std::vector<freqgroup::FgList>* lists) {
-  uint64_t nl = 0;
-  Status s;
-  if (!(s = r.GetVarint(&nl)).ok()) return s;
-  if (nl != weights.size()) return Corrupt("posting list count diverges");
-  lists->resize(nl);
-  for (uint64_t c = 0; c < nl; ++c) {
-    freqgroup::FgList& list = (*lists)[c];
-    list.cluster = static_cast<bovw::ClusterId>(c);
-    list.weight = weights[c];
-    uint64_t ng = 0;
-    if (!(s = r.GetVarint(&ng)).ok()) return s;
-    // freq(4) + member count(1+) + >=1 member(16) + digest(32) per group.
-    if (ng > r.remaining() / (5 + 16 + crypto::kDigestSize)) {
-      return Corrupt("group count exceeds input size");
-    }
-    list.postings.resize(ng);
-    for (auto& g : list.postings) {
-      if (!(s = r.GetU32(&g.freq)).ok()) return s;
-      uint64_t nm = 0;
-      if (!(s = r.GetVarint(&nm)).ok()) return s;
-      if (nm > r.remaining() / 16) {
-        return Corrupt("member count exceeds input size");
-      }
-      g.members.resize(nm);
-      for (auto& m : g.members) {
-        if (!(s = r.GetU64(&m.id)).ok()) return s;
-        if (!(s = r.GetF64(&m.norm)).ok()) return s;
-      }
-      if (!(s = crypto::GetDigest(r, &g.digest)).ok()) return s;
-    }
-    if (pkg.config.with_filters) {
-      if (!(s = DecodeFilter(r, geo, &list.filter)).ok()) return s;
-    }
-  }
-  return Status::Ok();
+  Result<invindex::MerkleInvertedIndex<E>> idx =
+      invindex::MerkleInvertedIndex<E>::Restore(geo, pkg.config.with_filters,
+                                                std::move(lists));
+  if (!idx.ok()) return idx.status();
+  return invindex::InvertedIndex(std::move(*idx));
 }
 
 // One image-index entry on the wire: id(u64) | blob offset(varint) |
@@ -419,19 +359,13 @@ Status PackageStore::Write(const std::string& path,
     ByteWriter w;
     w.PutVarint(package.codebook.size());
     for (size_t c = 0; c < package.codebook.size(); ++c) {
-      double weight =
-          package.config.freq_grouped
-              ? package.fg_index->list(static_cast<bovw::ClusterId>(c)).weight
-              : package.inv_index->list(static_cast<bovw::ClusterId>(c)).weight;
-      w.PutF64(weight);
+      w.PutF64(package.inv_index->weight(static_cast<bovw::ClusterId>(c)));
     }
     sections[kWeights - 1] = w.Take();
   }
   {
     ByteWriter w;
-    PutFilterGeometry(w, package.config.freq_grouped
-                             ? package.fg_index->filter_params()
-                             : package.inv_index->filter_params());
+    PutFilterGeometry(w, package.inv_index->filter_params());
     sections[kFilterGeo - 1] = w.Take();
   }
   {
@@ -594,30 +528,13 @@ Result<std::unique_ptr<core::SpPackage>> PackageStore::Open(
   // store): theta and list digests are re-derived, node digests below.
   {
     ByteReader r = section(kPostings);
-    if (pkg->config.freq_grouped) {
-      std::vector<freqgroup::FgList> lists;
-      if (!(s = DecodeFgPostings(r, *pkg, raw_weights, geo, &lists)).ok()) {
-        return s;
-      }
-      Result<freqgroup::FgInvertedIndex> idx = freqgroup::FgInvertedIndex::
-          Restore(geo, pkg->config.with_filters, std::move(lists));
-      if (!idx.ok()) return idx.status();
-      pkg->fg_index = std::make_unique<freqgroup::FgInvertedIndex>(
-          std::move(*idx));
-      pkg->list_digests = pkg->fg_index->ListDigests();
-    } else {
-      std::vector<invindex::MerkleInvertedList> lists;
-      if (!(s = DecodePlainPostings(r, *pkg, raw_weights, geo, &lists)).ok()) {
-        return s;
-      }
-      Result<invindex::MerkleInvertedIndex> idx = invindex::
-          MerkleInvertedIndex::Restore(geo, pkg->config.with_filters,
-                                       std::move(lists));
-      if (!idx.ok()) return idx.status();
-      pkg->inv_index = std::make_unique<invindex::MerkleInvertedIndex>(
-          std::move(*idx));
-      pkg->list_digests = pkg->inv_index->ListDigests();
-    }
+    Result<invindex::InvertedIndex> idx =
+        pkg->config.freq_grouped
+            ? DecodePostings<invindex::Group>(r, *pkg, raw_weights, geo)
+            : DecodePostings<invindex::Posting>(r, *pkg, raw_weights, geo);
+    if (!idx.ok()) return idx.status();
+    pkg->inv_index = std::make_unique<invindex::InvertedIndex>(std::move(*idx));
+    pkg->list_digests = pkg->inv_index->ListDigests();
     if (!(s = section_done(r, "postings")).ok()) return s;
   }
   {
@@ -684,8 +601,7 @@ Result<std::unique_ptr<core::SpPackage>> PackageStore::Open(
     }
   }
   if (opts.deep_verify) {
-    s = pkg->config.freq_grouped ? pkg->fg_index->VerifyChains()
-                                 : pkg->inv_index->VerifyChains();
+    s = pkg->inv_index->VerifyChains();
     if (!s.ok()) return s;
     // Faults in every payload page and checks each stored digest.
     s = mapped->ForEach([](ImageId, BytesView, BytesView) {

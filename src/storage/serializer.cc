@@ -54,20 +54,14 @@ Bytes SerializeSpPackage(const core::SpPackage& package) {
   // incremental updates), so they are stored rather than re-derived.
   w.PutVarint(package.codebook.size());
   for (size_t c = 0; c < package.codebook.size(); ++c) {
-    double weight = package.config.freq_grouped
-                        ? package.fg_index->list(static_cast<bovw::ClusterId>(c)).weight
-                        : package.inv_index->list(static_cast<bovw::ClusterId>(c)).weight;
-    w.PutF64(weight);
+    w.PutF64(package.inv_index->weight(static_cast<bovw::ClusterId>(c)));
   }
 
   // The shared cuckoo-filter geometry is committed state too: it was sized
   // from the longest list at build time and stays frozen across incremental
   // updates, so a reload must NOT re-derive it from the (possibly grown)
   // current lists — that would change every theta digest and the root.
-  const cuckoo::CuckooParams& geo = package.config.freq_grouped
-                                        ? package.fg_index->filter_params()
-                                        : package.inv_index->filter_params();
-  PutFilterGeometry(w, geo);
+  PutFilterGeometry(w, package.inv_index->filter_params());
 
   w.PutVarint(package.mrkd_trees.size());
   for (const auto& tree : package.forest->trees()) {
@@ -149,21 +143,13 @@ Result<std::unique_ptr<core::SpPackage>> DeserializeSpPackage(const Bytes& data)
   geo.seed = pkg->config.filter_seed;
   if (!(s = GetFilterGeometry(r, &geo)).ok()) return s;
 
-  if (pkg->config.freq_grouped) {
-    pkg->fg_index = std::make_unique<freqgroup::FgInvertedIndex>(
-        freqgroup::FgInvertedIndex::Build(
-            pkg->codebook.size(), pkg->corpus, weights,
-            pkg->config.with_filters, pkg->config.fingerprint_bits,
-            pkg->config.filter_seed, geo));
-    pkg->list_digests = pkg->fg_index->ListDigests();
-  } else {
-    pkg->inv_index = std::make_unique<invindex::MerkleInvertedIndex>(
-        invindex::MerkleInvertedIndex::Build(
-            pkg->codebook.size(), pkg->corpus, weights,
-            pkg->config.with_filters, pkg->config.fingerprint_bits,
-            pkg->config.filter_seed, geo));
-    pkg->list_digests = pkg->inv_index->ListDigests();
-  }
+  pkg->inv_index =
+      std::make_unique<invindex::InvertedIndex>(invindex::InvertedIndex::Build(
+          pkg->config.freq_grouped ? invindex::EntryKind::kGroup
+                                   : invindex::EntryKind::kPosting,
+          pkg->codebook.size(), pkg->corpus, weights, pkg->config.with_filters,
+          pkg->config.fingerprint_bits, pkg->config.filter_seed, geo));
+  pkg->list_digests = pkg->inv_index->ListDigests();
 
   uint64_t num_trees;
   if (!(s = r.GetVarint(&num_trees)).ok()) return s;

@@ -20,6 +20,7 @@
 #include "core/server.h"
 #include "storage/package_store.h"
 #include "storage/serializer.h"
+#include "test_support.h"
 #include "workload/synthetic.h"
 
 namespace imageproof::storage {
@@ -46,12 +47,6 @@ core::OwnerOutput BuildDeploymentOf(size_t num_images, size_t num_clusters,
                                std::move(corpus), std::move(blobs), seed + 2);
 }
 
-std::string FreshDir(const char* name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  (void)system(("rm -rf " + dir + " && mkdir -p " + dir).c_str());
-  return dir;
-}
-
 // --- power failure at every protocol step -------------------------------
 
 class StoreCrashTest : public ::testing::Test {
@@ -59,7 +54,7 @@ class StoreCrashTest : public ::testing::Test {
   void SetUp() override {
     fault::FaultInjector::Global().DisarmAll();
     owner_ = BuildDeploymentOf(60, 48, 8, 13);
-    dir_ = FreshDir("store_crash");
+    dir_ = tmp_.path();
     ASSERT_TRUE(PackageStore::WriteEpoch(dir_, 1, *owner_.package).ok());
     ASSERT_TRUE(PackageStore::SetCurrentEpoch(dir_, 1).ok());
   }
@@ -80,6 +75,7 @@ class StoreCrashTest : public ::testing::Test {
   }
 
   core::OwnerOutput owner_;
+  testing_support::ScopedTestDir tmp_;
   std::string dir_;
 };
 
@@ -147,7 +143,7 @@ class EngineCrashTest : public ::testing::Test {
   void SetUp() override {
     fault::FaultInjector::Global().DisarmAll();
     owner_ = BuildDeploymentOf(60, 48, 8, 29);
-    dir_ = FreshDir("engine_crash");
+    dir_ = tmp_.path();
     features_ =
         workload::GenerateQueryFeatures(owner_.package->codebook, 10, 0.3, 7);
     insert_vec_ = owner_.package->corpus[0].second;
@@ -178,6 +174,7 @@ class EngineCrashTest : public ::testing::Test {
   }
 
   core::OwnerOutput owner_;
+  testing_support::ScopedTestDir tmp_;
   std::string dir_;
   std::vector<std::vector<float>> features_;
   bovw::BovwVector insert_vec_;
@@ -252,7 +249,8 @@ TEST_F(EngineCrashTest, UpdateSurvivesCrashAtEveryPersistStep) {
 // corruption and fails the test.
 TEST(BitFlipScanTest, EveryFlippedBitDetectedOrHarmless) {
   core::OwnerOutput owner = BuildDeploymentOf(10, 12, 4, 41);
-  std::string path = ::testing::TempDir() + "/bitflip_scan.ipk";
+  testing_support::ScopedTestDir tmp;
+  std::string path = tmp.Path("bitflip_scan.ipk");
   WriteOptions wo;
   wo.page_size = 64;  // shrink padding so the scan is dominated by real data
   ASSERT_TRUE(PackageStore::Write(path, *owner.package, wo).ok());

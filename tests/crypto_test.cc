@@ -1,6 +1,6 @@
-// Tests for the from-scratch crypto substrate: SHA3-256 and SHA-256 against
-// published vectors, bignum arithmetic against independent references, and
-// RSA sign/verify round trips.
+// Tests for the from-scratch crypto substrate: SHA3-256 against published
+// vectors, bignum arithmetic against independent references, and RSA
+// sign/verify round trips.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "crypto/digest.h"
 #include "crypto/hasher.h"
 #include "crypto/rsa.h"
-#include "crypto/sha256.h"
 #include "crypto/sha3.h"
 
 namespace imageproof::crypto {
@@ -69,47 +68,6 @@ TEST(Sha3Test, ExactRateBlock) {
   Bytes data(136, 0x5A);
   Bytes data2(137, 0x5A);
   EXPECT_NE(Sha3(data), Sha3(data2));
-}
-
-// ---------------------------------------------------------------------------
-// SHA-256 (FIPS 180-4)
-// ---------------------------------------------------------------------------
-
-TEST(Sha256Test, EmptyString) {
-  EXPECT_EQ(Sha2(Bytes{}).ToHex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-}
-
-TEST(Sha256Test, Abc) {
-  EXPECT_EQ(Sha2(AsciiBytes("abc")).ToHex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-}
-
-TEST(Sha256Test, TwoBlocks) {
-  EXPECT_EQ(
-      Sha2(AsciiBytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))
-          .ToHex(),
-      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
-}
-
-TEST(Sha256Test, MillionAs) {
-  Sha256 h;
-  Bytes chunk(1000, 'a');
-  for (int i = 0; i < 1000; ++i) h.Update(chunk);
-  EXPECT_EQ(h.Finalize().ToHex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
-}
-
-TEST(Sha256Test, PaddingBoundaries) {
-  // Lengths around the 55/56/64-byte padding edges must all differ.
-  Digest prev{};
-  for (size_t len : {size_t{54}, size_t{55}, size_t{56}, size_t{57}, size_t{63},
-                     size_t{64}, size_t{65}}) {
-    Bytes data(len, 0x61);
-    Digest d = Sha2(data);
-    EXPECT_NE(d, prev);
-    prev = d;
-  }
 }
 
 // ---------------------------------------------------------------------------

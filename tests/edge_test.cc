@@ -7,9 +7,6 @@
 #include "core/client.h"
 #include "core/owner.h"
 #include "core/server.h"
-#include "freqgroup/fg_index.h"
-#include "freqgroup/fg_search.h"
-#include "freqgroup/fg_verify.h"
 #include "invindex/merkle_inv_index.h"
 #include "invindex/search.h"
 #include "invindex/verify.h"
@@ -85,7 +82,7 @@ TEST(EdgeInvIndex, SingleImageCorpus) {
   corpus[0].first = 7;
   corpus[0].second.entries = {{0, 3}, {2, 1}};
   auto weights = bovw::ClusterWeights::FromCorpus(3, {corpus[0].second});
-  auto index = invindex::MerkleInvertedIndex::Build(3, corpus, weights, true);
+  auto index = invindex::PostingIndex::Build(3, corpus, weights, true);
   // All weights are ln(1/1) = 0, so impacts vanish and no list is relevant.
   bovw::BovwVector q;
   q.entries = {{0, 1}};
@@ -110,7 +107,7 @@ TEST(EdgeInvIndex, AllImagesIdentical) {
   std::vector<bovw::BovwVector> vecs;
   for (auto& [id, v] : corpus) vecs.push_back(v);
   auto weights = bovw::ClusterWeights::FromCorpus(3, vecs);
-  auto index = invindex::MerkleInvertedIndex::Build(3, corpus, weights, true);
+  auto index = invindex::PostingIndex::Build(3, corpus, weights, true);
 
   bovw::BovwVector q;
   q.entries = {{0, 1}, {2, 1}};
@@ -142,7 +139,7 @@ TEST(EdgeFgIndex, AllSameFrequency) {
   std::vector<bovw::BovwVector> vecs;
   for (auto& [id, v] : corpus) vecs.push_back(v);
   auto weights = bovw::ClusterWeights::FromCorpus(5, vecs);
-  auto index = freqgroup::FgInvertedIndex::Build(5, corpus, weights, true);
+  auto index = invindex::GroupIndex::Build(5, corpus, weights, true);
   for (bovw::ClusterId c = 0; c < 5; ++c) {
     EXPECT_LE(index.list(c).postings.size(), 1u) << "one group per list";
   }
@@ -150,11 +147,13 @@ TEST(EdgeFgIndex, AllSameFrequency) {
   q.entries = {{0, 1}, {3, 2}};
   invindex::InvSearchParams params;
   params.k = 4;
-  auto result = freqgroup::FgSearch(index, q, params);
+  auto result = invindex::InvSearch(index, q, params);
   std::vector<bovw::ImageId> claimed;
   for (auto& si : result.topk) claimed.push_back(si.id);
   invindex::InvVerifyResult verified;
-  Status s = freqgroup::FgVerifyVo(result.vo, q, claimed, 4, true, &verified);
+  Status s =
+      invindex::VerifyInvVo<invindex::Group>(result.vo, q, claimed, 4, true,
+                                             &verified);
   EXPECT_TRUE(s.ok()) << s.message();
 }
 

@@ -8,13 +8,11 @@
 #include <set>
 
 #include "common/random.h"
-#include "freqgroup/fg_index.h"
-#include "freqgroup/fg_search.h"
-#include "freqgroup/fg_verify.h"
 #include "invindex/merkle_inv_index.h"
 #include "invindex/search.h"
+#include "invindex/verify.h"
 
-namespace imageproof::freqgroup {
+namespace imageproof::invindex {
 namespace {
 
 using bovw::BovwVector;
@@ -60,13 +58,13 @@ struct Corpus {
 
 TEST(FgIndexTest, GroupingInvariants) {
   Corpus corpus(300, 40, 3);
-  auto index = FgInvertedIndex::Build(40, corpus.images, *corpus.weights, true);
+  auto index = GroupIndex::Build(40, corpus.images, *corpus.weights, true);
   for (bovw::ClusterId c = 0; c < 40; ++c) {
-    const FgList& list = index.list(c);
+    const InvertedList<Group>& list = index.list(c);
     std::set<uint32_t> freqs_seen;
     std::set<ImageId> ids_seen;
     double prev_impact = 1e300;
-    for (const FgPosting& p : list.postings) {
+    for (const Group& p : list.postings) {
       // One group per frequency.
       EXPECT_TRUE(freqs_seen.insert(p.freq).second);
       ASSERT_FALSE(p.members.empty());
@@ -80,19 +78,18 @@ TEST(FgIndexTest, GroupingInvariants) {
         }
       }
       // Group impacts descend along the list.
-      double impact = p.GroupImpact(list.weight);
+      double impact = p.Cap(list.weight);
       EXPECT_LE(impact, prev_impact);
       prev_impact = impact;
     }
     // Chain digests verify.
     Digest next = Digest::Zero();
     for (size_t i = list.postings.size(); i-- > 0;) {
-      next = FgPostingDigest(list.postings[i], next);
+      next = EntryDigest(list.postings[i], next);
       EXPECT_EQ(next, list.postings[i].digest);
     }
-    EXPECT_EQ(list.digest,
-              invindex::ListDigest(list.weight, list.theta_digest,
-                                   list.FirstPostingDigest()));
+    EXPECT_EQ(list.digest, ListDigest(list.weight, list.theta_digest,
+                                      list.FirstPostingDigest()));
   }
 }
 
@@ -100,15 +97,15 @@ TEST(FgIndexTest, GroupsEquivalentToPlainPostings) {
   // The grouped index encodes exactly the same (image, impact) pairs as the
   // plain index.
   Corpus corpus(200, 30, 5);
-  auto plain = invindex::MerkleInvertedIndex::Build(30, corpus.images,
+  auto plain = PostingIndex::Build(30, corpus.images,
                                                     *corpus.weights, true);
-  auto grouped = FgInvertedIndex::Build(30, corpus.images, *corpus.weights, true);
+  auto grouped = GroupIndex::Build(30, corpus.images, *corpus.weights, true);
   for (bovw::ClusterId c = 0; c < 30; ++c) {
     std::map<ImageId, double> plain_impacts, grouped_impacts;
     for (const auto& p : plain.list(c).postings) {
       plain_impacts[p.id] = p.impact;
     }
-    const FgList& list = grouped.list(c);
+    const InvertedList<Group>& list = grouped.list(c);
     for (const auto& g : list.postings) {
       for (size_t m = 0; m < g.members.size(); ++m) {
         grouped_impacts[g.members[m].id] = g.MemberImpact(list.weight, m);
@@ -122,13 +119,14 @@ TEST(FgIndexTest, GroupsEquivalentToPlainPostings) {
   }
 }
 
-void ExpectFgRoundTrip(const FgInvertedIndex& index, const Corpus& corpus,
+void ExpectGroupRoundTrip(const GroupIndex& index, const Corpus& corpus,
                        const BovwVector& query, size_t k) {
-  invindex::InvSearchParams params;
+  InvSearchParams params;
   params.k = k;
-  FgSearchResult result = FgSearch(index, query, params);
+  InvSearchResult result = InvSearch(index, query, params);
 
-  auto expected = bovw::BruteForceTopK(corpus.images, query, *corpus.weights, k);
+  auto expected =
+      bovw::BruteForceTopK(corpus.images, query, *corpus.weights, k);
   while (!expected.empty() && expected.back().score <= 0) expected.pop_back();
   ASSERT_EQ(result.topk.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
@@ -139,73 +137,73 @@ void ExpectFgRoundTrip(const FgInvertedIndex& index, const Corpus& corpus,
   std::vector<ImageId> claimed;
   for (const auto& si : result.topk) claimed.push_back(si.id);
   InvVerifyResult verified;
-  Status s = FgVerifyVo(result.vo, query, claimed, k, index.with_filters(),
-                        &verified);
+  Status s = VerifyInvVo<Group>(result.vo, query, claimed, k,
+                                index.with_filters(), &verified);
   ASSERT_TRUE(s.ok()) << s.message();
   for (const auto& [c, digest] : verified.list_digests) {
     EXPECT_EQ(digest, index.list(c).digest) << "cluster " << c;
   }
 }
 
-TEST(FgSearchTest, MatchesBruteForce) {
+TEST(GroupSearchTest, MatchesBruteForce) {
   Corpus corpus(400, 50, 7);
-  auto index = FgInvertedIndex::Build(50, corpus.images, *corpus.weights, true);
+  auto index = GroupIndex::Build(50, corpus.images, *corpus.weights, true);
   for (uint64_t qs = 0; qs < 8; ++qs) {
     SCOPED_TRACE(qs);
-    ExpectFgRoundTrip(index, corpus, corpus.RandomQuery(100 + qs), 10);
+    ExpectGroupRoundTrip(index, corpus, corpus.RandomQuery(100 + qs), 10);
   }
 }
 
-TEST(FgSearchTest, VariousK) {
+TEST(GroupSearchTest, VariousK) {
   Corpus corpus(250, 40, 9);
-  auto index = FgInvertedIndex::Build(40, corpus.images, *corpus.weights, true);
+  auto index = GroupIndex::Build(40, corpus.images, *corpus.weights, true);
   BovwVector q = corpus.RandomQuery(500);
   for (size_t k : {1u, 3u, 10u, 40u}) {
     SCOPED_TRACE(k);
-    ExpectFgRoundTrip(index, corpus, q, k);
+    ExpectGroupRoundTrip(index, corpus, q, k);
   }
 }
 
-TEST(FgSearchTest, PlainFilterlessMode) {
+TEST(GroupSearchTest, PlainFilterlessMode) {
   Corpus corpus(200, 30, 11);
-  auto index = FgInvertedIndex::Build(30, corpus.images, *corpus.weights, false);
+  auto index = GroupIndex::Build(30, corpus.images, *corpus.weights, false);
   for (uint64_t qs = 0; qs < 4; ++qs) {
     SCOPED_TRACE(qs);
-    ExpectFgRoundTrip(index, corpus, corpus.RandomQuery(600 + qs), 5);
+    ExpectGroupRoundTrip(index, corpus, corpus.RandomQuery(600 + qs), 5);
   }
 }
 
-TEST(FgSearchTest, VoSmallerThanPlainIndexVo) {
+TEST(GroupSearchTest, VoSmallerThanPlainIndexVo) {
   // The headline claim of Optimization B: grouped VOs carry fewer bytes
   // than the plain impact-ordered VOs for the same query.
   Corpus corpus(800, 40, 13);
-  auto plain = invindex::MerkleInvertedIndex::Build(40, corpus.images,
+  auto plain = PostingIndex::Build(40, corpus.images,
                                                     *corpus.weights, true);
-  auto grouped = FgInvertedIndex::Build(40, corpus.images, *corpus.weights, true);
-  invindex::InvSearchParams params;
+  auto grouped = GroupIndex::Build(40, corpus.images, *corpus.weights, true);
+  InvSearchParams params;
   params.k = 10;
   size_t plain_bytes = 0, grouped_bytes = 0;
   for (uint64_t qs = 0; qs < 5; ++qs) {
     BovwVector q = corpus.RandomQuery(700 + qs);
-    plain_bytes += invindex::InvSearch(plain, q, params).vo.size();
-    grouped_bytes += FgSearch(grouped, q, params).vo.size();
+    plain_bytes += InvSearch(plain, q, params).vo.size();
+    grouped_bytes += InvSearch(grouped, q, params).vo.size();
   }
   EXPECT_LT(grouped_bytes, plain_bytes);
 }
 
 TEST(FgAttackTest, TamperingRejected) {
   Corpus corpus(300, 40, 17);
-  auto index = FgInvertedIndex::Build(40, corpus.images, *corpus.weights, true);
+  auto index = GroupIndex::Build(40, corpus.images, *corpus.weights, true);
   BovwVector q = corpus.RandomQuery(900);
-  invindex::InvSearchParams params;
+  InvSearchParams params;
   params.k = 10;
-  FgSearchResult honest = FgSearch(index, q, params);
+  InvSearchResult honest = InvSearch(index, q, params);
   std::vector<ImageId> claimed;
   for (const auto& si : honest.topk) claimed.push_back(si.id);
 
   auto accepts = [&](const Bytes& vo, const std::vector<ImageId>& ids) {
     InvVerifyResult verified;
-    if (!FgVerifyVo(vo, q, ids, 10, true, &verified).ok()) return false;
+    if (!VerifyInvVo<Group>(vo, q, ids, 10, true, &verified).ok()) return false;
     for (const auto& [c, digest] : verified.list_digests) {
       if (digest != index.list(c).digest) return false;
     }
@@ -235,4 +233,4 @@ TEST(FgAttackTest, TamperingRejected) {
 }
 
 }  // namespace
-}  // namespace imageproof::freqgroup
+}  // namespace imageproof::invindex

@@ -23,6 +23,7 @@
 #include "core/vo.h"
 #include "storage/package_store.h"
 #include "storage/serializer.h"
+#include "test_support.h"
 #include "workload/synthetic.h"
 
 namespace imageproof {
@@ -77,13 +78,28 @@ Bytes Mutate(const Bytes& base, const Bytes& foreign, Rng& rng) {
   return out;
 }
 
+// Every test runs once per inverted-index entry kind: over an ImageProof
+// deployment (posting entries) and an OptimizedBoth one (frequency-group
+// entries), so both VO parsers and both .ipk postings codecs face the same
+// mutations.
 class FuzzDeserTest : public ::testing::Test {
  protected:
+  // Runs `body` for each scheme, with the fixture members describing that
+  // scheme's deployment.
+  template <class Body>
+  void ForEachScheme(Body body) {
+    for (const core::Config& config :
+         {core::Config::ImageProof(), core::Config::OptimizedBoth()}) {
+      SCOPED_TRACE(config.Name());
+      Deploy(config);
+      body();
+    }
+  }
+
   // A deliberately tiny deployment: thousands of package deserializations
   // must stay cheap, and small messages make truncations/splices land on
   // interesting boundaries more often.
-  void SetUp() override {
-    core::Config config = core::Config::ImageProof();
+  void Deploy(core::Config config) {
     config.rsa_bits = 512;
     workload::CorpusParams cp;
     cp.num_images = 40;
@@ -134,68 +150,74 @@ class FuzzDeserTest : public ::testing::Test {
 };
 
 TEST_F(FuzzDeserTest, MutatedQueryVoNeverCrashes) {
-  Rng rng(101);
-  core::Client client(owner_.public_params);
-  size_t parsed = 0, rejected = 0;
-  const size_t iters = FuzzIters() / 3;
-  for (size_t t = 0; t < iters; ++t) {
-    Bytes mutant = Mutate(vo_bytes_, foreign_vo_bytes_, rng);
-    core::QueryVO vo;
-    Status s = core::QueryVO::Deserialize(mutant, &vo);
-    if (!s.ok()) {
-      ++rejected;
-      EXPECT_EQ(s.code(), StatusCode::kCorrupted)
-          << "iteration " << t << ": " << s.message();
-      continue;
+  ForEachScheme([&] {
+    Rng rng(101);
+    core::Client client(owner_.public_params);
+    size_t parsed = 0, rejected = 0;
+    const size_t iters = FuzzIters() / 3;
+    for (size_t t = 0; t < iters; ++t) {
+      Bytes mutant = Mutate(vo_bytes_, foreign_vo_bytes_, rng);
+      core::QueryVO vo;
+      Status s = core::QueryVO::Deserialize(mutant, &vo);
+      if (!s.ok()) {
+        ++rejected;
+        EXPECT_EQ(s.code(), StatusCode::kCorrupted)
+            << "iteration " << t << ": " << s.message();
+        continue;
+      }
+      ++parsed;
+      // Structurally valid mutants must still be caught by verification
+      // (unless the mutation was a no-op splice reproducing the original).
+      auto verified = client.Verify(features_, 3, vo);
+      if (mutant == vo_bytes_) {
+        EXPECT_TRUE(verified.ok());
+      }
     }
-    ++parsed;
-    // Structurally valid mutants must still be caught by verification
-    // (unless the mutation was a no-op splice reproducing the original).
-    auto verified = client.Verify(features_, 3, vo);
-    if (mutant == vo_bytes_) {
-      EXPECT_TRUE(verified.ok());
-    }
-  }
-  // The mutator must exercise both parser rejection and the verify path.
-  EXPECT_GT(rejected, iters / 10);
-  EXPECT_GT(parsed, 0u);
+    // The mutator must exercise both parser rejection and the verify path.
+    EXPECT_GT(rejected, iters / 10);
+    EXPECT_GT(parsed, 0u);
+  });
 }
 
 TEST_F(FuzzDeserTest, MutatedPackageNeverCrashes) {
-  Rng rng(202);
-  size_t parsed = 0, rejected = 0;
-  const size_t iters = FuzzIters() / 3;
-  for (size_t t = 0; t < iters; ++t) {
-    Bytes mutant = Mutate(pkg_bytes_, foreign_pkg_bytes_, rng);
-    auto pkg = storage::DeserializeSpPackage(mutant);
-    if (!pkg.ok()) {
-      ++rejected;
-      EXPECT_EQ(pkg.status().code(), StatusCode::kCorrupted)
-          << "iteration " << t << ": " << pkg.status().message();
-      continue;
+  ForEachScheme([&] {
+    Rng rng(202);
+    size_t parsed = 0, rejected = 0;
+    const size_t iters = FuzzIters() / 3;
+    for (size_t t = 0; t < iters; ++t) {
+      Bytes mutant = Mutate(pkg_bytes_, foreign_pkg_bytes_, rng);
+      auto pkg = storage::DeserializeSpPackage(mutant);
+      if (!pkg.ok()) {
+        ++rejected;
+        EXPECT_EQ(pkg.status().code(), StatusCode::kCorrupted)
+            << "iteration " << t << ": " << pkg.status().message();
+        continue;
+      }
+      ++parsed;
+      // A package that parses is internally consistent (digests re-derived
+      // from data); exercising the root digest must be safe.
+      (void)(*pkg)->RootDigest();
     }
-    ++parsed;
-    // A package that parses is internally consistent (digests re-derived
-    // from data); exercising the root digest must be safe.
-    (void)(*pkg)->RootDigest();
-  }
-  EXPECT_GT(rejected, iters / 10);
+    EXPECT_GT(rejected, iters / 10);
+  });
 }
 
 TEST_F(FuzzDeserTest, MutatedPublicParamsNeverCrashes) {
-  Rng rng(303);
-  size_t rejected = 0;
-  const size_t iters = FuzzIters() - 2 * (FuzzIters() / 3);
-  for (size_t t = 0; t < iters; ++t) {
-    Bytes mutant = Mutate(params_bytes_, foreign_params_bytes_, rng);
-    auto params = storage::DeserializePublicParams(mutant);
-    if (!params.ok()) {
-      ++rejected;
-      EXPECT_EQ(params.status().code(), StatusCode::kCorrupted)
-          << "iteration " << t << ": " << params.status().message();
+  ForEachScheme([&] {
+    Rng rng(303);
+    size_t rejected = 0;
+    const size_t iters = FuzzIters() - 2 * (FuzzIters() / 3);
+    for (size_t t = 0; t < iters; ++t) {
+      Bytes mutant = Mutate(params_bytes_, foreign_params_bytes_, rng);
+      auto params = storage::DeserializePublicParams(mutant);
+      if (!params.ok()) {
+        ++rejected;
+        EXPECT_EQ(params.status().code(), StatusCode::kCorrupted)
+            << "iteration " << t << ": " << params.status().message();
+      }
     }
-  }
-  EXPECT_GT(rejected, iters / 10);
+    EXPECT_GT(rejected, iters / 10);
+  });
 }
 
 // The on-disk store is a hostile-input surface like any other: a served
@@ -204,73 +226,77 @@ TEST_F(FuzzDeserTest, MutatedPublicParamsNeverCrashes) {
 // kCorrupted or (rare no-op mutations aside) open into a package whose
 // mapped state still verifies as internally consistent.
 TEST_F(FuzzDeserTest, MutatedStoreFileNeverCrashes) {
-  std::string base_path = ::testing::TempDir() + "/fuzz_store_base.ipk";
-  storage::WriteOptions wo;
-  wo.page_size = 64;  // small file => mutations hit every layout region
-  ASSERT_TRUE(storage::PackageStore::Write(base_path, *owner_.package, wo).ok());
-  Bytes base;
-  {
-    FILE* f = std::fopen(base_path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    uint8_t buf[65536];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      base.insert(base.end(), buf, buf + n);
+  ForEachScheme([&] {
+    testing_support::ScopedTestDir tmp;
+    std::string base_path = tmp.Path("fuzz_store_base.ipk");
+    storage::WriteOptions wo;
+    wo.page_size = 64;  // small file => mutations hit every layout region
+    ASSERT_TRUE(
+        storage::PackageStore::Write(base_path, *owner_.package, wo).ok());
+    Bytes base;
+    {
+      FILE* f = std::fopen(base_path.c_str(), "rb");
+      ASSERT_NE(f, nullptr);
+      uint8_t buf[65536];
+      size_t n;
+      while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+        base.insert(base.end(), buf, buf + n);
+      }
+      std::fclose(f);
     }
-    std::fclose(f);
-  }
-  // A structurally plausible foreign file for splices: same page size,
-  // different deployment — from the foreign interchange bytes.
-  auto foreign_pkg = storage::DeserializeSpPackage(foreign_pkg_bytes_);
-  ASSERT_TRUE(foreign_pkg.ok());
-  std::string foreign_path = ::testing::TempDir() + "/fuzz_store_foreign.ipk";
-  ASSERT_TRUE(
-      storage::PackageStore::Write(foreign_path, **foreign_pkg, wo).ok());
-  Bytes foreign;
-  {
-    FILE* f = std::fopen(foreign_path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    uint8_t buf[65536];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      foreign.insert(foreign.end(), buf, buf + n);
+    // A structurally plausible foreign file for splices: same page size,
+    // different deployment — from the foreign interchange bytes.
+    auto foreign_pkg = storage::DeserializeSpPackage(foreign_pkg_bytes_);
+    ASSERT_TRUE(foreign_pkg.ok());
+    std::string foreign_path = tmp.Path("fuzz_store_foreign.ipk");
+    ASSERT_TRUE(
+        storage::PackageStore::Write(foreign_path, **foreign_pkg, wo).ok());
+    Bytes foreign;
+    {
+      FILE* f = std::fopen(foreign_path.c_str(), "rb");
+      ASSERT_NE(f, nullptr);
+      uint8_t buf[65536];
+      size_t n;
+      while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+        foreign.insert(foreign.end(), buf, buf + n);
+      }
+      std::fclose(f);
     }
-    std::fclose(f);
-  }
 
-  storage::OpenOptions opts;
-  opts.params = &owner_.public_params;
-  opts.deep_verify = true;  // also drag every payload through its digest
-  std::string mutant_path = ::testing::TempDir() + "/fuzz_store_mutant.ipk";
-  Rng rng(404);
-  size_t parsed = 0, rejected = 0;
-  const size_t iters = FuzzIters() / 3;
-  for (size_t t = 0; t < iters; ++t) {
-    Bytes mutant = Mutate(base, foreign, rng);
-    FILE* f = std::fopen(mutant_path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    if (!mutant.empty()) {
-      ASSERT_EQ(std::fwrite(mutant.data(), 1, mutant.size(), f),
-                mutant.size());
+    storage::OpenOptions opts;
+    opts.params = &owner_.public_params;
+    opts.deep_verify = true;  // also drag every payload through its digest
+    std::string mutant_path = tmp.Path("fuzz_store_mutant.ipk");
+    Rng rng(404);
+    size_t parsed = 0, rejected = 0;
+    const size_t iters = FuzzIters() / 3;
+    for (size_t t = 0; t < iters; ++t) {
+      Bytes mutant = Mutate(base, foreign, rng);
+      FILE* f = std::fopen(mutant_path.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      if (!mutant.empty()) {
+        ASSERT_EQ(std::fwrite(mutant.data(), 1, mutant.size(), f),
+                  mutant.size());
+      }
+      std::fclose(f);
+      auto pkg = storage::PackageStore::Open(mutant_path, opts);
+      if (!pkg.ok()) {
+        ++rejected;
+        EXPECT_EQ(pkg.status().code(), StatusCode::kCorrupted)
+            << "iteration " << t << ": " << pkg.status().message();
+        continue;
+      }
+      ++parsed;
+      // An accepted mutant passed the full digest/signature chain, so it must
+      // BE the original state.
+      EXPECT_EQ((*pkg)->RootDigest(), owner_.package->RootDigest())
+          << "iteration " << t;
     }
-    std::fclose(f);
-    auto pkg = storage::PackageStore::Open(mutant_path, opts);
-    if (!pkg.ok()) {
-      ++rejected;
-      EXPECT_EQ(pkg.status().code(), StatusCode::kCorrupted)
-          << "iteration " << t << ": " << pkg.status().message();
-      continue;
-    }
-    ++parsed;
-    // An accepted mutant passed the full digest/signature chain, so it must
-    // BE the original state.
-    EXPECT_EQ((*pkg)->RootDigest(), owner_.package->RootDigest())
-        << "iteration " << t;
-  }
-  EXPECT_GT(rejected, iters / 2);
-  std::remove(base_path.c_str());
-  std::remove(foreign_path.c_str());
-  std::remove(mutant_path.c_str());
+    EXPECT_GT(rejected, iters / 2);
+    std::remove(base_path.c_str());
+    std::remove(foreign_path.c_str());
+    std::remove(mutant_path.c_str());
+  });
 }
 
 // Exhaustive single-byte coverage on top of the randomized sweeps: every
@@ -327,113 +353,138 @@ TEST(GroupVarintFuzzTest, EveryTruncationRejected) {
   }
 }
 
+TEST(GroupVarintFuzzTest, NonzeroTailControlBitsRejected) {
+  // The unused control fields of a partial tail quad carry no value; a set
+  // bit there is rejected, so each value sequence has one accepted
+  // encoding and a flipped padding bit cannot pass as the honest VO.
+  const uint32_t values[] = {7, 300, 9};
+  ByteWriter w;
+  kern::GroupVarintEncode(values, 3, w);
+  Bytes encoded = w.Take();
+  uint32_t out[3];
+  {
+    ByteReader r(encoded);
+    ASSERT_TRUE(kern::GroupVarintDecode(r, 3, out).ok());
+  }
+  encoded[0] |= 0x40;  // the field of the absent fourth value
+  ByteReader r(encoded);
+  EXPECT_EQ(kern::GroupVarintDecode(r, 3, out).code(),
+            StatusCode::kCorrupted);
+}
+
 // Exhaustive single-bit-flip scan over a complete compressed VO: every
 // flipped bit must yield a parse error or a verification failure — or, if
 // it verifies (e.g. a bit with no semantic weight), the verified results
 // must be identical to the honest ones. A flip may never be silently
 // accepted with different results.
 TEST_F(FuzzDeserTest, CompressedVoExhaustiveBitFlipScan) {
-  core::ServiceProvider sp(owner_.package.get());
-  core::ServeOptions serve;
-  serve.compress_vo = true;
-  core::QueryResponse resp;
-  core::QueryControl control;
-  ASSERT_TRUE(sp.Query(features_, 3, core::QueryParallelism{}, control, serve,
-                       &resp)
-                  .ok());
-  Bytes honest = resp.vo.Serialize();
-  core::Client client(owner_.public_params);
-  auto honest_verified = client.Verify(features_, 3, resp.vo);
-  ASSERT_TRUE(honest_verified.ok());
-  std::vector<bovw::ImageId> honest_ids;
-  for (const auto& si : honest_verified->topk) honest_ids.push_back(si.id);
+  ForEachScheme([&] {
+    core::ServiceProvider sp(owner_.package.get());
+    core::ServeOptions serve;
+    serve.compress_vo = true;
+    core::QueryResponse resp;
+    core::QueryControl control;
+    ASSERT_TRUE(sp.Query(features_, 3, core::QueryParallelism{}, control, serve,
+                         &resp)
+                    .ok());
+    Bytes honest = resp.vo.Serialize();
+    core::Client client(owner_.public_params);
+    auto honest_verified = client.Verify(features_, 3, resp.vo);
+    ASSERT_TRUE(honest_verified.ok());
+    std::vector<bovw::ImageId> honest_ids;
+    for (const auto& si : honest_verified->topk) honest_ids.push_back(si.id);
 
-  size_t rejected = 0, neutral = 0;
-  for (size_t byte = 0; byte < honest.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      Bytes mutant = honest;
-      mutant[byte] ^= static_cast<uint8_t>(1u << bit);
-      core::QueryVO vo;
-      if (!core::QueryVO::Deserialize(mutant, &vo).ok()) {
-        ++rejected;
-        continue;
+    size_t rejected = 0, neutral = 0;
+    for (size_t byte = 0; byte < honest.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        Bytes mutant = honest;
+        mutant[byte] ^= static_cast<uint8_t>(1u << bit);
+        core::QueryVO vo;
+        if (!core::QueryVO::Deserialize(mutant, &vo).ok()) {
+          ++rejected;
+          continue;
+        }
+        auto verified = client.Verify(features_, 3, vo);
+        if (!verified.ok()) {
+          ++rejected;
+          continue;
+        }
+        ++neutral;
+        std::vector<bovw::ImageId> ids;
+        for (const auto& si : verified->topk) ids.push_back(si.id);
+        EXPECT_EQ(ids, honest_ids)
+            << "bit " << bit << " of byte " << byte
+            << " verified with different results";
       }
-      auto verified = client.Verify(features_, 3, vo);
-      if (!verified.ok()) {
-        ++rejected;
-        continue;
-      }
-      ++neutral;
-      std::vector<bovw::ImageId> ids;
-      for (const auto& si : verified->topk) ids.push_back(si.id);
-      EXPECT_EQ(ids, honest_ids)
-          << "bit " << bit << " of byte " << byte
-          << " verified with different results";
     }
-  }
-  EXPECT_GT(rejected, 0u);
-  // Nearly every bit of the VO is digest- or structure-bound; a handful of
-  // semantically-inert bits (e.g. image payload bytes are covered by their
-  // own signatures, so this stays 0 in practice) may verify identically,
-  // but they can never be the majority.
-  EXPECT_LT(neutral, rejected / 100 + 8);
+    EXPECT_GT(rejected, 0u);
+    // Nearly every bit of the VO is digest- or structure-bound; a handful of
+    // semantically-inert bits (e.g. image payload bytes are covered by their
+    // own signatures, so this stays 0 in practice) may verify identically,
+    // but they can never be the majority.
+    EXPECT_LT(neutral, rejected / 100 + 8);
+  });
 }
 
 TEST_F(FuzzDeserTest, MutatedCompressedVoNeverCrashes) {
-  core::ServiceProvider sp(owner_.package.get());
-  core::ServeOptions serve;
-  serve.compress_vo = true;
-  core::QueryResponse resp;
-  core::QueryResponse foreign_resp;
-  core::QueryControl control;
-  ASSERT_TRUE(sp.Query(features_, 3, core::QueryParallelism{}, control, serve,
-                       &resp)
-                  .ok());
-  auto foreign_features =
-      workload::GenerateQueryFeatures(owner_.package->codebook, 6, 0.3, 92);
-  ASSERT_TRUE(sp.Query(foreign_features, 3, core::QueryParallelism{}, control,
-                       serve, &foreign_resp)
-                  .ok());
-  Bytes compressed = resp.vo.Serialize();
-  Bytes foreign = foreign_resp.vo.Serialize();
+  ForEachScheme([&] {
+    core::ServiceProvider sp(owner_.package.get());
+    core::ServeOptions serve;
+    serve.compress_vo = true;
+    core::QueryResponse resp;
+    core::QueryResponse foreign_resp;
+    core::QueryControl control;
+    ASSERT_TRUE(sp.Query(features_, 3, core::QueryParallelism{}, control, serve,
+                         &resp)
+                    .ok());
+    auto foreign_features =
+        workload::GenerateQueryFeatures(owner_.package->codebook, 6, 0.3, 92);
+    ASSERT_TRUE(sp.Query(foreign_features, 3, core::QueryParallelism{}, control,
+                         serve, &foreign_resp)
+                    .ok());
+    Bytes compressed = resp.vo.Serialize();
+    Bytes foreign = foreign_resp.vo.Serialize();
 
-  Rng rng(505);
-  core::Client client(owner_.public_params);
-  size_t parsed = 0, rejected = 0;
-  const size_t iters = FuzzIters() / 3;
-  for (size_t t = 0; t < iters; ++t) {
-    Bytes mutant = Mutate(compressed, foreign, rng);
-    core::QueryVO vo;
-    Status s = core::QueryVO::Deserialize(mutant, &vo);
-    if (!s.ok()) {
-      ++rejected;
-      EXPECT_EQ(s.code(), StatusCode::kCorrupted)
-          << "iteration " << t << ": " << s.message();
-      continue;
+    Rng rng(505);
+    core::Client client(owner_.public_params);
+    size_t parsed = 0, rejected = 0;
+    const size_t iters = FuzzIters() / 3;
+    for (size_t t = 0; t < iters; ++t) {
+      Bytes mutant = Mutate(compressed, foreign, rng);
+      core::QueryVO vo;
+      Status s = core::QueryVO::Deserialize(mutant, &vo);
+      if (!s.ok()) {
+        ++rejected;
+        EXPECT_EQ(s.code(), StatusCode::kCorrupted)
+            << "iteration " << t << ": " << s.message();
+        continue;
+      }
+      ++parsed;
+      auto verified = client.Verify(features_, 3, vo);
+      if (mutant == compressed) {
+        EXPECT_TRUE(verified.ok());
+      }
     }
-    ++parsed;
-    auto verified = client.Verify(features_, 3, vo);
-    if (mutant == compressed) {
-      EXPECT_TRUE(verified.ok());
-    }
-  }
-  EXPECT_GT(rejected, iters / 10);
-  EXPECT_GT(parsed, 0u);
+    EXPECT_GT(rejected, iters / 10);
+    EXPECT_GT(parsed, 0u);
+  });
 }
 
 TEST_F(FuzzDeserTest, EveryVoPrefixRejectedCleanly) {
-  core::Client client(owner_.public_params);
-  for (size_t len = 0; len < vo_bytes_.size(); ++len) {
-    Bytes prefix(vo_bytes_.begin(), vo_bytes_.begin() + len);
-    core::QueryVO vo;
-    Status s = core::QueryVO::Deserialize(prefix, &vo);
-    if (s.ok()) {
-      EXPECT_FALSE(client.Verify(features_, 3, vo).ok())
-          << "strict prefix of length " << len << " verified";
-    } else {
-      EXPECT_EQ(s.code(), StatusCode::kCorrupted);
+  ForEachScheme([&] {
+    core::Client client(owner_.public_params);
+    for (size_t len = 0; len < vo_bytes_.size(); ++len) {
+      Bytes prefix(vo_bytes_.begin(), vo_bytes_.begin() + len);
+      core::QueryVO vo;
+      Status s = core::QueryVO::Deserialize(prefix, &vo);
+      if (s.ok()) {
+        EXPECT_FALSE(client.Verify(features_, 3, vo).ok())
+            << "strict prefix of length " << len << " verified";
+      } else {
+        EXPECT_EQ(s.code(), StatusCode::kCorrupted);
+      }
     }
-  }
+  });
 }
 
 }  // namespace

@@ -17,7 +17,6 @@
 #include "core/client.h"
 #include "core/query_engine.h"
 #include "crypto/hasher.h"
-#include "freqgroup/fg_index.h"
 #include "invindex/merkle_inv_index.h"
 #include "merkle/merkle_tree.h"
 #include "mrkd/commit.h"
@@ -34,23 +33,25 @@ using crypto::Digest;
 
 TEST(GoldenDigestTest, PostingChain) {
   // h(u64 7 | f64 0.25 | 0^256), per Definition 4.
-  Digest p = invindex::PostingDigest(7, 0.25, Digest::Zero());
+  Digest p =
+      invindex::EntryDigest(invindex::Posting{7, 0.25, {}}, Digest::Zero());
   EXPECT_EQ(p.ToHex(),
             "2f2d9f080a239a2c5447268d6051537f00fb6d07e49bcb3760cda8ab0e687646");
 }
 
 TEST(GoldenDigestTest, ListDigest) {
-  Digest p = invindex::PostingDigest(7, 0.25, Digest::Zero());
+  Digest p =
+      invindex::EntryDigest(invindex::Posting{7, 0.25, {}}, Digest::Zero());
   Digest l = invindex::ListDigest(1.5, Digest::Zero(), p);
   EXPECT_EQ(l.ToHex(),
             "8b37f05bb928021e4f028cc4859f9d2cfe7c1303629671fa22bfecb4318d15e4");
 }
 
 TEST(GoldenDigestTest, FrequencyGroupDigest) {
-  freqgroup::FgPosting g;
+  invindex::Group g;
   g.freq = 3;
   g.members = {{2, 4.0}, {9, 5.0}};
-  Digest gd = freqgroup::FgPostingDigest(g, Digest::Zero());
+  Digest gd = invindex::EntryDigest(g, Digest::Zero());
   EXPECT_EQ(gd.ToHex(),
             "36c3373ad9964d17f0bffccc750da6783aba7a21bb140e9bb506ae1f5d3f60ba");
 }
@@ -75,7 +76,8 @@ TEST(GoldenDigestTest, GenericMerkleTree) {
 }
 
 TEST(GoldenDigestTest, MrkdInternalNode) {
-  Digest p = invindex::PostingDigest(7, 0.25, Digest::Zero());
+  Digest p =
+      invindex::EntryDigest(invindex::Posting{7, 0.25, {}}, Digest::Zero());
   crypto::DigestBuilder b;
   mrkd::MrkdTree::HashInternal(b, 3, 1.25f, Digest::Zero(), p);
   EXPECT_EQ(b.Finalize().ToHex(),

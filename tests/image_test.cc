@@ -7,6 +7,7 @@
 #include "image/image.h"
 #include "image/pgm_io.h"
 #include "image/synth.h"
+#include "test_support.h"
 
 namespace imageproof::image {
 namespace {
@@ -89,7 +90,8 @@ TEST(PgmTest, RejectsBadMagicAndTruncation) {
 
 TEST(PgmTest, FileRoundTrip) {
   Image img = SynthesizeImage(99, 16, 16);
-  std::string path = ::testing::TempDir() + "/imageproof_pgm_test.pgm";
+  testing_support::ScopedTestDir tmp;
+  std::string path = tmp.Path("imageproof_pgm_test.pgm");
   ASSERT_TRUE(WritePgmFile(path, img).ok());
   Image back;
   ASSERT_TRUE(ReadPgmFile(path, &back).ok());

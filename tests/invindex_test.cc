@@ -64,7 +64,7 @@ struct Corpus {
 // Checks an InvSearch round trip end to end, including digest matching
 // against the authenticated per-list digests (which in the full scheme come
 // from the MRKD-tree).
-void ExpectRoundTrip(const MerkleInvertedIndex& index, const Corpus& corpus,
+void ExpectRoundTrip(const PostingIndex& index, const Corpus& corpus,
                      const BovwVector& query, size_t k) {
   InvSearchParams params;
   params.k = k;
@@ -107,7 +107,7 @@ void ExpectRoundTrip(const MerkleInvertedIndex& index, const Corpus& corpus,
 
 TEST(MerkleInvIndexTest, BuildInvariants) {
   Corpus corpus(200, 50, 1.1, 7);
-  auto index = MerkleInvertedIndex::Build(corpus.num_clusters, corpus.images,
+  auto index = PostingIndex::Build(corpus.num_clusters, corpus.images,
                                           *corpus.weights, true);
   EXPECT_EQ(index.num_clusters(), 50u);
   size_t nonempty = 0;
@@ -124,7 +124,7 @@ TEST(MerkleInvIndexTest, BuildInvariants) {
     // Chain digests verify backwards.
     Digest next = Digest::Zero();
     for (size_t i = list.postings.size(); i-- > 0;) {
-      next = PostingDigest(list.postings[i].id, list.postings[i].impact, next);
+      next = EntryDigest(list.postings[i], next);
       EXPECT_EQ(next, list.postings[i].digest);
     }
     EXPECT_EQ(list.digest, ListDigest(list.weight, list.theta_digest,
@@ -142,9 +142,9 @@ TEST(MerkleInvIndexTest, BuildInvariants) {
 
 TEST(MerkleInvIndexTest, PlainModeDiffersFromFilterMode) {
   Corpus corpus(100, 30, 1.1, 9);
-  auto with = MerkleInvertedIndex::Build(30, corpus.images, *corpus.weights, true);
+  auto with = PostingIndex::Build(30, corpus.images, *corpus.weights, true);
   auto without =
-      MerkleInvertedIndex::Build(30, corpus.images, *corpus.weights, false);
+      PostingIndex::Build(30, corpus.images, *corpus.weights, false);
   EXPECT_FALSE(without.with_filters());
   EXPECT_FALSE(without.list(0).filter.has_value());
   bool any_diff = false;
@@ -159,7 +159,7 @@ TEST(MerkleInvIndexTest, PlainModeDiffersFromFilterMode) {
 
 TEST(InvSearchTest, MatchesBruteForceWithFilters) {
   Corpus corpus(400, 60, 1.15, 11);
-  auto index = MerkleInvertedIndex::Build(60, corpus.images, *corpus.weights, true);
+  auto index = PostingIndex::Build(60, corpus.images, *corpus.weights, true);
   for (uint64_t qs = 0; qs < 8; ++qs) {
     SCOPED_TRACE(qs);
     ExpectRoundTrip(index, corpus, corpus.RandomQuery(100 + qs), 10);
@@ -168,7 +168,7 @@ TEST(InvSearchTest, MatchesBruteForceWithFilters) {
 
 TEST(InvSearchTest, MatchesBruteForceBaseline) {
   Corpus corpus(300, 40, 1.15, 13);
-  auto index = MerkleInvertedIndex::Build(40, corpus.images, *corpus.weights, false);
+  auto index = PostingIndex::Build(40, corpus.images, *corpus.weights, false);
   for (uint64_t qs = 0; qs < 5; ++qs) {
     SCOPED_TRACE(qs);
     ExpectRoundTrip(index, corpus, corpus.RandomQuery(200 + qs), 5);
@@ -177,8 +177,8 @@ TEST(InvSearchTest, MatchesBruteForceBaseline) {
 
 TEST(InvSearchTest, FiltersPopFewerPostingsThanBaseline) {
   Corpus corpus(800, 50, 1.2, 17);
-  auto filtered = MerkleInvertedIndex::Build(50, corpus.images, *corpus.weights, true);
-  auto plain = MerkleInvertedIndex::Build(50, corpus.images, *corpus.weights, false);
+  auto filtered = PostingIndex::Build(50, corpus.images, *corpus.weights, true);
+  auto plain = PostingIndex::Build(50, corpus.images, *corpus.weights, false);
   size_t popped_filtered = 0, popped_plain = 0;
   InvSearchParams params;
   params.k = 10;
@@ -192,7 +192,7 @@ TEST(InvSearchTest, FiltersPopFewerPostingsThanBaseline) {
 
 TEST(InvSearchTest, VariousK) {
   Corpus corpus(250, 40, 1.1, 19);
-  auto index = MerkleInvertedIndex::Build(40, corpus.images, *corpus.weights, true);
+  auto index = PostingIndex::Build(40, corpus.images, *corpus.weights, true);
   BovwVector q = corpus.RandomQuery(400);
   for (size_t k : {1u, 2u, 5u, 20u, 50u}) {
     SCOPED_TRACE(k);
@@ -200,9 +200,11 @@ TEST(InvSearchTest, VariousK) {
   }
 }
 
-TEST(InvSearchTest, LazyTopkPopsMatchesEagerAndVerifies) {
-  Corpus corpus(600, 60, 1.15, 21);
-  auto index = MerkleInvertedIndex::Build(60, corpus.images, *corpus.weights, true);
+// Lazy top-k reveals return the eager result set, verify like any other
+// VO, and never pop more than the eager schedule — for either entry kind.
+template <class E>
+void ExpectLazyMatchesEager(const MerkleInvertedIndex<E>& index,
+                            const Corpus& corpus) {
   size_t eager_total = 0, lazy_total = 0;
   for (uint64_t qs = 0; qs < 6; ++qs) {
     BovwVector q = corpus.RandomQuery(800 + qs);
@@ -224,7 +226,7 @@ TEST(InvSearchTest, LazyTopkPopsMatchesEagerAndVerifies) {
     std::vector<ImageId> claimed;
     for (auto& si : rl.topk) claimed.push_back(si.id);
     InvVerifyResult verified;
-    Status s = VerifyInvVo(rl.vo, q, claimed, 10, true, &verified);
+    Status s = VerifyInvVo<E>(rl.vo, q, claimed, 10, true, &verified);
     ASSERT_TRUE(s.ok()) << s.message();
     for (const auto& [c, digest] : verified.list_digests) {
       EXPECT_EQ(digest, index.list(c).digest);
@@ -233,9 +235,23 @@ TEST(InvSearchTest, LazyTopkPopsMatchesEagerAndVerifies) {
   EXPECT_LE(lazy_total, eager_total);
 }
 
+TEST(InvSearchTest, LazyTopkPopsMatchesEagerAndVerifies) {
+  Corpus corpus(600, 60, 1.15, 21);
+  {
+    SCOPED_TRACE("posting kind");
+    ExpectLazyMatchesEager(
+        PostingIndex::Build(60, corpus.images, *corpus.weights, true), corpus);
+  }
+  {
+    SCOPED_TRACE("group kind");
+    ExpectLazyMatchesEager(
+        GroupIndex::Build(60, corpus.images, *corpus.weights, true), corpus);
+  }
+}
+
 TEST(InvSearchTest, QueryWithNoRelevantLists) {
   Corpus corpus(100, 30, 1.1, 23);
-  auto index = MerkleInvertedIndex::Build(30, corpus.images, *corpus.weights, true);
+  auto index = PostingIndex::Build(30, corpus.images, *corpus.weights, true);
   // A query over a cluster no image contains (weight 0).
   BovwVector q;
   // Find an unused cluster if any; otherwise skip.
@@ -269,7 +285,7 @@ class InvAttackTest : public ::testing::Test {
  protected:
   InvAttackTest()
       : corpus_(500, 50, 1.15, 29),
-        index_(MerkleInvertedIndex::Build(50, corpus_.images, *corpus_.weights,
+        index_(PostingIndex::Build(50, corpus_.images, *corpus_.weights,
                                           true)),
         query_(corpus_.RandomQuery(999)) {
     InvSearchParams params;
@@ -291,7 +307,7 @@ class InvAttackTest : public ::testing::Test {
   }
 
   Corpus corpus_;
-  MerkleInvertedIndex index_;
+  PostingIndex index_;
   BovwVector query_;
   InvSearchResult honest_;
   std::vector<ImageId> claimed_;

@@ -17,6 +17,7 @@
 #include "core/update.h"
 #include "storage/package_store.h"
 #include "storage/serializer.h"
+#include "test_support.h"
 #include "workload/synthetic.h"
 
 namespace imageproof::storage {
@@ -42,10 +43,6 @@ core::OwnerOutput BuildSmallDeployment(core::Config config, uint64_t seed = 3,
                                std::move(corpus), std::move(blobs), seed + 2);
 }
 
-std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 // Overwrites one byte of the file at `offset` with its XOR against `mask`.
 void FlipByte(const std::string& path, uint64_t offset, uint8_t mask = 0xFF) {
   FILE* f = std::fopen(path.c_str(), "r+b");
@@ -68,8 +65,9 @@ class PackageStoreSchemeTest : public ::testing::TestWithParam<const char*> {
 };
 
 TEST_P(PackageStoreSchemeTest, RoundTripPreservesSignedDigests) {
+  testing_support::ScopedTestDir tmp;
   core::OwnerOutput owner = BuildSmallDeployment(SchemeConfig());
-  std::string path = TempPath("store_roundtrip.ipk");
+  std::string path = tmp.Path("store_roundtrip.ipk");
   ASSERT_TRUE(PackageStore::Write(path, *owner.package).ok());
 
   OpenOptions opts;
@@ -97,8 +95,9 @@ TEST_P(PackageStoreSchemeTest, RoundTripPreservesSignedDigests) {
 // for the same snapshot state, a disk-backed engine's VO bytes are
 // byte-identical to the in-memory engine's at every thread count.
 TEST_P(PackageStoreSchemeTest, DiskBackedQueriesByteIdenticalToMemory) {
+  testing_support::ScopedTestDir tmp;
   core::OwnerOutput owner = BuildSmallDeployment(SchemeConfig());
-  std::string path = TempPath("store_loopback.ipk");
+  std::string path = tmp.Path("store_loopback.ipk");
   ASSERT_TRUE(PackageStore::Write(path, *owner.package).ok());
   OpenOptions opts;
   opts.params = &owner.public_params;
@@ -145,7 +144,7 @@ class PackageStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
     owner_ = BuildSmallDeployment(core::Config::ImageProof(), 3, 120);
-    path_ = TempPath("store_fixture.ipk");
+    path_ = tmp_.Path("store_fixture.ipk");
     ASSERT_TRUE(PackageStore::Write(path_, *owner_.package).ok());
   }
   void TearDown() override { std::remove(path_.c_str()); }
@@ -157,6 +156,7 @@ class PackageStoreTest : public ::testing::Test {
   }
 
   core::OwnerOutput owner_;
+  testing_support::ScopedTestDir tmp_;
   std::string path_;
 };
 
@@ -177,7 +177,7 @@ TEST_F(PackageStoreTest, InspectReportsAlignedSections) {
 }
 
 TEST_F(PackageStoreTest, SmallPageSizeRoundTrips) {
-  std::string path = TempPath("store_page64.ipk");
+  std::string path = tmp_.Path("store_page64.ipk");
   WriteOptions wo;
   wo.page_size = 64;
   ASSERT_TRUE(PackageStore::Write(path, *owner_.package, wo).ok());
@@ -190,9 +190,9 @@ TEST_F(PackageStoreTest, SmallPageSizeRoundTrips) {
 TEST_F(PackageStoreTest, InvalidPageSizeRejectedAtWrite) {
   WriteOptions wo;
   wo.page_size = 48;  // not a power of two
-  EXPECT_FALSE(PackageStore::Write(TempPath("x.ipk"), *owner_.package, wo).ok());
+  EXPECT_FALSE(PackageStore::Write(tmp_.Path("x.ipk"), *owner_.package, wo).ok());
   wo.page_size = 32;  // below the floor
-  EXPECT_FALSE(PackageStore::Write(TempPath("x.ipk"), *owner_.package, wo).ok());
+  EXPECT_FALSE(PackageStore::Write(tmp_.Path("x.ipk"), *owner_.package, wo).ok());
 }
 
 TEST_F(PackageStoreTest, DeepVerifyPassesOnIntactFile) {
@@ -218,7 +218,7 @@ TEST_F(PackageStoreTest, TamperedHeaderAndTocRejected) {
       {"toc_entry_offset", 144}, {"toc_entry_digest", 160},
   };
   for (const auto& c : cases) {
-    std::string path = TempPath("store_tamper.ipk");
+    std::string path = tmp_.Path("store_tamper.ipk");
     ASSERT_TRUE(PackageStore::Write(path, *owner_.package).ok());
     FlipByte(path, c.offset);
     auto loaded = PackageStore::Open(path, SignedOpen());
@@ -234,7 +234,7 @@ TEST_F(PackageStoreTest, TamperedSectionBytesRejected) {
   // Every section except image blobs is digest-checked at open.
   for (const auto& s : layout->sections) {
     if (s.id == 9 || s.size == 0) continue;  // kImageBlobs: checked lazily
-    std::string path = TempPath("store_tamper_sec.ipk");
+    std::string path = tmp_.Path("store_tamper_sec.ipk");
     ASSERT_TRUE(PackageStore::Write(path, *owner_.package).ok());
     FlipByte(path, s.offset + s.size / 2);
     auto loaded = PackageStore::Open(path, SignedOpen());
@@ -257,7 +257,7 @@ TEST_F(PackageStoreTest, TruncatedAndPaddedFilesRejected) {
     std::fclose(f);
   }
   auto write_and_open = [&](const Bytes& data) {
-    std::string path = TempPath("store_resize.ipk");
+    std::string path = tmp_.Path("store_resize.ipk");
     FILE* f = std::fopen(path.c_str(), "wb");
     EXPECT_NE(f, nullptr);
     std::fwrite(data.data(), 1, data.size(), f);
@@ -296,7 +296,7 @@ TEST_F(PackageStoreTest, TamperedImagePayloadCaughtLazily) {
   ASSERT_EQ(blobs.id, 9u);
   ASSERT_GT(blobs.size, 0u);
 
-  std::string path = TempPath("store_lazy.ipk");
+  std::string path = tmp_.Path("store_lazy.ipk");
   ASSERT_TRUE(PackageStore::Write(path, *owner_.package).ok());
   FlipByte(path, blobs.offset + blobs.size / 2);
 
@@ -324,7 +324,7 @@ TEST_F(PackageStoreTest, TamperedImagePayloadCaughtLazily) {
 TEST_F(PackageStoreTest, ForeignPackageFailsSignatureCheck) {
   core::OwnerOutput other =
       BuildSmallDeployment(core::Config::ImageProof(), 77, 120);
-  std::string path = TempPath("store_foreign.ipk");
+  std::string path = tmp_.Path("store_foreign.ipk");
   ASSERT_TRUE(PackageStore::Write(path, *other.package).ok());
 
   // Unsigned open succeeds (the file is internally consistent)...
@@ -355,7 +355,7 @@ TEST_F(PackageStoreTest, WriteFromDiskBackedPackageRoundTrips) {
   // accessor; the copy must be byte-equivalent to one written from memory.
   auto loaded = PackageStore::Open(path_, SignedOpen());
   ASSERT_TRUE(loaded.ok());
-  std::string copy = TempPath("store_copy.ipk");
+  std::string copy = tmp_.Path("store_copy.ipk");
   ASSERT_TRUE(PackageStore::Write(copy, **loaded).ok());
   auto reloaded = PackageStore::Open(copy, SignedOpen());
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().message();
@@ -370,7 +370,7 @@ TEST_F(PackageStoreTest, InterchangesWithSerializer) {
   Bytes stream = SerializeSpPackage(*owner_.package);
   auto from_stream = DeserializeSpPackage(stream);
   ASSERT_TRUE(from_stream.ok());
-  std::string path = TempPath("store_interchange.ipk");
+  std::string path = tmp_.Path("store_interchange.ipk");
   ASSERT_TRUE(PackageStore::Write(path, **from_stream).ok());
   auto from_store = PackageStore::Open(path, SignedOpen());
   ASSERT_TRUE(from_store.ok()) << from_store.status().message();
@@ -382,9 +382,10 @@ TEST_F(PackageStoreTest, InterchangesWithSerializer) {
 // --- epoch directory protocol -------------------------------------------
 
 TEST(EpochProtocolTest, CurrentPointerLifecycle) {
+  testing_support::ScopedTestDir tmp;
   core::OwnerOutput owner =
       BuildSmallDeployment(core::Config::ImageProof(), 11, 60);
-  std::string dir = TempPath("epoch_dir_lifecycle");
+  std::string dir = tmp.Path("epoch_dir_lifecycle");
   (void)system(("mkdir -p " + dir).c_str());
   (void)std::remove((dir + "/CURRENT").c_str());
 
@@ -420,7 +421,8 @@ TEST(EpochProtocolTest, CurrentPointerLifecycle) {
 }
 
 TEST(EpochProtocolTest, CorruptCurrentPointerRejected) {
-  std::string dir = TempPath("epoch_dir_badcur");
+  testing_support::ScopedTestDir tmp;
+  std::string dir = tmp.Path("epoch_dir_badcur");
   (void)system(("mkdir -p " + dir).c_str());
   FILE* f = std::fopen((dir + "/CURRENT").c_str(), "wb");
   ASSERT_NE(f, nullptr);
@@ -434,9 +436,10 @@ TEST(EpochProtocolTest, CorruptCurrentPointerRejected) {
 // --- engine persistence -------------------------------------------------
 
 TEST(EnginePersistTest, UpdatesPublishVerifiedEpochs) {
+  testing_support::ScopedTestDir tmp;
   core::OwnerOutput owner =
       BuildSmallDeployment(core::Config::ImageProof(), 21, 80);
-  std::string dir = TempPath("engine_persist");
+  std::string dir = tmp.Path("engine_persist");
   (void)system(("mkdir -p " + dir).c_str());
 
   auto features = workload::GenerateQueryFeatures(

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -32,6 +34,7 @@
 #include "storage/epoch_janitor.h"
 #include "storage/file_io.h"
 #include "storage/package_store.h"
+#include "test_support.h"
 #include "workload/synthetic.h"
 
 namespace imageproof {
@@ -59,16 +62,19 @@ core::OwnerOutput BuildSmallDeployment(uint64_t seed = 7,
                                std::move(corpus), std::move(blobs));
 }
 
-std::string TempDir(const char* name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  (void)system(("rm -rf " + dir + " && mkdir -p " + dir).c_str());
-  return dir;
-}
-
 class ResilienceTest : public ::testing::Test {
  protected:
   void SetUp() override { fault::FaultInjector::Global().DisarmAll(); }
   void TearDown() override { fault::FaultInjector::Global().DisarmAll(); }
+
+  // A fresh directory `name` inside this test's scratch directory.
+  std::string TempDir(const char* name) {
+    std::string dir = tmp_.Path(name);
+    std::filesystem::create_directories(dir);
+    return dir;
+  }
+
+  testing_support::ScopedTestDir tmp_;
 };
 
 // ---------------------------------------------------------------------------

@@ -17,9 +17,6 @@
 #include "core/query_engine.h"
 #include "core/server.h"
 #include "cuckoo/cuckoo_filter.h"
-#include "freqgroup/fg_index.h"
-#include "freqgroup/fg_search.h"
-#include "freqgroup/fg_verify.h"
 #include "invindex/search.h"
 #include "invindex/verify.h"
 #include "mrkd/commit.h"
@@ -41,8 +38,23 @@ namespace {
 // Semantic attacks on the inverted-index VO
 // ---------------------------------------------------------------------------
 
+// Both entry kinds of the inverted index, each attack is mounted on both.
+constexpr invindex::EntryKind kEntryKinds[] = {invindex::EntryKind::kPosting,
+                                               invindex::EntryKind::kGroup};
+
+const char* KindName(invindex::EntryKind kind) {
+  return kind == invindex::EntryKind::kGroup ? "group kind" : "posting kind";
+}
+
 class SemanticAttackTest : public ::testing::Test {
  public:
+  // One honest search per entry kind over the same corpus and query.
+  struct Case {
+    std::unique_ptr<invindex::InvertedIndex> index;
+    invindex::InvSearchResult honest;
+    std::vector<bovw::ImageId> claimed;
+  };
+
   SemanticAttackTest() {
     workload::CorpusParams cp;
     cp.num_images = 600;
@@ -52,43 +64,52 @@ class SemanticAttackTest : public ::testing::Test {
     std::vector<bovw::BovwVector> vecs;
     for (auto& [id, v] : corpus_) vecs.push_back(v);
     auto weights = bovw::ClusterWeights::FromCorpus(128, vecs);
-    index_ = std::make_unique<invindex::MerkleInvertedIndex>(
-        invindex::MerkleInvertedIndex::Build(128, corpus_, weights, true));
     query_ = workload::QueryFromImage(cp, corpus_[33].second, 60, 0.2, 5);
     invindex::InvSearchParams params;
     params.k = 5;
-    honest_ = invindex::InvSearch(*index_, query_, params);
-    for (const auto& si : honest_.topk) claimed_.push_back(si.id);
+    for (invindex::EntryKind kind : kEntryKinds) {
+      Case c;
+      c.index = std::make_unique<invindex::InvertedIndex>(
+          invindex::InvertedIndex::Build(kind, 128, corpus_, weights, true, 8,
+                                         0xF117E2));
+      c.honest = invindex::InvSearch(*c.index, query_, params);
+      for (const auto& si : c.honest.topk) c.claimed.push_back(si.id);
+      cases_.push_back(std::move(c));
+    }
   }
 
-  bool Accepts(const Bytes& vo, const std::vector<bovw::ImageId>& claimed) {
+  bool Accepts(const Case& c, const Bytes& vo,
+               const std::vector<bovw::ImageId>& claimed) {
     invindex::InvVerifyResult verified;
-    if (!invindex::VerifyInvVo(vo, query_, claimed, 5, true, &verified).ok()) {
+    if (!invindex::VerifyInvVo(c.index->kind(), vo, query_, claimed, 5, true,
+                               &verified)
+             .ok()) {
       return false;
     }
-    for (const auto& [c, digest] : verified.list_digests) {
-      if (digest != index_->list(c).digest) return false;
+    for (const auto& [cluster, digest] : verified.list_digests) {
+      if (digest != c.index->list_digest(cluster)) return false;
     }
     return true;
   }
 
   std::vector<std::pair<bovw::ImageId, bovw::BovwVector>> corpus_;
-  std::unique_ptr<invindex::MerkleInvertedIndex> index_;
   bovw::BovwVector query_;
-  invindex::InvSearchResult honest_;
-  std::vector<bovw::ImageId> claimed_;
+  std::vector<Case> cases_;
 };
 
-// Field-level model of an InvSearch VO (mirrors the documented layout),
-// shared by the semantic attacks here and the engine-path tamper matrix.
-struct Posting {
-  uint64_t id;
-  double impact;
+// Field-level model of a raw InvSearch VO of either entry kind (mirrors the
+// layout documented in invindex/search.h), shared by the semantic attacks
+// here and the engine-path tamper matrix.
+struct Entry {
+  uint64_t id = 0;        // posting
+  double impact = 0.0;    // posting
+  uint64_t freq = 0;      // group
+  std::vector<std::pair<uint64_t, double>> members;  // group: (id gap, norm)
 };
 struct List {
   uint64_t cluster;
   double weight;
-  std::vector<Posting> popped;
+  std::vector<Entry> popped;
   uint8_t flags;
   crypto::Digest first_remaining;
   Bytes filter;
@@ -97,7 +118,7 @@ struct List {
 
 // Re-serializes a parsed VO faithfully, so a single-field mutation yields a
 // VO that differs only in that field.
-Bytes Reserialize(const std::vector<List>& lists) {
+Bytes Reserialize(const std::vector<List>& lists, bool grouped = false) {
   ByteWriter w;
   w.PutU8(1);
   w.PutVarint(lists.size());
@@ -105,9 +126,18 @@ Bytes Reserialize(const std::vector<List>& lists) {
     w.PutVarint(l.cluster);
     w.PutF64(l.weight);
     w.PutVarint(l.popped.size());
-    for (const Posting& p : l.popped) {
-      w.PutVarint(p.id);
-      w.PutF64(p.impact);
+    for (const Entry& e : l.popped) {
+      if (!grouped) {
+        w.PutVarint(e.id);
+        w.PutF64(e.impact);
+        continue;
+      }
+      w.PutVarint(e.freq);
+      w.PutVarint(e.members.size());
+      for (const auto& [gap, norm] : e.members) {
+        w.PutVarint(gap);
+        w.PutF64(norm);
+      }
     }
     w.PutU8(l.flags);
     if (l.flags & 1) crypto::PutDigest(w, l.first_remaining);
@@ -120,7 +150,7 @@ Bytes Reserialize(const std::vector<List>& lists) {
   return w.Take();
 }
 
-std::vector<List> ParseVo(const Bytes& vo) {
+std::vector<List> ParseVo(const Bytes& vo, bool grouped = false) {
   std::vector<List> lists;
   ByteReader r(vo);
   uint8_t use_filters;
@@ -134,10 +164,21 @@ std::vector<List> ParseVo(const Bytes& vo) {
     uint64_t popped;
     if (!r.GetVarint(&popped).ok()) return {};
     for (uint64_t j = 0; j < popped; ++j) {
-      Posting p;
-      if (!r.GetVarint(&p.id).ok()) return {};
-      if (!r.GetF64(&p.impact).ok()) return {};
-      l.popped.push_back(p);
+      Entry e;
+      if (!grouped) {
+        if (!r.GetVarint(&e.id).ok()) return {};
+        if (!r.GetF64(&e.impact).ok()) return {};
+      } else {
+        uint64_t members;
+        if (!r.GetVarint(&e.freq).ok()) return {};
+        if (!r.GetVarint(&members).ok()) return {};
+        e.members.resize(members);
+        for (auto& [gap, norm] : e.members) {
+          if (!r.GetVarint(&gap).ok()) return {};
+          if (!r.GetF64(&norm).ok()) return {};
+        }
+      }
+      l.popped.push_back(std::move(e));
     }
     if (!r.GetU8(&l.flags).ok()) return {};
     if (l.flags & 1) {
@@ -153,87 +194,126 @@ std::vector<List> ParseVo(const Bytes& vo) {
   return lists;
 }
 
+// Applies `attack` to the parsed honest VO of each entry kind; the attack
+// reports whether it found a target, and every tampered VO must be
+// rejected.
+template <class Attack>
+void ExpectRejectedOnBothKinds(SemanticAttackTest& t, Attack attack) {
+  for (const SemanticAttackTest::Case& c : t.cases_) {
+    SCOPED_TRACE(KindName(c.index->kind()));
+    const bool grouped = c.index->kind() == invindex::EntryKind::kGroup;
+    auto lists = ParseVo(c.honest.vo, grouped);
+    ASSERT_FALSE(lists.empty());
+    ASSERT_TRUE(attack(lists, grouped)) << "no target for the attack";
+    EXPECT_FALSE(t.Accepts(c, Reserialize(lists, grouped), c.claimed));
+  }
+}
+
+// First list with at least two popped entries, or nullptr.
+List* ListWithTwoPops(std::vector<List>& lists) {
+  for (List& l : lists) {
+    if (l.popped.size() >= 2) return &l;
+  }
+  return nullptr;
+}
+
 TEST_F(SemanticAttackTest, HonestReserializationAccepted) {
-  auto lists = ParseVo(honest_.vo);
-  ASSERT_FALSE(lists.empty());
-  EXPECT_EQ(Reserialize(lists), honest_.vo) << "parser/serializer mismatch";
-  EXPECT_TRUE(Accepts(honest_.vo, claimed_));
+  for (const Case& c : cases_) {
+    SCOPED_TRACE(KindName(c.index->kind()));
+    const bool grouped = c.index->kind() == invindex::EntryKind::kGroup;
+    auto lists = ParseVo(c.honest.vo, grouped);
+    ASSERT_FALSE(lists.empty());
+    EXPECT_EQ(Reserialize(lists, grouped), c.honest.vo)
+        << "parser/serializer mismatch";
+    EXPECT_TRUE(Accepts(c, c.honest.vo, c.claimed));
+  }
 }
 
 TEST_F(SemanticAttackTest, InflatedImpactRejected) {
   // Inflate a popped competitor's impact so it *looks* consistent; the
-  // digest chain must expose it.
-  auto lists = ParseVo(honest_.vo);
-  for (auto& l : lists) {
-    if (l.popped.size() >= 2) {
-      l.popped[1].impact *= 2.0;
-      break;
+  // digest chain must expose it. A group's impacts derive from its freq
+  // and member norms, so both are inflated in turn.
+  ExpectRejectedOnBothKinds(*this, [](std::vector<List>& lists, bool grouped) {
+    List* l = ListWithTwoPops(lists);
+    if (l == nullptr) return false;
+    if (grouped) {
+      l->popped[1].freq *= 2;
+    } else {
+      l->popped[1].impact *= 2.0;
     }
-  }
-  EXPECT_FALSE(Accepts(Reserialize(lists), claimed_));
+    return true;
+  });
+  ExpectRejectedOnBothKinds(*this, [](std::vector<List>& lists, bool grouped) {
+    List* l = ListWithTwoPops(lists);
+    if (l == nullptr) return false;
+    if (grouped) {
+      l->popped[1].members[0].second *= 0.5;
+    } else {
+      l->popped[1].impact *= 2.0;
+    }
+    return true;
+  });
 }
 
 TEST_F(SemanticAttackTest, HiddenPostingRejected) {
-  // Drop the deepest popped posting of some list (hide a competitor).
-  auto lists = ParseVo(honest_.vo);
-  for (auto& l : lists) {
-    if (l.popped.size() >= 2) {
-      l.popped.pop_back();
-      break;
-    }
-  }
-  EXPECT_FALSE(Accepts(Reserialize(lists), claimed_));
+  // Drop the deepest popped entry of some list (hide a competitor).
+  ExpectRejectedOnBothKinds(*this, [](std::vector<List>& lists, bool) {
+    List* l = ListWithTwoPops(lists);
+    if (l == nullptr) return false;
+    l->popped.pop_back();
+    return true;
+  });
 }
 
 TEST_F(SemanticAttackTest, ReducedWeightRejected) {
   // Shrink a list's weight to depress a competitor's score.
-  auto lists = ParseVo(honest_.vo);
-  lists[0].weight *= 0.5;
-  EXPECT_FALSE(Accepts(Reserialize(lists), claimed_));
+  ExpectRejectedOnBothKinds(*this, [](std::vector<List>& lists, bool) {
+    lists[0].weight *= 0.5;
+    return true;
+  });
 }
 
 TEST_F(SemanticAttackTest, SubstitutedFilterRejected) {
   // Replace a shipped filter with an emptier one (making competitors look
   // absent from remaining lists).
-  auto lists = ParseVo(honest_.vo);
-  for (auto& l : lists) {
-    if (l.flags & 2) {
-      cuckoo::CuckooFilter empty(
-          cuckoo::CuckooParams::ForMaxItems(64));
-      l.filter = empty.Serialize();
-      break;
+  ExpectRejectedOnBothKinds(*this, [](std::vector<List>& lists, bool) {
+    for (auto& l : lists) {
+      if (l.flags & 2) {
+        cuckoo::CuckooFilter empty(cuckoo::CuckooParams::ForMaxItems(64));
+        l.filter = empty.Serialize();
+        return true;
+      }
     }
-  }
-  EXPECT_FALSE(Accepts(Reserialize(lists), claimed_));
+    return false;
+  });
 }
 
 TEST_F(SemanticAttackTest, ForgedRemainingDigestRejected) {
-  // Pretend a list is exhausted (hide all remaining postings) by flipping
+  // Pretend a list is exhausted (hide all remaining entries) by flipping
   // has_remaining and providing h(Theta) instead.
-  auto lists = ParseVo(honest_.vo);
-  for (auto& l : lists) {
-    if ((l.flags & 1) && (l.flags & 2)) {
-      l.flags = 0;  // exhausted, no filter
-      auto restored = cuckoo::CuckooFilter::Deserialize(l.filter);
-      ASSERT_TRUE(restored.ok());
-      l.theta = restored->StateDigest();
-      break;
+  ExpectRejectedOnBothKinds(*this, [](std::vector<List>& lists, bool) {
+    for (auto& l : lists) {
+      if ((l.flags & 1) && (l.flags & 2)) {
+        l.flags = 0;  // exhausted, no filter
+        auto restored = cuckoo::CuckooFilter::Deserialize(l.filter);
+        if (!restored.ok()) return false;
+        l.theta = restored->StateDigest();
+        return true;
+      }
     }
-  }
-  EXPECT_FALSE(Accepts(Reserialize(lists), claimed_));
+    return false;
+  });
 }
 
 TEST_F(SemanticAttackTest, ReorderedPostingsRejected) {
-  // Swap two adjacent popped postings (breaks either the chain digest or
+  // Swap two adjacent popped entries (breaks either the chain digest or
   // the impact-order invariant).
-  auto lists = ParseVo(honest_.vo);
-  for (auto& l : lists) {
-    if (l.popped.size() >= 2) {
-      std::swap(l.popped[0], l.popped[1]);
-      break;
-    }
-  }
-  EXPECT_FALSE(Accepts(Reserialize(lists), claimed_));
+  ExpectRejectedOnBothKinds(*this, [](std::vector<List>& lists, bool) {
+    List* l = ListWithTwoPops(lists);
+    if (l == nullptr) return false;
+    std::swap(l->popped[0], l->popped[1]);
+    return true;
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -251,18 +331,20 @@ class FgSemanticAttackTest : public ::testing::Test {
     std::vector<bovw::BovwVector> vecs;
     for (auto& [id, v] : corpus_) vecs.push_back(v);
     auto weights = bovw::ClusterWeights::FromCorpus(96, vecs);
-    index_ = std::make_unique<freqgroup::FgInvertedIndex>(
-        freqgroup::FgInvertedIndex::Build(96, corpus_, weights, true));
+    index_ = std::make_unique<invindex::GroupIndex>(
+        invindex::GroupIndex::Build(96, corpus_, weights, true));
     query_ = workload::QueryFromImage(cp, corpus_[21].second, 50, 0.2, 3);
     invindex::InvSearchParams params;
     params.k = 5;
-    honest_ = freqgroup::FgSearch(*index_, query_, params);
+    honest_ = invindex::InvSearch(*index_, query_, params);
     for (const auto& si : honest_.topk) claimed_.push_back(si.id);
   }
 
   bool Accepts(const Bytes& vo) {
     invindex::InvVerifyResult verified;
-    if (!freqgroup::FgVerifyVo(vo, query_, claimed_, 5, true, &verified).ok()) {
+    if (!invindex::VerifyInvVo<invindex::Group>(vo, query_, claimed_, 5, true,
+                                                &verified)
+             .ok()) {
       return false;
     }
     for (const auto& [c, digest] : verified.list_digests) {
@@ -272,9 +354,9 @@ class FgSemanticAttackTest : public ::testing::Test {
   }
 
   std::vector<std::pair<bovw::ImageId, bovw::BovwVector>> corpus_;
-  std::unique_ptr<freqgroup::FgInvertedIndex> index_;
+  std::unique_ptr<invindex::GroupIndex> index_;
   bovw::BovwVector query_;
-  freqgroup::FgSearchResult honest_;
+  invindex::InvSearchResult honest_;
   std::vector<bovw::ImageId> claimed_;
 };
 
@@ -317,9 +399,11 @@ TEST(ParserFuzzTest, InvVoVerifyNeverCrashes) {
   query.entries = {{1, 2}, {5, 1}};
   for (int t = 0; t < 2000; ++t) {
     Bytes data = RandomBytes(rng, 512);
-    invindex::InvVerifyResult out;
-    (void)invindex::VerifyInvVo(data, query, {1, 2}, 2, true, &out);
-    (void)invindex::VerifyInvVo(data, query, {}, 2, false, &out);
+    for (invindex::EntryKind kind : kEntryKinds) {
+      invindex::InvVerifyResult out;
+      (void)invindex::VerifyInvVo(kind, data, query, {1, 2}, 2, true, &out);
+      (void)invindex::VerifyInvVo(kind, data, query, {}, 2, false, &out);
+    }
   }
 }
 
@@ -350,21 +434,25 @@ TEST(ParserFuzzTest, TruncationsOfValidVoNeverCrash) {
   std::vector<bovw::BovwVector> vecs;
   for (auto& [id, v] : corpus) vecs.push_back(v);
   auto weights = bovw::ClusterWeights::FromCorpus(64, vecs);
-  auto index = invindex::MerkleInvertedIndex::Build(64, corpus, weights, true);
   auto query = workload::QueryFromImage(cp, corpus[7].second, 30, 0.2, 9);
   invindex::InvSearchParams params;
   params.k = 3;
-  auto honest = invindex::InvSearch(index, query, params);
-  std::vector<bovw::ImageId> claimed;
-  for (auto& si : honest.topk) claimed.push_back(si.id);
-
-  size_t step = std::max<size_t>(1, honest.vo.size() / 200);
   int accepted = 0;
-  for (size_t len = 0; len < honest.vo.size(); len += step) {
-    Bytes prefix(honest.vo.begin(), honest.vo.begin() + len);
-    invindex::InvVerifyResult out;
-    if (invindex::VerifyInvVo(prefix, query, claimed, 3, true, &out).ok()) {
-      ++accepted;
+  for (invindex::EntryKind kind : kEntryKinds) {
+    auto index = invindex::InvertedIndex::Build(kind, 64, corpus, weights,
+                                                true, 8, 0xF117E2);
+    auto honest = invindex::InvSearch(index, query, params);
+    std::vector<bovw::ImageId> claimed;
+    for (auto& si : honest.topk) claimed.push_back(si.id);
+
+    size_t step = std::max<size_t>(1, honest.vo.size() / 200);
+    for (size_t len = 0; len < honest.vo.size(); len += step) {
+      Bytes prefix(honest.vo.begin(), honest.vo.begin() + len);
+      invindex::InvVerifyResult out;
+      if (invindex::VerifyInvVo(kind, prefix, query, claimed, 3, true, &out)
+              .ok()) {
+        ++accepted;
+      }
     }
   }
   EXPECT_EQ(accepted, 0) << "no strict prefix may verify";

@@ -32,14 +32,11 @@
 #include "shard/manifest.h"
 #include "shard/planner.h"
 #include "storage/file_io.h"
+#include "test_support.h"
 #include "workload/synthetic.h"
 
 namespace imageproof {
 namespace {
-
-std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 void FlipByte(const std::string& path, size_t offset, uint8_t mask = 0xFF) {
   Bytes data;
@@ -148,7 +145,8 @@ TEST(ShardManifestTest, SaveLoadAndTamper) {
   crypto::RsaKeyPair keys = crypto::RsaKeyPair::Generate(512, rng);
   shard::ShardManifest m = MakeManifest();
   m.Sign(keys.private_key);
-  const std::string path = TempPath("shard_manifest_roundtrip");
+  testing_support::ScopedTestDir tmp;
+  const std::string path = tmp.Path("shard_manifest_roundtrip");
   ASSERT_TRUE(shard::SaveManifest(path, m).ok());
   Result<shard::ShardManifest> loaded = shard::LoadManifest(path);
   ASSERT_TRUE(loaded.ok());
@@ -537,7 +535,8 @@ TEST(ShardServingTest, PersistenceRoundTripAndManifestTamper) {
   const core::PublicParams base = dep.shards[0].public_params;
   const crypto::RsaKeyPair keys = dep.keys;
 
-  const std::string dir = TempPath("shard_persist");
+  testing_support::ScopedTestDir tmp;
+  const std::string dir = tmp.Path("shard_persist");
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(shard::WriteShardedDeployment(dir, dep).ok());
 
