@@ -51,7 +51,7 @@ struct InvFixture {
     auto build = [&](invindex::EntryKind kind, bool with_filters) {
       return std::make_unique<invindex::InvertedIndex>(
           invindex::InvertedIndex::Build(kind, num_clusters, corpus, weights,
-                                         with_filters, 8, 0xF117E2));
+                                         with_filters));
     };
     plain = build(invindex::EntryKind::kPosting, /*with_filters=*/false);
     filtered = build(invindex::EntryKind::kPosting, /*with_filters=*/true);

@@ -77,7 +77,7 @@ struct Posting {
     return a.id < b.id;
   }
 
-  // The ordered list of one cluster's occurrences.
+  // The ordered list of one cluster's occurrences (which it may reorder).
   static std::vector<Posting> Assemble(std::vector<Occurrence>& occ,
                                        double weight);
   // Edits return the length of the chain prefix whose digests the edit

@@ -137,7 +137,7 @@ class InvertedIndex {
       EntryKind kind, size_t num_clusters,
       const std::vector<std::pair<ImageId, bovw::BovwVector>>& corpus,
       const bovw::ClusterWeights& weights, bool with_filters,
-      uint32_t fingerprint_bits, uint64_t filter_seed,
+      uint32_t fingerprint_bits = 8, uint64_t filter_seed = 0xF117E2,
       std::optional<cuckoo::CuckooParams> geometry = std::nullopt);
 
   EntryKind kind() const {

@@ -70,8 +70,7 @@ class SemanticAttackTest : public ::testing::Test {
     for (invindex::EntryKind kind : kEntryKinds) {
       Case c;
       c.index = std::make_unique<invindex::InvertedIndex>(
-          invindex::InvertedIndex::Build(kind, 128, corpus_, weights, true, 8,
-                                         0xF117E2));
+          invindex::InvertedIndex::Build(kind, 128, corpus_, weights, true));
       c.honest = invindex::InvSearch(*c.index, query_, params);
       for (const auto& si : c.honest.topk) c.claimed.push_back(si.id);
       cases_.push_back(std::move(c));
@@ -439,8 +438,8 @@ TEST(ParserFuzzTest, TruncationsOfValidVoNeverCrash) {
   params.k = 3;
   int accepted = 0;
   for (invindex::EntryKind kind : kEntryKinds) {
-    auto index = invindex::InvertedIndex::Build(kind, 64, corpus, weights,
-                                                true, 8, 0xF117E2);
+    auto index =
+        invindex::InvertedIndex::Build(kind, 64, corpus, weights, true);
     auto honest = invindex::InvSearch(index, query, params);
     std::vector<bovw::ImageId> claimed;
     for (auto& si : honest.topk) claimed.push_back(si.id);
