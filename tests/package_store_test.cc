@@ -190,9 +190,11 @@ TEST_F(PackageStoreTest, SmallPageSizeRoundTrips) {
 TEST_F(PackageStoreTest, InvalidPageSizeRejectedAtWrite) {
   WriteOptions wo;
   wo.page_size = 48;  // not a power of two
-  EXPECT_FALSE(PackageStore::Write(tmp_.Path("x.ipk"), *owner_.package, wo).ok());
+  EXPECT_FALSE(
+      PackageStore::Write(tmp_.Path("x.ipk"), *owner_.package, wo).ok());
   wo.page_size = 32;  // below the floor
-  EXPECT_FALSE(PackageStore::Write(tmp_.Path("x.ipk"), *owner_.package, wo).ok());
+  EXPECT_FALSE(
+      PackageStore::Write(tmp_.Path("x.ipk"), *owner_.package, wo).ok());
 }
 
 TEST_F(PackageStoreTest, DeepVerifyPassesOnIntactFile) {
