@@ -110,13 +110,15 @@ MerkleInvertedIndex<E> MerkleInvertedIndex<E>::Build(
   index.with_filters_ = with_filters;
   index.lists_.resize(num_clusters);
 
-  // Gather each cluster's occurrences.
-  std::vector<std::vector<Occurrence>> raw(num_clusters);
-  for (const auto& [id, vec] : corpus) {
-    double norm = vec.L2Norm();
-    for (const auto& [c, f] : vec.entries) {
-      if (c >= num_clusters) continue;
-      raw[c].push_back({id, f, norm});
+  // Gather each cluster's occurrences as (corpus index, freq); ids and
+  // norms are looked up per list, so the gather costs 16 bytes per
+  // occurrence until its list is built.
+  std::vector<double> norms(corpus.size());
+  std::vector<std::vector<std::pair<size_t, uint32_t>>> raw(num_clusters);
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    norms[i] = corpus[i].second.L2Norm();
+    for (const auto& [c, f] : corpus[i].second.entries) {
+      if (c < num_clusters) raw[c].emplace_back(i, f);
     }
   }
 
@@ -139,8 +141,13 @@ MerkleInvertedIndex<E> MerkleInvertedIndex<E>::Build(
       List& list = index.lists_[c];
       list.cluster = static_cast<ClusterId>(c);
       list.weight = weights.WeightOf(static_cast<ClusterId>(c));
-      list.postings = E::Assemble(raw[c], list.weight);
-      std::vector<Occurrence>().swap(raw[c]);
+      std::vector<Occurrence> occ;
+      occ.reserve(raw[c].size());
+      for (const auto& [i, f] : raw[c]) {
+        occ.push_back({corpus[i].first, f, norms[i]});
+      }
+      std::vector<std::pair<size_t, uint32_t>>().swap(raw[c]);
+      list.postings = E::Assemble(occ, list.weight);
 
       if (with_filters) {
         cuckoo::CuckooFilter filter(filter_params);
