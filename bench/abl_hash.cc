@@ -1,23 +1,28 @@
 // Ablation — the fast hashing core (optimized Keccak, 4-lane batch digest
 // API, level-parallel Merkle construction, O(log n) incremental update).
 //
-// Four sections, each comparing the pre-PR serial strategy against the
-// batched/parallel one on identical inputs and checking the outputs are
-// byte-identical (the whole point of the optimization is that only the
-// schedule changes, never the digests):
+// Four sections compare the serial strategy against the batched/parallel
+// one on identical inputs and check the outputs are byte-identical (the
+// whole point of the optimization is that only the schedule changes, never
+// the digests):
 //
 //   keccak    one-at-a-time Sha3() vs HashBatch() over a message set
 //   merkle    the old serial recursion (replicated here verbatim) vs the
 //             level-parallel batched MerkleTree build
 //   update    full rebuild vs UpdateLeaf per single-leaf change, with the
 //             O(log n) hash bound asserted via the invocation counter
-//   chain     a serial backward digest chain vs four chains interleaved on
-//             the Sha3x4 lanes (the inverted-index build pattern)
+//   chain     a serial backward digest chain vs invindex::WalkChains, the
+//             walker the inverted index's build, deep verify and client
+//             verifier all run
+//
+// A fifth section, verify, times Client::Verify end to end over a fixed
+// deployment shaped like perfbench's remote-uniform workload (ImageProof,
+// 10-feature queries, k = 10) and checks every response is accepted. Run
+// it with IMAGEPROOF_NO_AVX2=1 to time the portable lane path.
 
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -25,7 +30,9 @@
 #include "common/stopwatch.h"
 #include "crypto/hasher.h"
 #include "crypto/sha3.h"
+#include "invindex/chain.h"
 #include "merkle/merkle_tree.h"
+#include "workload/synthetic.h"
 
 using namespace imageproof;
 using namespace imageproof::bench;
@@ -71,65 +78,12 @@ Digest SerialMerkleRoot(const std::vector<Bytes>& payloads) {
   return SerialSubtree(leaves, 0, payloads.size());
 }
 
-struct ChainPosting {
-  uint64_t id;
-  double impact;
-};
-
-Digest SerialChain(const std::vector<ChainPosting>& postings) {
+Digest SerialChain(const std::vector<invindex::Posting>& postings) {
   Digest next = Digest::Zero();
   for (size_t i = postings.size(); i-- > 0;) {
-    next = crypto::DigestBuilder()
-               .AddU64(postings[i].id)
-               .AddF64(postings[i].impact)
-               .AddDigest(next)
-               .Finalize();
+    next = invindex::EntryDigest(postings[i], next);
   }
   return next;
-}
-
-// Four independent chains advanced in lockstep on the 4-lane engine — the
-// schedule the inverted-index builders use internally.
-void InterleavedChains(const std::vector<ChainPosting>* lists, Digest* heads) {
-  crypto::Sha3x4 eng;
-  size_t idx[4];
-  Digest next[4];
-  uint8_t buf[4][48];
-  auto start = [&](int j) {
-    const ChainPosting& p = lists[j][idx[j] - 1];
-    for (int b = 0; b < 8; ++b) {
-      buf[j][b] = static_cast<uint8_t>(p.id >> (8 * b));
-    }
-    uint64_t bits;
-    std::memcpy(&bits, &p.impact, sizeof(bits));
-    for (int b = 0; b < 8; ++b) {
-      buf[j][8 + b] = static_cast<uint8_t>(bits >> (8 * b));
-    }
-    std::memcpy(buf[j] + 16, next[j].bytes.data(), 32);
-    eng.Start(j, buf[j], sizeof(buf[j]));
-  };
-  int active = 0;
-  for (int j = 0; j < 4; ++j) {
-    idx[j] = lists[j].size();
-    next[j] = Digest::Zero();
-    if (idx[j] > 0) {
-      start(j);
-      ++active;
-    }
-  }
-  while (active > 0) {
-    eng.Step();
-    for (int j = 0; j < 4; ++j) {
-      if (!eng.done(j)) continue;
-      next[j] = eng.Take(j);
-      if (--idx[j] > 0) {
-        start(j);
-      } else {
-        heads[j] = next[j];
-        --active;
-      }
-    }
-  }
 }
 
 bool g_ok = true;
@@ -226,11 +180,11 @@ int main(int argc, char** argv) {
     report.AddValue("update_hash_bound", static_cast<double>(1 + depth));
   }
 
-  // --- chain: serial backward chain vs 4-lane interleave -------------------
+  // --- chain: serial backward chain vs the shared 4-lane walker ----------
   {
     const size_t len = smoke ? 20000 : 200000;
     Rng rng(23);
-    std::vector<ChainPosting> lists[4];
+    std::vector<invindex::Posting> lists[4];
     for (auto& list : lists) {
       list.resize(len);
       for (auto& p : list) {
@@ -242,16 +196,67 @@ int main(int argc, char** argv) {
     Stopwatch t1;
     for (int j = 0; j < 4; ++j) serial_heads[j] = SerialChain(lists[j]);
     const double serial_ms = t1.ElapsedMillis();
+    invindex::ChainSpan<invindex::Posting> chains[4];
+    for (int j = 0; j < 4; ++j) chains[j] = {lists[j].data(), lists[j].size()};
     Stopwatch t2;
-    InterleavedChains(lists, x4_heads);
+    invindex::WalkChains(chains, 4, [&](size_t k, size_t i, const Digest& d) {
+      if (i == 0) x4_heads[k] = d;
+    });
     const double x4_ms = t2.ElapsedMillis();
     Check(std::equal(serial_heads, serial_heads + 4, x4_heads),
-          "interleaved chain heads match serial");
+          "walked chain heads match serial");
     std::printf("%-28s %11.1f ms %13.1f ms %8.2fx\n", "chain (4 lists)",
                 serial_ms, x4_ms, serial_ms / x4_ms);
     report.AddValue("chain_serial_ms", serial_ms);
     report.AddValue("chain_x4_ms", x4_ms);
     report.AddValue("chain_x4_speedup", serial_ms / x4_ms);
+  }
+
+  // --- verify: Client::Verify end to end ----------------------------------
+  {
+    DeploymentSpec spec;  // 10k images, 4096 clusters, 64 dims
+    if (smoke) {
+      spec.num_images = 1000;
+      spec.num_clusters = 512;
+    }
+    Deployment d(core::Config::ImageProof(), spec);
+    workload::QueryMixParams mp;
+    mp.pool_size = smoke ? 16 : 128;
+    mp.num_features = 10;
+    mp.zipf_s = 0.0;
+    mp.coord_noise = 0.25;
+    workload::ZipfQueryMix mix(d.owner.package->codebook,
+                               d.owner.package->corpus, mp);
+    const size_t k = 10;
+    std::vector<core::QueryResponse> responses;
+    for (size_t q = 0; q < mix.pool_size(); ++q) {
+      responses.push_back(d.sp->Query(mix.query(q), k));
+    }
+    // Rounds over the pool; the median round's mean stands for the verifier.
+    const int rounds = smoke ? 3 : 9;
+    std::vector<double> round_us;
+    uint64_t hashes = 0;
+    bool accepted = true;
+    for (int round = 0; round < rounds; ++round) {
+      const uint64_t before = crypto::HashInvocations();
+      Stopwatch t;
+      for (size_t q = 0; q < responses.size(); ++q) {
+        accepted = d.client->Verify(mix.query(q), k, responses[q].vo).ok() &&
+                   accepted;
+      }
+      round_us.push_back(t.ElapsedMillis() * 1000.0 / responses.size());
+      hashes = (crypto::HashInvocations() - before) / responses.size();
+    }
+    std::sort(round_us.begin(), round_us.end());
+    const double median_us = round_us[round_us.size() / 2];
+    Check(accepted, "Client::Verify accepts every honest response");
+    std::printf("%-28s %14s %11.0f us %9s\n", "verify (per query)", "",
+                median_us, "");
+    std::printf("%-28s %14s %14llu\n", "  hashes/verify", "",
+                static_cast<unsigned long long>(hashes));
+    report.AddValue("verify_queries", static_cast<double>(responses.size()));
+    report.AddValue("verify_us", median_us);
+    report.AddValue("verify_hashes", static_cast<double>(hashes));
   }
 
   return FinishBench(g_ok ? 0 : 1);

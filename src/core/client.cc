@@ -121,14 +121,17 @@ Result<VerifiedResults> Client::VerifyImpl(
   }
   std::map<mrkd::ClusterId, crypto::Digest> commitments;
   std::map<mrkd::ClusterId, const mrkd::ClusterReveal*> reveal_of;
-  for (const mrkd::ClusterReveal& rev : reveals) {
-    crypto::Digest commitment;
-    Status s = mrkd::VerifyReveal(config.reveal_mode, dims, rev, &commitment);
+  {
+    std::vector<crypto::Digest> digests;
+    Status s = mrkd::VerifyReveals(config.reveal_mode, dims, reveals, &digests);
     if (!s.ok()) return s;
-    if (!commitments.emplace(rev.id, commitment).second) {
-      return Result<VerifiedResults>::Error("client: duplicate cluster reveal");
+    for (size_t i = 0; i < reveals.size(); ++i) {
+      if (!commitments.emplace(reveals[i].id, digests[i]).second) {
+        return Result<VerifiedResults>::Error(
+            "client: duplicate cluster reveal");
+      }
+      reveal_of[reveals[i].id] = &reveals[i];
     }
-    reveal_of[rev.id] = &rev;
   }
 
   reveal_timer.Stop();
@@ -143,17 +146,16 @@ Result<VerifiedResults> Client::VerifyImpl(
   }
   std::vector<std::set<mrkd::ClusterId>> candidates(nq);
   std::map<mrkd::ClusterId, crypto::Digest> list_digests;
-  crypto::DigestBuilder roots;
+  mrkd::ForestReplay replay(dims, commitments, queries, vo.thresholds_sq,
+                            config.share_nodes);
   for (const Bytes& tree_vo : vo.tree_vos) {
     ByteReader r(tree_vo);
     mrkd::TreeVerifyOutput tv;
-    Status s = mrkd::VerifyTreeVo(r, dims, commitments, queries,
-                                  vo.thresholds_sq, config.share_nodes, &tv);
+    Status s = replay.AddTree(r, &tv);
     if (!s.ok()) return s;
     if (!r.AtEnd()) {
       return Result<VerifiedResults>::Error("client: trailing tree VO bytes");
     }
-    roots.AddDigest(tv.root);
     for (size_t i = 0; i < nq; ++i) {
       candidates[i].insert(tv.candidates[i].begin(), tv.candidates[i].end());
     }
@@ -165,6 +167,10 @@ Result<VerifiedResults> Client::VerifyImpl(
       }
     }
   }
+  std::vector<crypto::Digest> tree_roots;
+  if (Status s = replay.Finish(&tree_roots); !s.ok()) return s;
+  crypto::DigestBuilder roots;
+  for (const crypto::Digest& root : tree_roots) roots.AddDigest(root);
   crypto::RsaVerifier verifier(params_.public_key);
   out.root_digest = roots.Finalize();
   if (!verifier.Verify(out.root_digest, params_.root_signature)) {

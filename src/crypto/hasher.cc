@@ -76,6 +76,16 @@ void HashBatch(const BytesView* in, Digest* out, size_t n) {
   }
 }
 
+void HashBatch(const Bytes& buf, const std::vector<size_t>& offsets,
+               Digest* out) {
+  std::vector<BytesView> msgs;
+  msgs.reserve(offsets.size());
+  for (size_t i = 0; i + 1 < offsets.size(); ++i) {
+    msgs.emplace_back(buf.data() + offsets[i], offsets[i + 1] - offsets[i]);
+  }
+  HashBatch(msgs.data(), out, msgs.size());
+}
+
 void HashPairBatch(const Digest* left, const Digest* right, Digest* out,
                    size_t n) {
   PairBatch(nullptr, left, right, out, n);

@@ -11,6 +11,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/bytes.h"
 #include "crypto/digest.h"
@@ -85,6 +86,43 @@ class DigestBuilder {
   Sha3_256 sponge_;
 };
 
+// Appends the canonical encodings DigestBuilder streams into the sponge to
+// a byte buffer instead. A preimage written once as a template over its
+// sink (e.g. invindex::Posting::Preimage, mrkd::MrkdTree::HashInternal)
+// feeds either the streaming hasher or a message buffer for the batch
+// paths below, with identical bytes.
+class PreimageWriter {
+ public:
+  explicit PreimageWriter(Bytes* buf) : buf_(buf) {}
+
+  PreimageWriter& AddU32(uint32_t v) { return Put(v, 4); }
+  PreimageWriter& AddU64(uint64_t v) { return Put(v, 8); }
+  PreimageWriter& AddF32(float v) {
+    uint32_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return Put(bits, 4);
+  }
+  PreimageWriter& AddF64(double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return Put(bits, 8);
+  }
+  PreimageWriter& AddDigest(const Digest& d) {
+    buf_->insert(buf_->end(), d.bytes.begin(), d.bytes.end());
+    return *this;
+  }
+
+ private:
+  PreimageWriter& Put(uint64_t v, int n) {
+    uint8_t b[8];
+    for (int i = 0; i < n; ++i) b[i] = static_cast<uint8_t>(v >> (8 * i));
+    buf_->insert(buf_->end(), b, b + n);
+    return *this;
+  }
+
+  Bytes* buf_;
+};
+
 // h(left | right) — the classic Merkle internal-node combiner.
 inline Digest HashPair(const Digest& left, const Digest& right) {
   return DigestBuilder().AddDigest(left).AddDigest(right).Finalize();
@@ -101,6 +139,11 @@ inline Digest HashPair(const Digest& left, const Digest& right) {
 
 // out[i] = Sha3(in[i]) for i in [0, n).
 void HashBatch(const BytesView* in, Digest* out, size_t n);
+
+// The same over messages laid end to end in one buffer: message i is
+// buf[offsets[i], offsets[i + 1]), for i + 1 < offsets.size().
+void HashBatch(const Bytes& buf, const std::vector<size_t>& offsets,
+               Digest* out);
 
 // out[i] = HashPair(left[i], right[i]) for i in [0, n).
 void HashPairBatch(const Digest* left, const Digest* right, Digest* out,

@@ -1,6 +1,7 @@
 #include "crypto/sha3.h"
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 
@@ -31,10 +32,27 @@ bool UseAvx2() {
 }
 #endif
 
-// Interleaved 4-sponge permutation with runtime dispatch. The portable
-// fallback runs the generic round body on pairs of states (U64x2), which
-// keeps two independent dependency chains in flight per instruction stream.
-void KeccakF4(uint64_t state[25][Sha3x4::kLanes]) {
+// Permutes lane `j` of the interleaved state alone, on the scalar path.
+void PermuteLane(uint64_t state[25][Sha3x4::kLanes], int j) {
+  uint64_t a[25];
+  for (int i = 0; i < 25; ++i) a[i] = state[i][j];
+  KeccakPermute(a);
+  for (int i = 0; i < 25; ++i) state[i][j] = a[i];
+}
+
+// Permutes the lanes set in `busy` (bit j = lane j); the other lanes keep
+// their state. Interleaving pays only when the lanes are filled: a
+// 4-way AVX2 permutation costs ~1.7 scalar ones and a 2-way portable pair
+// ~1.5-1.7, so a lone busy lane (tree tops, the tail of the longest chain)
+// runs the scalar permutation, and the portable path skips an idle pair.
+// The portable pair runs the generic round body on two states (U64x2),
+// which keeps two independent dependency chains in flight.
+void KeccakF4(uint64_t state[25][Sha3x4::kLanes], unsigned busy) {
+  if (busy == 0) return;
+  if ((busy & (busy - 1)) == 0) {
+    PermuteLane(state, std::countr_zero(busy));
+    return;
+  }
 #if defined(IMAGEPROOF_SHA3_AVX2)
   if (UseAvx2()) {
     internal::KeccakF4Avx2(state);
@@ -43,6 +61,12 @@ void KeccakF4(uint64_t state[25][Sha3x4::kLanes]) {
 #endif
   U64x2 pair[25];
   for (int half = 0; half < 2; ++half) {
+    const unsigned mask = (busy >> (2 * half)) & 3u;
+    if (mask == 0) continue;
+    if (mask != 3u) {
+      PermuteLane(state, 2 * half + (mask == 1u ? 0 : 1));
+      continue;
+    }
     for (int i = 0; i < 25; ++i) {
       pair[i] = {state[i][2 * half], state[i][2 * half + 1]};
     }
@@ -151,8 +175,10 @@ void Sha3x4::Start(int lane, const uint8_t* data, size_t n) {
 }
 
 void Sha3x4::Step() {
+  unsigned busy = 0;
   for (int j = 0; j < kLanes; ++j) {
     if (phase_[j] != kAbsorbing) continue;
+    busy |= 1u << j;
     const size_t remaining = len_[j] - off_[j];
     if (remaining >= kRate) {
       const uint8_t* block = data_[j] + off_[j];
@@ -174,7 +200,7 @@ void Sha3x4::Step() {
       phase_[j] = kFinalBlock;
     }
   }
-  KeccakF4(state_);
+  KeccakF4(state_, busy);
   for (int j = 0; j < kLanes; ++j) {
     if (phase_[j] == kFinalBlock) phase_[j] = kDone;
   }

@@ -84,8 +84,9 @@ class Sha3x4 {
   void Start(int lane, const uint8_t* data, size_t n);
   void Start(int lane, const Bytes& b) { Start(lane, b.data(), b.size()); }
 
-  // Absorbs the next block of every absorbing lane and runs the interleaved
-  // permutation. Lanes whose padded final block was absorbed become `done`.
+  // Absorbs the next block of every absorbing lane and permutes those lanes
+  // (interleaved; a lone absorbing lane on the scalar path). Lanes whose
+  // padded final block was absorbed become `done`.
   void Step();
 
   // Returns the digest of a `done` lane and frees it for the next message.

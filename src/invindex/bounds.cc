@@ -93,24 +93,24 @@ double BoundsEngine::PiUpper() const {
   return sum;
 }
 
+bool BoundsEngine::MayHold(size_t li, ImageId id) const {
+  const ListState& l = lists_[li];
+  if (l.exhausted || l.popped_ids.contains(id)) return false;
+  return !use_filters_ || !l.filter.has_value() || l.filter->Contains(id);
+}
+
 std::vector<size_t> BoundsEngine::PossibleLists(ImageId id) const {
   std::vector<size_t> out;
   for (size_t li = 0; li < lists_.size(); ++li) {
-    const ListState& l = lists_[li];
-    if (l.exhausted) continue;
-    if (l.popped_ids.contains(id)) continue;
-    if (use_filters_ && l.filter.has_value() && !l.filter->Contains(id)) {
-      continue;
-    }
-    out.push_back(li);
+    if (MayHold(li, id)) out.push_back(li);
   }
   return out;
 }
 
 double BoundsEngine::SUpper(ImageId id) const {
   double bound = ScoreOf(id);
-  for (size_t li : PossibleLists(id)) {
-    bound += lists_[li].q_impact * Cap(li);
+  for (size_t li = 0; li < lists_.size(); ++li) {
+    if (MayHold(li, id)) bound += lists_[li].q_impact * Cap(li);
   }
   return bound;
 }

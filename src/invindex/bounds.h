@@ -102,6 +102,9 @@ class BoundsEngine {
   std::vector<size_t> PossibleLists(ImageId id) const;
 
  private:
+  // Whether list `li`'s unpopped suffix may still contain I.
+  bool MayHold(size_t li, ImageId id) const;
+
   struct ListState : BoundsList {
     bool exhausted = false;
     size_t popped_count = 0;

@@ -1,94 +1,12 @@
 #include "invindex/merkle_inv_index.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/parallel.h"
 #include "crypto/hasher.h"
-#include "crypto/sha3.h"
+#include "invindex/chain.h"
 
 namespace imageproof::invindex {
-
-namespace {
-
-// Appends the canonical little-endian field encodings DigestBuilder streams
-// into the sponge, so an entry's Preimage() can fill a message buffer.
-struct PreimageWriter {
-  Bytes* buf;
-
-  void Put(uint64_t v, int n) {
-    for (int i = 0; i < n; ++i) {
-      buf->push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
-  void AddU32(uint32_t v) { Put(v, 4); }
-  void AddU64(uint64_t v) { Put(v, 8); }
-  void AddF64(double v) { Put(std::bit_cast<uint64_t>(v), 8); }
-  void AddDigest(const Digest& d) {
-    buf->insert(buf->end(), d.bytes.begin(), d.bytes.end());
-  }
-};
-
-// Walks the backward digest chains of a range of lists four at a time on
-// the lane-interleaved Keccak. A chain is inherently sequential (entry i
-// needs digest i+1), but chains of different lists are independent, so each
-// lane carries one list and completes its entries strictly in chain order —
-// the same digests as the serial loop at ~4x the permutation throughput. A
-// message may take several Steps (groups vary in length); a drained lane
-// picks up the next list in the range.
-template <class E>
-void ChainLists(InvertedList<E>** lists, size_t n) {
-  struct Lane {
-    InvertedList<E>* list = nullptr;
-    size_t i = 0;  // entries remaining (current entry is i - 1)
-    Digest next = Digest::Zero();
-    Bytes buf;     // message buffer, reused across the lane's entries
-  };
-  crypto::Sha3x4 eng;
-  Lane lanes[crypto::Sha3x4::kLanes];
-  size_t next_list = 0;
-  int active = 0;
-
-  auto start_msg = [&](int j) {
-    Lane& lane = lanes[j];
-    lane.buf.clear();
-    PreimageWriter w{&lane.buf};
-    lane.list->postings[lane.i - 1].Preimage(w, lane.next);
-    eng.Start(j, lane.buf.data(), lane.buf.size());
-  };
-  auto feed = [&](int j) -> bool {
-    while (next_list < n) {
-      InvertedList<E>* l = lists[next_list++];
-      if (l->postings.empty()) continue;
-      lanes[j].list = l;
-      lanes[j].i = l->postings.size();
-      lanes[j].next = Digest::Zero();
-      start_msg(j);
-      return true;
-    }
-    return false;
-  };
-
-  for (int j = 0; j < crypto::Sha3x4::kLanes; ++j) {
-    if (feed(j)) ++active;
-  }
-  while (active > 0) {
-    eng.Step();
-    for (int j = 0; j < crypto::Sha3x4::kLanes; ++j) {
-      if (!eng.done(j)) continue;
-      Lane& lane = lanes[j];
-      lane.next = eng.Take(j);
-      lane.list->postings[lane.i - 1].digest = lane.next;
-      if (--lane.i > 0) {
-        start_msg(j);
-      } else if (!feed(j)) {
-        --active;
-      }
-    }
-  }
-}
-
-}  // namespace
 
 Digest ListDigest(double weight, const Digest& theta_digest,
                   const Digest& first_posting_digest) {
@@ -167,10 +85,16 @@ MerkleInvertedIndex<E> MerkleInvertedIndex<E>::Build(
       }
     }
 
-    std::vector<List*> ptrs;
-    ptrs.reserve(end - begin);
-    for (size_t c = begin; c < end; ++c) ptrs.push_back(&index.lists_[c]);
-    ChainLists(ptrs.data(), ptrs.size());
+    std::vector<ChainSpan<E>> chains;
+    chains.reserve(end - begin);
+    for (size_t c = begin; c < end; ++c) {
+      const List& list = index.lists_[c];
+      chains.push_back({list.postings.data(), list.postings.size()});
+    }
+    WalkChains(chains.data(), chains.size(),
+               [&](size_t k, size_t i, const Digest& d) {
+                 index.lists_[begin + k].postings[i].digest = d;
+               });
     for (size_t c = begin; c < end; ++c) {
       List& list = index.lists_[c];
       list.digest = ListDigest(list.weight, list.theta_digest,
@@ -225,15 +149,17 @@ Result<MerkleInvertedIndex<E>> MerkleInvertedIndex<E>::Restore(
 
 template <class E>
 Status MerkleInvertedIndex<E>::VerifyChains() const {
+  std::vector<ChainSpan<E>> chains;
+  chains.reserve(lists_.size());
   for (const List& list : lists_) {
-    Digest next = Digest::Zero();
-    for (size_t i = list.postings.size(); i-- > 0;) {
-      next = EntryDigest(list.postings[i], next);
-      if (next != list.postings[i].digest) {
-        return Status::Corrupted("inv: stored chain digest diverges");
-      }
-    }
+    chains.push_back({list.postings.data(), list.postings.size()});
   }
+  bool intact = true;
+  WalkChains(chains.data(), chains.size(),
+             [&](size_t k, size_t i, const Digest& d) {
+               intact = intact && d == lists_[k].postings[i].digest;
+             });
+  if (!intact) return Status::Corrupted("inv: stored chain digest diverges");
   return Status::Ok();
 }
 
@@ -262,12 +188,13 @@ Status MerkleInvertedIndex<E>::RepairList(List* list, size_t upto) {
   // entries at index >= upto are still valid: anchor there and recompute
   // only the prefix.
   upto = std::min(upto, list->postings.size());
-  Digest next = upto < list->postings.size() ? list->postings[upto].digest
-                                             : Digest::Zero();
-  for (size_t i = upto; i-- > 0;) {
-    next = EntryDigest(list->postings[i], next);
-    list->postings[i].digest = next;
-  }
+  const ChainSpan<E> prefix{list->postings.data(), upto,
+                            upto < list->postings.size()
+                                ? list->postings[upto].digest
+                                : Digest::Zero()};
+  WalkChains(&prefix, 1, [&](size_t, size_t i, const Digest& d) {
+    list->postings[i].digest = d;
+  });
   list->digest =
       ListDigest(list->weight, list->theta_digest, list->FirstPostingDigest());
   return Status::Ok();

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "crypto/sha3.h"
+#include "invindex/chain.h"
 #include "invindex/vo_compress.h"
 
 namespace imageproof::invindex {
@@ -108,11 +108,12 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
   const double norm = query_bovw.L2Norm();
   std::vector<BoundsList> bounds_lists;
   std::vector<const ParsedList<E>*> relevant;  // aligned with bounds_lists
+  std::vector<Digest> thetas(lists.size());  // h(Theta) per list
 
-  for (const ParsedList<E>& pl : lists) {
-    // Reconstruct h_Gamma.
+  for (size_t i = 0; i < lists.size(); ++i) {
+    const ParsedList<E>& pl = lists[i];
     if (pl.weight < 0) return Status::Error("inv: negative weight");
-    Digest theta = Digest::Zero();
+    Digest& theta = thetas[i];
     std::optional<cuckoo::CuckooFilter> filter;
     if (expect_filters) {
       if (pl.filter_included) {
@@ -124,11 +125,6 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
         theta = pl.theta_digest;
       }
     }
-    Digest chain = pl.has_remaining ? pl.first_remaining : Digest::Zero();
-    for (size_t j = pl.popped.size(); j-- > 0;) {
-      chain = EntryDigest(pl.popped[j], chain);
-    }
-    out->list_digests[pl.cluster] = ListDigest(pl.weight, theta, chain);
     out->weights[pl.cluster] = pl.weight;
     for (const E& e : pl.popped) out->popped_postings += e.NumMembers();
 
@@ -162,6 +158,26 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
     bl.filter = std::move(filter);
     bounds_lists.push_back(std::move(bl));
     relevant.push_back(&pl);
+  }
+
+  // Reconstruct every h_Gamma. A list's chain head folds its popped prefix
+  // onto the first-remaining digest; the lists are walked together on the
+  // Keccak lanes.
+  std::vector<ChainSpan<E>> chains(lists.size());
+  std::vector<Digest> heads(lists.size());
+  for (size_t i = 0; i < lists.size(); ++i) {
+    const ParsedList<E>& pl = lists[i];
+    chains[i] = {pl.popped.data(), pl.popped.size(),
+                 pl.has_remaining ? pl.first_remaining : Digest::Zero()};
+    heads[i] = chains[i].tail;
+  }
+  WalkChains(chains.data(), chains.size(),
+             [&](size_t k, size_t j, const Digest& d) {
+               if (j == 0) heads[k] = d;
+             });
+  for (size_t i = 0; i < lists.size(); ++i) {
+    out->list_digests[lists[i].cluster] =
+        ListDigest(lists[i].weight, thetas[i], heads[i]);
   }
 
   // Replay every pop in canonical order.

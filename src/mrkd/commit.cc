@@ -30,6 +30,27 @@ std::vector<Bytes> BlockLeaves(const float* coords, size_t dims) {
   return leaves;
 }
 
+// Appends the commitment preimage of one cluster, mode | id | dims | body,
+// where body is the coordinates (kFullVector) or the root of the
+// coordinate-block Merkle tree (kDimMerkle): `block_root` when given (a
+// partial reveal's reconstructed root), else built from `coords`. The one
+// encoder behind ClusterCommitment and both batches (the owner's
+// ClusterCommitments, the client's VerifyReveals).
+void PutCommitmentPreimage(ByteWriter& w, RevealMode mode, ClusterId id,
+                           size_t dims, const float* coords,
+                           const Digest* block_root = nullptr) {
+  w.PutU8(static_cast<uint8_t>(mode));
+  w.PutU32(id);
+  w.PutU32(static_cast<uint32_t>(dims));
+  if (mode == RevealMode::kFullVector) {
+    for (size_t d = 0; d < dims; ++d) w.PutF32(coords[d]);
+  } else if (block_root != nullptr) {
+    crypto::PutDigest(w, *block_root);
+  } else {
+    crypto::PutDigest(w, merkle::MerkleTree(BlockLeaves(coords, dims)).root());
+  }
+}
+
 }  // namespace
 
 std::vector<Bytes> CoordBlockLeaves(const float* coords, size_t dims) {
@@ -38,17 +59,9 @@ std::vector<Bytes> CoordBlockLeaves(const float* coords, size_t dims) {
 
 Digest ClusterCommitment(RevealMode mode, ClusterId id, const float* coords,
                          size_t dims) {
-  crypto::DigestBuilder b;
-  b.AddU8(static_cast<uint8_t>(mode));
-  b.AddU32(id);
-  b.AddU32(static_cast<uint32_t>(dims));
-  if (mode == RevealMode::kFullVector) {
-    for (size_t d = 0; d < dims; ++d) b.AddF32(coords[d]);
-  } else {
-    merkle::MerkleTree tree(BlockLeaves(coords, dims));
-    b.AddDigest(tree.root());
-  }
-  return b.Finalize();
+  ByteWriter w;
+  PutCommitmentPreimage(w, mode, id, dims, coords);
+  return crypto::Sha3(w.bytes());
 }
 
 void ClusterCommitments(RevealMode mode, const ann::PointSet& points,
@@ -58,32 +71,16 @@ void ClusterCommitments(RevealMode mode, const ann::PointSet& points,
   out->assign(n, Digest::Zero());
   ParallelChunks(n, /*chunk=*/256, [&](size_t begin, size_t end) {
     const size_t count = end - begin;
-    // Assemble the commitment preimages into one buffer (canonical
-    // ByteWriter encodings — identical bytes to the DigestBuilder stream in
-    // ClusterCommitment), then digest them four at a time.
+    // Encode the chunk's preimages into one buffer, then digest them four
+    // at a time.
     ByteWriter w;
     std::vector<size_t> offsets(count + 1, 0);
     for (size_t i = 0; i < count; ++i) {
-      const ClusterId c = static_cast<ClusterId>(begin + i);
-      const float* coords = points.row(begin + i);
-      w.PutU8(static_cast<uint8_t>(mode));
-      w.PutU32(c);
-      w.PutU32(static_cast<uint32_t>(dims));
-      if (mode == RevealMode::kFullVector) {
-        for (size_t d = 0; d < dims; ++d) w.PutF32(coords[d]);
-      } else {
-        merkle::MerkleTree tree(BlockLeaves(coords, dims));
-        crypto::PutDigest(w, tree.root());
-      }
+      PutCommitmentPreimage(w, mode, static_cast<ClusterId>(begin + i), dims,
+                            points.row(begin + i));
       offsets[i + 1] = w.bytes().size();
     }
-    std::vector<BytesView> msgs;
-    msgs.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      msgs.emplace_back(w.bytes().data() + offsets[i],
-                        offsets[i + 1] - offsets[i]);
-    }
-    crypto::HashBatch(msgs.data(), out->data() + begin, count);
+    crypto::HashBatch(w.bytes(), offsets, out->data() + begin);
   });
 }
 
@@ -176,14 +173,18 @@ ClusterReveal BuildReveal(RevealMode mode, ClusterId id, const float* coords,
   return reveal;
 }
 
-Status VerifyReveal(RevealMode mode, size_t dims, const ClusterReveal& reveal,
-                    Digest* commitment_out) {
+namespace {
+
+// Checks one reveal and appends its commitment preimage to `w`: the
+// coordinates of a full reveal, the root a partial reveal's subset proof
+// reconstructs.
+Status PutRevealPreimage(RevealMode mode, size_t dims,
+                         const ClusterReveal& reveal, ByteWriter& w) {
   if (reveal.full) {
     if (reveal.coords.size() != dims) {
       return Status::Error("reveal: wrong coordinate count");
     }
-    *commitment_out =
-        ClusterCommitment(mode, reveal.id, reveal.coords.data(), dims);
+    PutCommitmentPreimage(w, mode, reveal.id, dims, reveal.coords.data());
     return Status::Ok();
   }
   if (mode != RevealMode::kDimMerkle) {
@@ -227,12 +228,33 @@ Status VerifyReveal(RevealMode mode, size_t dims, const ClusterReveal& reveal,
   Status s = merkle::ReconstructSubsetRoot(num_blocks, block_indices, payloads,
                                            reveal.proof, &root);
   if (!s.ok()) return s;
-  crypto::DigestBuilder b;
-  b.AddU8(static_cast<uint8_t>(mode));
-  b.AddU32(reveal.id);
-  b.AddU32(static_cast<uint32_t>(dims));
-  b.AddDigest(root);
-  *commitment_out = b.Finalize();
+  PutCommitmentPreimage(w, mode, reveal.id, dims, nullptr, &root);
+  return Status::Ok();
+}
+
+}  // namespace
+
+Status VerifyReveal(RevealMode mode, size_t dims, const ClusterReveal& reveal,
+                    Digest* commitment_out) {
+  ByteWriter w;
+  Status s = PutRevealPreimage(mode, dims, reveal, w);
+  if (!s.ok()) return s;
+  *commitment_out = crypto::Sha3(w.bytes());
+  return Status::Ok();
+}
+
+Status VerifyReveals(RevealMode mode, size_t dims,
+                     const std::vector<ClusterReveal>& reveals,
+                     std::vector<Digest>* commitments) {
+  ByteWriter w;
+  std::vector<size_t> offsets(reveals.size() + 1, 0);
+  for (size_t i = 0; i < reveals.size(); ++i) {
+    Status s = PutRevealPreimage(mode, dims, reveals[i], w);
+    if (!s.ok()) return s;
+    offsets[i + 1] = w.bytes().size();
+  }
+  commitments->resize(reveals.size());
+  crypto::HashBatch(w.bytes(), offsets, commitments->data());
   return Status::Ok();
 }
 

@@ -109,6 +109,13 @@ ClusterReveal BuildReveal(RevealMode mode, ClusterId id, const float* coords,
 Status VerifyReveal(RevealMode mode, size_t dims, const ClusterReveal& reveal,
                     Digest* commitment_out);
 
+// The same for a whole reveal section: checks every reveal in order (the
+// first failure is returned), then digests all commitment preimages in one
+// batch on the Keccak lanes. (*commitments)[i] belongs to reveals[i].
+Status VerifyReveals(RevealMode mode, size_t dims,
+                     const std::vector<ClusterReveal>& reveals,
+                     std::vector<Digest>* commitments);
+
 // Canonical serialization of the whole reveal section.
 void SerializeReveals(const std::vector<ClusterReveal>& reveals, ByteWriter& w);
 Status DeserializeReveals(ByteReader& r, size_t dims,

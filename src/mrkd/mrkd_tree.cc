@@ -31,20 +31,25 @@ void MrkdTree::BuildParentsAndLeafMap() {
   }
 }
 
-Digest MrkdTree::RecomputeLocalDigest(int node) {
+void MrkdTree::PutNodePreimage(Bytes* buf, int node) const {
   const ann::RkdNode& n = tree_->nodes()[node];
-  crypto::DigestBuilder b;
+  crypto::PreimageWriter w(buf);
   if (n.IsLeaf()) {
     for (int32_t i = n.begin; i < n.end; ++i) {
       ClusterId c = static_cast<ClusterId>(tree_->point_indices()[i]);
-      b.AddDigest(cluster_commitments_[c]);
-      b.AddDigest((*list_digests_)[c]);
+      w.AddDigest(cluster_commitments_[c]);
+      w.AddDigest((*list_digests_)[c]);
     }
   } else {
-    HashInternal(b, static_cast<uint32_t>(n.split_dim), n.split_value,
+    HashInternal(w, static_cast<uint32_t>(n.split_dim), n.split_value,
                  node_digests_[n.left], node_digests_[n.right]);
   }
-  return b.Finalize();
+}
+
+Digest MrkdTree::RecomputeLocalDigest(int node) {
+  Bytes buf;
+  PutNodePreimage(&buf, node);
+  return crypto::Sha3(buf);
 }
 
 size_t MrkdTree::RefreshListDigest(ClusterId c) {
@@ -55,15 +60,6 @@ size_t MrkdTree::RefreshListDigest(ClusterId c) {
     ++rehashed;
   }
   return rehashed;
-}
-
-void MrkdTree::HashInternal(crypto::DigestBuilder& b, uint32_t split_dim,
-                            float split_value, const Digest& left,
-                            const Digest& right) {
-  b.AddU32(split_dim);
-  b.AddF32(split_value);
-  b.AddDigest(left);
-  b.AddDigest(right);
 }
 
 void MrkdTree::BuildNodeDigests() {
@@ -100,35 +96,15 @@ void MrkdTree::BuildNodeDigests() {
                                                     : order.size();
     ParallelChunks(end - begin, /*chunk=*/512, [&](size_t cb, size_t ce) {
       const size_t count = ce - cb;
-      // Assemble this chunk's preimages (canonical ByteWriter encodings —
-      // the same bytes DigestBuilder streams) and batch-digest them.
-      ByteWriter w;
+      // Assemble this chunk's preimages and batch-digest them.
+      Bytes buf;
       std::vector<size_t> offsets(count + 1, 0);
       for (size_t i = 0; i < count; ++i) {
-        const int32_t node = order[begin + cb + i];
-        const ann::RkdNode& n = nodes[node];
-        if (n.IsLeaf()) {
-          for (int32_t j = n.begin; j < n.end; ++j) {
-            ClusterId c = static_cast<ClusterId>(tree_->point_indices()[j]);
-            crypto::PutDigest(w, cluster_commitments_[c]);
-            crypto::PutDigest(w, (*list_digests_)[c]);
-          }
-        } else {
-          w.PutU32(static_cast<uint32_t>(n.split_dim));
-          w.PutF32(n.split_value);
-          crypto::PutDigest(w, node_digests_[n.left]);
-          crypto::PutDigest(w, node_digests_[n.right]);
-        }
-        offsets[i + 1] = w.bytes().size();
+        PutNodePreimage(&buf, order[begin + cb + i]);
+        offsets[i + 1] = buf.size();
       }
-      std::vector<BytesView> msgs;
       std::vector<Digest> outs(count);
-      msgs.reserve(count);
-      for (size_t i = 0; i < count; ++i) {
-        msgs.emplace_back(w.bytes().data() + offsets[i],
-                          offsets[i + 1] - offsets[i]);
-      }
-      crypto::HashBatch(msgs.data(), outs.data(), count);
+      crypto::HashBatch(buf, offsets, outs.data());
       for (size_t i = 0; i < count; ++i) {
         node_digests_[order[begin + cb + i]] = outs[i];
       }

@@ -44,11 +44,17 @@ class MrkdTree {
     return cluster_commitments_[c];
   }
 
-  // Digest contribution of a splitting hyperplane (shared with the client's
-  // replay, which reconstructs internal digests from VO tokens).
-  static void HashInternal(crypto::DigestBuilder& b, uint32_t split_dim,
-                           float split_value, const Digest& left,
-                           const Digest& right);
+  // Digest contribution of a splitting hyperplane, l_N | h_left | h_right,
+  // into a DigestBuilder or a crypto::PreimageWriter (shared with the
+  // client's replay, which reconstructs internal digests from VO tokens).
+  template <class Sink>
+  static void HashInternal(Sink& s, uint32_t split_dim, float split_value,
+                           const Digest& left, const Digest& right) {
+    s.AddU32(split_dim);
+    s.AddF32(split_value);
+    s.AddDigest(left);
+    s.AddDigest(right);
+  }
 
   // Incremental refresh after cluster c's inverted-list digest changed in
   // the shared list-digest vector: recomputes the digest of c's leaf and of
@@ -60,6 +66,8 @@ class MrkdTree {
   // Full build: groups nodes by depth and digests each level through the
   // batch API, deepest level first (children before parents).
   void BuildNodeDigests();
+  // Appends a node's preimage: its leaf entries or its internal form.
+  void PutNodePreimage(Bytes* buf, int node) const;
   Digest RecomputeLocalDigest(int node);  // from children/leaf content only
   void BuildParentsAndLeafMap();
 

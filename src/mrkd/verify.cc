@@ -1,5 +1,6 @@
 #include "mrkd/verify.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "crypto/hasher.h"
@@ -8,29 +9,35 @@
 
 namespace imageproof::mrkd {
 
-namespace {
+ForestReplay::ForestReplay(size_t dims,
+                           const std::map<ClusterId, Digest>& commitments,
+                           const std::vector<const float*>& queries,
+                           const std::vector<double>& thresholds_sq,
+                           bool shared)
+    : dims_(dims),
+      commitments_(&commitments),
+      queries_(&queries),
+      thresholds_sq_(&thresholds_sq),
+      shared_(shared) {}
 
-struct VerifyContext {
-  ByteReader* reader;
-  size_t dims;
-  const std::map<ClusterId, Digest>* commitments;
-  const std::vector<const float*>* queries;
-  const std::vector<double>* thresholds_sq;
-  std::vector<std::vector<double>> offsets;  // [query][dim]
-  TreeVerifyOutput* out;
-};
-
-Status ReplayRec(VerifyContext& ctx, const std::vector<uint32_t>& active,
-                 const std::vector<double>& mindist, Digest* digest_out) {
+Status ForestReplay::ReplayRec(const std::vector<uint32_t>& active,
+                               const std::vector<double>& mindist,
+                               TreeVerifyOutput* out, uint32_t* node_out) {
   uint8_t kind = 0;
-  Status s = ctx.reader->GetU8(&kind);
+  Status s = reader_->GetU8(&kind);
   if (!s.ok()) return s;
 
+  Node node;
   if (active.empty()) {
     if (kind != kTokenPruned) {
       return Status::Error("mrkd: subtree revealed where no query is active");
     }
-    return crypto::GetDigest(*ctx.reader, digest_out);
+    Digest digest;
+    if (!(s = crypto::GetDigest(*reader_, &digest)).ok()) return s;
+    *node_out = static_cast<uint32_t>(nodes_.size());
+    nodes_.push_back(node);
+    digests_.push_back(digest);
+    return Status::Ok();
   }
   if (kind == kTokenPruned) {
     return Status::Error("mrkd: subtree pruned while a query is active");
@@ -38,30 +45,35 @@ Status ReplayRec(VerifyContext& ctx, const std::vector<uint32_t>& active,
 
   if (kind == kTokenLeaf) {
     uint64_t count;
-    if (!(s = ctx.reader->GetVarint(&count)).ok()) return s;
+    if (!(s = reader_->GetVarint(&count)).ok()) return s;
     if (count == 0 || count > 4096) {
       return Status::Error("mrkd: implausible leaf size");
     }
-    crypto::DigestBuilder b;
+    node.kind = Node::kLeaf;
+    node.begin = leaf_bytes_.size();
+    crypto::PreimageWriter w(&leaf_bytes_);
     for (uint64_t i = 0; i < count; ++i) {
       uint64_t cid;
-      if (!(s = ctx.reader->GetVarint(&cid)).ok()) return s;
+      if (!(s = reader_->GetVarint(&cid)).ok()) return s;
       ClusterId c = static_cast<ClusterId>(cid);
-      auto it = ctx.commitments->find(c);
-      if (it == ctx.commitments->end()) {
+      auto it = commitments_->find(c);
+      if (it == commitments_->end()) {
         return Status::Error("mrkd: leaf cluster missing from reveal section");
       }
       Digest list_digest;
-      if (!(s = crypto::GetDigest(*ctx.reader, &list_digest)).ok()) return s;
-      b.AddDigest(it->second);
-      b.AddDigest(list_digest);
-      auto [pos, inserted] = ctx.out->list_digests.emplace(c, list_digest);
+      if (!(s = crypto::GetDigest(*reader_, &list_digest)).ok()) return s;
+      w.AddDigest(it->second);
+      w.AddDigest(list_digest);
+      auto [pos, inserted] = out->list_digests.emplace(c, list_digest);
       if (!inserted && pos->second != list_digest) {
         return Status::Error("mrkd: conflicting inverted-list digests");
       }
-      for (uint32_t q : active) ctx.out->candidates[q].push_back(c);
+      for (uint32_t q : active) out->candidates[q].push_back(c);
     }
-    *digest_out = b.Finalize();
+    node.end = leaf_bytes_.size();
+    *node_out = static_cast<uint32_t>(nodes_.size());
+    nodes_.push_back(node);
+    digests_.emplace_back();
     return Status::Ok();
   }
 
@@ -70,11 +82,11 @@ Status ReplayRec(VerifyContext& ctx, const std::vector<uint32_t>& active,
   }
   uint64_t split_dim;
   float split_value;
-  if (!(s = ctx.reader->GetVarint(&split_dim)).ok()) return s;
-  if (split_dim >= ctx.dims) {
+  if (!(s = reader_->GetVarint(&split_dim)).ok()) return s;
+  if (split_dim >= dims_) {
     return Status::Error("mrkd: split dimension out of range");
   }
-  if (!(s = ctx.reader->GetF32(&split_value)).ok()) return s;
+  if (!(s = reader_->GetF32(&split_value)).ok()) return s;
 
   const int d = static_cast<int>(split_dim);
   std::vector<uint32_t> left_active, right_active;
@@ -82,11 +94,11 @@ Status ReplayRec(VerifyContext& ctx, const std::vector<uint32_t>& active,
   std::vector<std::pair<uint32_t, double>> left_saved, right_saved;
   for (size_t k = 0; k < active.size(); ++k) {
     uint32_t q = active[k];
-    double diff = static_cast<double>((*ctx.queries)[q][d]) - split_value;
+    double diff = static_cast<double>((*queries_)[q][d]) - split_value;
     bool near_is_left = diff < 0;
-    double old_off = ctx.offsets[q][d];
+    double old_off = offsets_[q][d];
     double far_dist = mindist[k] - old_off * old_off + diff * diff;
-    double t = (*ctx.thresholds_sq)[q];
+    double t = (*thresholds_sq_)[q];
     if (near_is_left) {
       left_active.push_back(q);
       left_mindist.push_back(mindist[k]);
@@ -107,83 +119,141 @@ Status ReplayRec(VerifyContext& ctx, const std::vector<uint32_t>& active,
     }
   }
 
-  Digest left_digest, right_digest;
   auto descend = [&](const std::vector<uint32_t>& child_active,
                      const std::vector<double>& child_mindist,
                      const std::vector<std::pair<uint32_t, double>>& saved,
-                     Digest* dig) -> Status {
+                     uint32_t* child) -> Status {
     for (const auto& [q, old_off] : saved) {
-      double diff = static_cast<double>((*ctx.queries)[q][d]) - split_value;
-      ctx.offsets[q][d] = std::abs(diff);
+      double diff = static_cast<double>((*queries_)[q][d]) - split_value;
+      offsets_[q][d] = std::abs(diff);
       (void)old_off;
     }
-    Status st = ReplayRec(ctx, child_active, child_mindist, dig);
-    for (const auto& [q, old_off] : saved) ctx.offsets[q][d] = old_off;
+    Status st = ReplayRec(child_active, child_mindist, out, child);
+    for (const auto& [q, old_off] : saved) offsets_[q][d] = old_off;
     return st;
   };
 
-  if (!(s = descend(left_active, left_mindist, left_saved, &left_digest)).ok()) {
+  node.kind = Node::kInternal;
+  node.split_dim = static_cast<uint32_t>(split_dim);
+  node.split_value = split_value;
+  if (!(s = descend(left_active, left_mindist, left_saved, &node.left)).ok()) {
     return s;
   }
-  if (!(s = descend(right_active, right_mindist, right_saved, &right_digest))
+  if (!(s = descend(right_active, right_mindist, right_saved, &node.right))
            .ok()) {
     return s;
   }
-
-  crypto::DigestBuilder b;
-  MrkdTree::HashInternal(b, static_cast<uint32_t>(split_dim), split_value,
-                         left_digest, right_digest);
-  *digest_out = b.Finalize();
+  node.height =
+      1 + std::max(nodes_[node.left].height, nodes_[node.right].height);
+  max_height_ = std::max(max_height_, node.height);
+  *node_out = static_cast<uint32_t>(nodes_.size());
+  nodes_.push_back(node);
+  digests_.emplace_back();
   return Status::Ok();
 }
 
-Status ReplayOne(ByteReader& r, size_t dims,
-                 const std::map<ClusterId, Digest>& commitments,
-                 const std::vector<const float*>& queries,
-                 const std::vector<double>& thresholds_sq,
-                 const std::vector<uint32_t>& initial_active,
-                 TreeVerifyOutput* out, Digest* root) {
-  VerifyContext ctx;
-  ctx.reader = &r;
-  ctx.dims = dims;
-  ctx.commitments = &commitments;
-  ctx.queries = &queries;
-  ctx.thresholds_sq = &thresholds_sq;
-  ctx.offsets.assign(queries.size(), std::vector<double>(dims, 0.0));
-  ctx.out = out;
+Status ForestReplay::ReplayStream(const std::vector<uint32_t>& initial_active,
+                                  TreeVerifyOutput* out) {
+  offsets_.assign(queries_->size(), std::vector<double>(dims_, 0.0));
   std::vector<double> mindist(initial_active.size(), 0.0);
-  return ReplayRec(ctx, initial_active, mindist, root);
+  uint32_t root = 0;
+  Status s = ReplayRec(initial_active, mindist, out, &root);
+  if (!s.ok()) return s;
+  stream_roots_.push_back(root);
+  return Status::Ok();
 }
 
-}  // namespace
+Status ForestReplay::AddTree(ByteReader& r, TreeVerifyOutput* out) {
+  reader_ = &r;
+  out->candidates.assign(queries_->size(), {});
+  tree_streams_.push_back(stream_roots_.size());
+  if (shared_) {
+    std::vector<uint32_t> all(queries_->size());
+    for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
+    return ReplayStream(all, out);
+  }
+  // Baseline layout: one stream per query; Finish checks that every stream
+  // reconstructs the same root.
+  for (uint32_t q = 0; q < queries_->size(); ++q) {
+    Status s = ReplayStream({q}, out);
+    if (!s.ok()) return s;
+  }
+  return Status::Ok();
+}
+
+Status ForestReplay::Finish(std::vector<Digest>* roots) {
+  // Nodes by height: leaves first, then internal nodes, each height's
+  // preimages depending only on digests of lower heights.
+  std::vector<uint32_t> order;
+  std::vector<size_t> height_begin(max_height_ + 2, 0);
+  for (const Node& n : nodes_) {
+    if (n.kind != Node::kPruned) ++height_begin[n.height + 1];
+  }
+  for (uint32_t h = 0; h <= max_height_; ++h) {
+    height_begin[h + 1] += height_begin[h];
+  }
+  order.resize(height_begin.back());
+  {
+    std::vector<size_t> fill(height_begin.begin(), height_begin.end() - 1);
+    for (uint32_t i = 0; i < nodes_.size(); ++i) {
+      if (nodes_[i].kind != Node::kPruned) order[fill[nodes_[i].height]++] = i;
+    }
+  }
+
+  Bytes buf;
+  std::vector<size_t> offsets;
+  std::vector<Digest> outs;
+  for (uint32_t h = 0; h <= max_height_; ++h) {
+    const size_t begin = height_begin[h], end = height_begin[h + 1];
+    buf.clear();
+    offsets.assign(1, 0);
+    crypto::PreimageWriter w(&buf);
+    for (size_t i = begin; i < end; ++i) {
+      const Node& n = nodes_[order[i]];
+      if (n.kind == Node::kLeaf) {
+        buf.insert(buf.end(), leaf_bytes_.begin() + n.begin,
+                   leaf_bytes_.begin() + n.end);
+      } else {
+        MrkdTree::HashInternal(w, n.split_dim, n.split_value,
+                               digests_[n.left], digests_[n.right]);
+      }
+      offsets.push_back(buf.size());
+    }
+    outs.resize(end - begin);
+    crypto::HashBatch(buf, offsets, outs.data());
+    for (size_t i = begin; i < end; ++i) digests_[order[i]] = outs[i - begin];
+  }
+
+  roots->clear();
+  for (size_t t = 0; t < tree_streams_.size(); ++t) {
+    const size_t first = tree_streams_[t];
+    const size_t last = t + 1 < tree_streams_.size() ? tree_streams_[t + 1]
+                                                      : stream_roots_.size();
+    // A Baseline tree replayed for no query has no stream and no root.
+    const Digest root =
+        first < last ? digests_[stream_roots_[first]] : Digest::Zero();
+    for (size_t i = first + 1; i < last; ++i) {
+      if (digests_[stream_roots_[i]] != root) {
+        return Status::Error(
+            "mrkd: per-query streams reconstruct different roots");
+      }
+    }
+    roots->push_back(root);
+  }
+  return Status::Ok();
+}
 
 Status VerifyTreeVo(ByteReader& r, size_t dims,
                     const std::map<ClusterId, Digest>& commitments,
                     const std::vector<const float*>& queries,
                     const std::vector<double>& thresholds_sq, bool shared,
                     TreeVerifyOutput* out) {
-  out->candidates.assign(queries.size(), {});
-  if (shared) {
-    std::vector<uint32_t> all(queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      all[i] = static_cast<uint32_t>(i);
-    }
-    return ReplayOne(r, dims, commitments, queries, thresholds_sq, all, out,
-                     &out->root);
-  }
-  // Baseline layout: one stream per query; every stream must reconstruct
-  // the same root.
-  for (uint32_t q = 0; q < queries.size(); ++q) {
-    Digest root;
-    Status s = ReplayOne(r, dims, commitments, queries, thresholds_sq, {q},
-                         out, &root);
-    if (!s.ok()) return s;
-    if (q == 0) {
-      out->root = root;
-    } else if (root != out->root) {
-      return Status::Error("mrkd: per-query streams reconstruct different roots");
-    }
-  }
+  ForestReplay replay(dims, commitments, queries, thresholds_sq, shared);
+  Status s = replay.AddTree(r, out);
+  if (!s.ok()) return s;
+  std::vector<Digest> roots;
+  if (!(s = replay.Finish(&roots)).ok()) return s;
+  out->root = roots.front();
   return Status::Ok();
 }
 

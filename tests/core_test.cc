@@ -10,6 +10,7 @@
 #include "core/client.h"
 #include "core/owner.h"
 #include "core/server.h"
+#include "crypto/sha3.h"
 #include "workload/synthetic.h"
 
 namespace imageproof::core {
@@ -297,6 +298,26 @@ TEST(CrossSchemeTest, FiltersReducePoppedPostings) {
     ip_popped += imageproof.sp->Query(features, 10).stats.inv.popped_postings;
   }
   EXPECT_LT(ip_popped, base_popped);
+}
+
+// Verification batches independent digests onto the 4-lane Keccak; the
+// schedule may change, the set of hashed messages may not. One Verify per
+// scheme must hash exactly the pinned number of messages (counted on the
+// serial verifier): a batch path that drops or repeats a message shows here.
+TEST(VerifyHashCountTest, MatchesPinnedCount) {
+  const std::map<std::string, uint64_t> pinned = {
+      {"Baseline", 3086}, {"ImageProof", 1394},
+      {"OptimizedBovw", 1658}, {"OptimizedBoth", 1472}};
+  for (const auto& [name, expected] : pinned) {
+    Deployment d(SchemeTest::ConfigFor(name), 300, 128, 16, /*seed=*/21);
+    auto features = d.Features(20, 4242);
+    QueryResponse resp = d.sp->Query(features, 10);
+    const uint64_t before = crypto::HashInvocations();
+    auto verified = d.client->Verify(features, 10, resp.vo);
+    const uint64_t spent = crypto::HashInvocations() - before;
+    ASSERT_TRUE(verified.ok()) << name << ": " << verified.status().message();
+    EXPECT_EQ(spent, expected) << name;
+  }
 }
 
 TEST(DeploymentTest, EmptyQueryYieldsNoResults) {

@@ -9,6 +9,7 @@
 #include "bovw/bovw.h"
 #include "common/random.h"
 #include "invindex/bounds.h"
+#include "invindex/chain.h"
 #include "invindex/merkle_inv_index.h"
 #include "invindex/search.h"
 #include "invindex/verify.h"
@@ -456,6 +457,182 @@ TEST(VerifyClaimedTopKTest, Basics) {
   EXPECT_FALSE(VerifyClaimedTopK(engine, {10, 20, 30, 40}, &skl))
       << "more than popped";
   EXPECT_TRUE(VerifyClaimedTopK(engine, {}, &skl));
+}
+
+// ---------------------------------------------------------------------------
+// The shared chain walker (invindex/chain.h) computes exactly the serial
+// EntryDigest fold, at every call site that runs it.
+// ---------------------------------------------------------------------------
+
+template <class E>
+Digest SerialFold(const E* entries, size_t n, Digest tail) {
+  for (size_t i = n; i-- > 0;) tail = EntryDigest(entries[i], tail);
+  return tail;
+}
+
+Digest RandomDigest(Rng& rng) {
+  Digest d;
+  for (auto& b : d.bytes) b = static_cast<uint8_t>(rng.NextU64());
+  return d;
+}
+
+template <class E>
+E RandomEntry(Rng& rng);
+
+template <>
+Posting RandomEntry<Posting>(Rng& rng) {
+  return Posting{rng.NextU64(), static_cast<double>(rng.NextBounded(1000)),
+                 {}};
+}
+
+template <>
+Group RandomEntry<Group>(Rng& rng) {
+  // Up to 20 members: preimages of one to three sponge blocks, so lanes
+  // finish their messages on different steps.
+  Group g;
+  g.freq = 1 + static_cast<uint32_t>(rng.NextBounded(24));
+  g.members.resize(1 + rng.NextBounded(20));
+  for (Member& m : g.members) {
+    m.id = rng.NextU64();
+    m.norm = 1.0 + static_cast<double>(rng.NextBounded(100));
+  }
+  return g;
+}
+
+template <class E>
+void ExpectWalkMatchesSerialFold() {
+  Rng rng(77);
+  // Uneven lengths with empty chains among them, each anchored at a random
+  // tail (a VO's first-remaining digest) or at zero (a whole list).
+  const size_t lengths[] = {5, 0, 1, 13, 2, 0, 7, 3, 9};
+  std::vector<std::vector<E>> entries;
+  std::vector<Digest> tails;
+  for (size_t len : lengths) {
+    entries.emplace_back();
+    for (size_t i = 0; i < len; ++i) {
+      entries.back().push_back(RandomEntry<E>(rng));
+    }
+    tails.push_back(rng.NextBounded(2) ? RandomDigest(rng) : Digest::Zero());
+  }
+  for (size_t n : {1u, 3u, 4u, 5u, 9u}) {
+    SCOPED_TRACE(n);
+    std::vector<ChainSpan<E>> chains;
+    std::vector<std::vector<Digest>> got(n);
+    for (size_t k = 0; k < n; ++k) {
+      chains.push_back({entries[k].data(), entries[k].size(), tails[k]});
+      got[k].assign(entries[k].size(), Digest::Zero());
+    }
+    size_t calls = 0;
+    std::vector<size_t> last_index(n, SIZE_MAX);
+    WalkChains(chains.data(), n, [&](size_t k, size_t i, const Digest& d) {
+      ++calls;
+      EXPECT_LT(i, last_index[k]) << "chain " << k << " out of order";
+      last_index[k] = i;
+      got[k][i] = d;
+    });
+    size_t total = 0;
+    for (size_t k = 0; k < n; ++k) {
+      total += entries[k].size();
+      for (size_t i = 0; i < entries[k].size(); ++i) {
+        EXPECT_EQ(got[k][i], SerialFold(entries[k].data() + i,
+                                        entries[k].size() - i, tails[k]))
+            << "chain " << k << " entry " << i;
+      }
+    }
+    EXPECT_EQ(calls, total);
+  }
+}
+
+TEST(ChainWalkerTest, MatchesSerialFoldForBothKinds) {
+  ExpectWalkMatchesSerialFold<Posting>();
+  ExpectWalkMatchesSerialFold<Group>();
+}
+
+// VerifyInvVo reconstructs every list digest over the serially folded
+// chain, for VOs of 1, 3, 4, 5 and 9 lists: k = 0 leaves every popped
+// prefix empty (all tails are first-remaining digests), larger k pops
+// prefixes of uneven lengths, some lists to exhaustion.
+template <class E>
+void ExpectVerifierFoldsLikeSerial(const MerkleInvertedIndex<E>& index) {
+  std::vector<bovw::ClusterId> by_len;
+  for (bovw::ClusterId c = 0; c < index.num_clusters(); ++c) {
+    if (!index.list(c).empty()) by_len.push_back(c);
+  }
+  std::stable_sort(by_len.begin(), by_len.end(), [&](auto a, auto b) {
+    return index.list(a).postings.size() > index.list(b).postings.size();
+  });
+  ASSERT_GE(by_len.size(), 9u);
+  for (size_t n : {1u, 3u, 4u, 5u, 9u}) {
+    BovwVector q;
+    for (size_t i = 0; i < n; ++i) {
+      q.entries.emplace_back(by_len[i * 2 % by_len.size()],
+                             1 + static_cast<uint32_t>(i % 3));
+    }
+    std::sort(q.entries.begin(), q.entries.end());
+    for (size_t k : {0u, 3u, 10u}) {
+      SCOPED_TRACE(testing::Message() << n << " lists, k " << k);
+      InvSearchParams params;
+      params.k = k;
+      InvSearchResult result = InvSearch(index, q, params);
+      std::vector<ImageId> claimed;
+      for (const auto& si : result.topk) claimed.push_back(si.id);
+      InvVerifyResult verified;
+      Status s = VerifyInvVo<E>(result.vo, q, claimed, k, true, &verified);
+      ASSERT_TRUE(s.ok()) << s.message();
+      ASSERT_EQ(verified.list_digests.size(), n);
+      for (const auto& [c, digest] : verified.list_digests) {
+        const auto& list = index.list(c);
+        EXPECT_EQ(digest, ListDigest(list.weight, list.theta_digest,
+                                     SerialFold(list.postings.data(),
+                                                list.postings.size(),
+                                                Digest::Zero())))
+            << "cluster " << c;
+      }
+    }
+  }
+}
+
+TEST(ChainWalkerTest, VerifierListDigestsMatchSerialFold) {
+  Corpus corpus(400, 40, 1.1, 33);
+  ExpectVerifierFoldsLikeSerial(
+      PostingIndex::Build(40, corpus.images, *corpus.weights, true));
+  ExpectVerifierFoldsLikeSerial(
+      GroupIndex::Build(40, corpus.images, *corpus.weights, true));
+}
+
+// The walker's four lanes start on the first four nonempty lists; a lane
+// reaches the seventh only after draining an earlier one. A corrupted
+// stored digest there must still be reported.
+template <class E>
+void ExpectVerifyChainsCatchesLateList(const MerkleInvertedIndex<E>& index) {
+  std::vector<InvertedList<E>> lists;
+  for (bovw::ClusterId c = 0; c < index.num_clusters(); ++c) {
+    lists.push_back(index.list(c));
+  }
+  auto intact = MerkleInvertedIndex<E>::Restore(index.filter_params(), true,
+                                                lists);
+  ASSERT_TRUE(intact.ok());
+  EXPECT_TRUE(intact->VerifyChains().ok());
+
+  size_t nonempty = 0;
+  for (auto& list : lists) {
+    if (list.postings.size() < 2 || ++nonempty < 7) continue;
+    list.postings[list.postings.size() / 2].digest.bytes[5] ^= 0x10;
+    break;
+  }
+  ASSERT_EQ(nonempty, 7u);
+  auto corrupted = MerkleInvertedIndex<E>::Restore(index.filter_params(), true,
+                                                   std::move(lists));
+  ASSERT_TRUE(corrupted.ok());
+  EXPECT_EQ(corrupted->VerifyChains().code(), StatusCode::kCorrupted);
+}
+
+TEST(MerkleInvIndexTest, VerifyChainsCatchesCorruptionPastTheFirstLanes) {
+  Corpus corpus(300, 40, 1.1, 31);
+  ExpectVerifyChainsCatchesLateList(
+      PostingIndex::Build(40, corpus.images, *corpus.weights, true));
+  ExpectVerifyChainsCatchesLateList(
+      GroupIndex::Build(40, corpus.images, *corpus.weights, true));
 }
 
 }  // namespace

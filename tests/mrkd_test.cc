@@ -211,6 +211,147 @@ TEST(MrkdVerifyTest, ThresholdMismatchChangesRootOrFails) {
 }
 
 // --------------------------------------------------------------------------
+// Forest replay: AddTree checks and records, Finish digests all trees'
+// nodes height by height in batches.
+// --------------------------------------------------------------------------
+
+// Eight trees over one fixture's codebook and list digests, as a
+// deployment's forest, with one VO per tree in the chosen layout.
+struct Forest {
+  std::vector<std::unique_ptr<ann::RkdTree>> trees;
+  std::vector<std::unique_ptr<MrkdTree>> mrkds;
+  std::vector<Bytes> vos;
+
+  Forest(const Fixture& f, bool shared) {
+    for (uint64_t t = 0; t < 8; ++t) {
+      trees.push_back(std::make_unique<ann::RkdTree>(f.clusters, 2, 100 + t));
+      mrkds.push_back(std::make_unique<MrkdTree>(
+          trees.back().get(), RevealMode::kFullVector, f.list_digests));
+      const MrkdTree& m = *mrkds.back();
+      if (shared) {
+        vos.push_back(MrkdSearchShared(m, f.queries, f.thresholds_sq).vo);
+      } else {
+        vos.push_back(MrkdSearchUnshared(m, f.queries, f.thresholds_sq).vo);
+      }
+    }
+  }
+};
+
+Status ReplayForest(const Fixture& f, const std::vector<Bytes>& vos,
+                    bool shared, std::vector<Digest>* roots) {
+  const std::map<ClusterId, Digest> commitments = f.AllCommitments();
+  ForestReplay replay(kDims, commitments, f.queries, f.thresholds_sq, shared);
+  for (const Bytes& vo : vos) {
+    ByteReader r(vo);
+    TreeVerifyOutput out;
+    Status s = replay.AddTree(r, &out);
+    if (!s.ok()) return s;
+    if (!r.AtEnd()) return Status::Error("trailing bytes");
+  }
+  return replay.Finish(roots);
+}
+
+// Byte offsets of every pruned-subtree digest and leaf list digest in a
+// tree VO (all of its streams), with the depth of the token.
+struct DigestSite {
+  size_t offset;
+  size_t depth;
+};
+
+void ScanTokens(ByteReader& r, size_t vo_size, size_t depth,
+                std::vector<DigestSite>* pruned,
+                std::vector<DigestSite>* leaf_lists) {
+  uint8_t kind = 0;
+  ASSERT_TRUE(r.GetU8(&kind).ok());
+  Digest d;
+  if (kind == kTokenPruned) {
+    pruned->push_back({vo_size - r.remaining(), depth});
+    ASSERT_TRUE(crypto::GetDigest(r, &d).ok());
+  } else if (kind == kTokenLeaf) {
+    uint64_t count = 0, cid = 0;
+    ASSERT_TRUE(r.GetVarint(&count).ok());
+    for (uint64_t i = 0; i < count; ++i) {
+      ASSERT_TRUE(r.GetVarint(&cid).ok());
+      leaf_lists->push_back({vo_size - r.remaining(), depth});
+      ASSERT_TRUE(crypto::GetDigest(r, &d).ok());
+    }
+  } else {
+    ASSERT_EQ(kind, kTokenInternal);
+    uint64_t dim = 0;
+    float value = 0;
+    ASSERT_TRUE(r.GetVarint(&dim).ok());
+    ASSERT_TRUE(r.GetF32(&value).ok());
+    ScanTokens(r, vo_size, depth + 1, pruned, leaf_lists);
+    ScanTokens(r, vo_size, depth + 1, pruned, leaf_lists);
+  }
+}
+
+DigestSite Deepest(const std::vector<DigestSite>& sites) {
+  DigestSite best = sites.front();
+  for (const DigestSite& s : sites) {
+    if (s.depth > best.depth) best = s;
+  }
+  return best;
+}
+
+TEST(ForestReplayTest, ReconstructsCommittedRootsInBothLayouts) {
+  for (bool shared : {true, false}) {
+    SCOPED_TRACE(shared ? "shared" : "per-query");
+    Fixture f(160, 5, RevealMode::kFullVector, 43);
+    Forest forest(f, shared);
+    std::vector<Digest> roots;
+    Status s = ReplayForest(f, forest.vos, shared, &roots);
+    ASSERT_TRUE(s.ok()) << s.message();
+    ASSERT_EQ(roots.size(), 8u);
+    for (size_t t = 0; t < 8; ++t) {
+      EXPECT_EQ(roots[t], forest.mrkds[t]->root_digest()) << "tree " << t;
+      // The one-tree entry point agrees.
+      ByteReader r(forest.vos[t]);
+      TreeVerifyOutput v;
+      ASSERT_TRUE(VerifyTreeVo(r, kDims, f.AllCommitments(), f.queries,
+                               f.thresholds_sq, shared, &v)
+                      .ok());
+      EXPECT_EQ(v.root, roots[t]);
+    }
+  }
+}
+
+TEST(ForestReplayTest, DeepFlipInTreeThreeOfEightRejected) {
+  for (bool shared : {true, false}) {
+    SCOPED_TRACE(shared ? "shared" : "per-query");
+    Fixture f(160, 5, RevealMode::kFullVector, 47);
+    Forest forest(f, shared);
+    std::vector<DigestSite> pruned, leaf_lists;
+    ByteReader scan(forest.vos[3]);
+    while (scan.remaining() > 0) {
+      ScanTokens(scan, forest.vos[3].size(), 0, &pruned, &leaf_lists);
+    }
+    ASSERT_FALSE(pruned.empty());
+    ASSERT_FALSE(leaf_lists.empty());
+    for (const DigestSite& site : {Deepest(pruned), Deepest(leaf_lists)}) {
+      SCOPED_TRACE(site.offset);
+      EXPECT_GE(site.depth, 3u);
+      std::vector<Bytes> vos = forest.vos;
+      vos[3][site.offset + 7] ^= 0x04;
+      std::vector<Digest> roots;
+      Status s = ReplayForest(f, vos, shared, &roots);
+      // A per-query layout may reject outright: its streams then disagree
+      // on a list digest or a root. The shared layout replays, to a root
+      // the owner never signed.
+      ASSERT_TRUE(s.ok() || !shared) << s.message();
+      if (!s.ok()) continue;
+      for (size_t t = 0; t < 8; ++t) {
+        if (t == 3) {
+          EXPECT_NE(roots[t], forest.mrkds[t]->root_digest());
+        } else {
+          EXPECT_EQ(roots[t], forest.mrkds[t]->root_digest()) << "tree " << t;
+        }
+      }
+    }
+  }
+}
+
+// --------------------------------------------------------------------------
 // Incremental digest refresh (used by core/update.h)
 // --------------------------------------------------------------------------
 
