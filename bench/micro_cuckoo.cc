@@ -1,14 +1,22 @@
-// Micro-benchmarks for the cuckoo filter: insert/lookup/delete throughput
-// and the MaxCount (Algorithm 2) scan vs. the incremental tracker.
+// Micro-benchmarks for the cuckoo filter: insert/lookup/delete throughput,
+// the MaxCount (Algorithm 2) scan vs. the incremental tracker, and the
+// bounds engine those feed (pop replay and the condition-2 sweep).
 
 #include <benchmark/benchmark.h>
 
 #include "bench/micro_util.h"
 
+#include <algorithm>
+#include <limits>
+#include <map>
+#include <optional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "cuckoo/cuckoo_filter.h"
+#include "invindex/bounds.h"
 
 namespace {
 
@@ -103,6 +111,130 @@ void BM_MaxCountTrackerDeletes(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * num_filters * 300);
 }
 BENCHMARK(BM_MaxCountTrackerDeletes)->Arg(16)->Arg(64);
+
+// A fixed synthetic PostingSearch state: `num_lists` impact-ordered lists
+// over a 3000-image corpus sharing one filter geometry, each popped to a
+// prefix (every fifth list to the end), about 2.4k pops in all.
+struct PopStream {
+  struct List {
+    double q_impact = 0;
+    std::vector<std::pair<invindex::ImageId, double>> postings;
+    size_t popped = 0;
+    std::optional<CuckooFilter> filter;  // owner state; absent if exhausted
+  };
+  std::vector<List> lists;
+
+  explicit PopStream(size_t num_lists) {
+    const size_t pops = 2400 / num_lists;
+    CuckooParams params = CuckooParams::ForMaxItems(2 * pops);
+    Rng rng(num_lists);
+    for (size_t li = 0; li < num_lists; ++li) {
+      List l;
+      l.q_impact = 0.1 + rng.NextDouble();
+      std::set<invindex::ImageId> ids;
+      while (ids.size() < 2 * pops) ids.insert(rng.NextBounded(3000));
+      for (invindex::ImageId id : ids) {
+        l.postings.emplace_back(id, 0.01 + rng.NextDouble());
+      }
+      std::sort(l.postings.begin(), l.postings.end(),
+                [](const auto& a, const auto& b) {
+                  return a.second > b.second;
+                });
+      l.popped = li % 5 == 4 ? l.postings.size() : pops;
+      if (l.popped < l.postings.size()) {
+        l.filter.emplace(params);
+        for (const auto& p : l.postings) l.filter->Insert(p.first);
+      }
+      lists.push_back(std::move(l));
+    }
+  }
+
+  invindex::BoundsEngine Replay() const {
+    std::vector<invindex::BoundsList> bl;
+    for (const List& l : lists) bl.push_back({0, l.q_impact, l.filter});
+    invindex::BoundsEngine engine(std::move(bl), /*use_filters=*/true);
+    for (size_t li = 0; li < lists.size(); ++li) {
+      const List& l = lists[li];
+      for (size_t j = 0; j < l.popped; ++j) {
+        const auto& [id, impact] = l.postings[j];
+        Status st = engine.AddPopped(li, id, impact);
+        (void)st;  // the stream is impact-ordered with no repeats per list
+      }
+      if (l.popped == l.postings.size()) engine.MarkExhausted(li);
+    }
+    return engine;
+  }
+
+  // S^L and S^U of every popped image by the textbook evaluation of
+  // Eqs. (9) and (11): per-list popped sets, filters queried by id, terms
+  // summed in list order.
+  bool MatchesReference(const invindex::BoundsEngine& engine) const {
+    std::vector<std::set<invindex::ImageId>> popped(lists.size());
+    std::vector<std::optional<CuckooFilter>> filters;
+    std::map<invindex::ImageId, double> scores;
+    for (size_t li = 0; li < lists.size(); ++li) {
+      filters.push_back(lists[li].filter);
+      for (size_t j = 0; j < lists[li].popped; ++j) {
+        const auto& [id, impact] = lists[li].postings[j];
+        popped[li].insert(id);
+        scores[id] += lists[li].q_impact * impact;
+        if (filters[li]) filters[li]->Delete(id);
+      }
+    }
+    if (scores.size() != engine.Scores().size()) return false;
+    for (const auto& [id, score] : scores) {
+      double bound = score;
+      if (engine.ScoreOf(id) != score) return false;
+      for (size_t li = 0; li < lists.size(); ++li) {
+        const List& l = lists[li];
+        if (l.popped == l.postings.size() || popped[li].contains(id)) continue;
+        if (filters[li] && !filters[li]->Contains(id)) continue;
+        bound += l.q_impact * l.postings[l.popped - 1].second;
+      }
+      if (bound != engine.SUpper(id)) return false;
+    }
+    return true;
+  }
+};
+
+// Engine construction (filter copies, MaxCount tracker) plus the replay of
+// every pop in canonical order: what each verifier run pays up front.
+void BM_BoundsReplay(benchmark::State& state) {
+  const PopStream stream(static_cast<size_t>(state.range(0)));
+  if (!stream.MatchesReference(stream.Replay())) {
+    state.SkipWithError("bounds engine disagrees with the reference");
+    return;
+  }
+  size_t pops = 0;
+  for (const auto& l : stream.lists) pops += l.popped;
+  for (auto _ : state) {
+    invindex::BoundsEngine engine = stream.Replay();
+    benchmark::DoNotOptimize(engine.Gamma());
+  }
+  state.SetItemsProcessed(state.iterations() * pops);
+}
+BENCHMARK(BM_BoundsReplay)->Arg(10)->Arg(80);
+
+// Condition 2 over every scored image: S^U(I) against s_k^L, with s_k^L
+// above every bound so the sweep never stops early.
+void BM_BoundsCondition2Sweep(benchmark::State& state) {
+  const PopStream stream(static_cast<size_t>(state.range(0)));
+  const invindex::BoundsEngine engine = stream.Replay();
+  if (!stream.MatchesReference(engine)) {
+    state.SkipWithError("bounds engine disagrees with the reference");
+    return;
+  }
+  const double sk_lower = std::numeric_limits<double>::infinity();
+  for (auto _ : state) {
+    size_t violators = 0;
+    for (const auto& [id, img] : engine.Scores()) {
+      violators += engine.SUpper(id) > sk_lower;
+    }
+    benchmark::DoNotOptimize(violators);
+  }
+  state.SetItemsProcessed(state.iterations() * engine.Scores().size());
+}
+BENCHMARK(BM_BoundsCondition2Sweep)->Arg(10)->Arg(80);
 
 }  // namespace
 

@@ -16,6 +16,8 @@
 //   <sanitized run name>_items_per_sec   (when SetItemsProcessed was used)
 //
 // alongside the normal console table, then FinishBench writes the JSON.
+// A benchmark that calls SkipWithError (e.g. a failed correctness check
+// before timing) makes the binary exit nonzero.
 
 #ifndef IMAGEPROOF_BENCH_MICRO_UTIL_H_
 #define IMAGEPROOF_BENCH_MICRO_UTIL_H_
@@ -37,6 +39,7 @@ class CaptureReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
     for (const Run& run : reports) {
+      if (run.error_occurred) errored_ = true;
       if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
       std::string key = Sanitize(run.benchmark_name());
       const double iters =
@@ -52,7 +55,11 @@ class CaptureReporter : public benchmark::ConsoleReporter {
     benchmark::ConsoleReporter::ReportRuns(reports);
   }
 
+  bool errored() const { return errored_; }
+
  private:
+  bool errored_ = false;
+
   static std::string Sanitize(const std::string& name) {
     std::string out = name;
     for (char& c : out) {
@@ -89,7 +96,7 @@ inline int MicroBenchMain(int argc, char** argv, const char* name) {
   CaptureReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  return FinishBench(0);
+  return FinishBench(reporter.errored() ? 1 : 0);
 }
 
 }  // namespace imageproof::bench

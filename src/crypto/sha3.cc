@@ -100,6 +100,7 @@ void Sha3_256::Absorb(const uint8_t* block) {
 }
 
 void Sha3_256::Update(const uint8_t* data, size_t n) {
+  if (n == 0) return;  // data may be null (an empty buffer's data())
   // Fast path: absorb full blocks straight from the input once the carry
   // buffer is empty, instead of staging every byte through it.
   if (buffered_ > 0) {

@@ -1,6 +1,7 @@
 #include "cuckoo/cuckoo_filter.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "crypto/hasher.h"
 #include "crypto/sha3.h"
@@ -81,35 +82,40 @@ bool CuckooFilter::Insert(uint64_t item) {
   return InsertFingerprint(Fingerprint(item), Bucket1(item));
 }
 
+Probe CuckooFilter::ProbeOf(uint64_t item) const {
+  Probe p;
+  p.fingerprint = Fingerprint(item);
+  p.b1 = Bucket1(item);
+  p.b2 = AltBucket(p.b1, p.fingerprint);
+  return p;
+}
+
 bool CuckooFilter::Contains(uint64_t item) const {
-  uint16_t fp = Fingerprint(item);
-  uint32_t b1 = Bucket1(item);
-  uint32_t b2 = AltBucket(b1, fp);
-  for (uint32_t b : {b1, b2}) {
-    for (uint32_t s = 0; s < params_.slots_per_bucket; ++s) {
-      if (slot(b, s) == fp) return true;
-    }
-    if (b1 == b2) break;
-  }
-  return false;
+  const uint16_t fp = Fingerprint(item);
+  const uint32_t b1 = Bucket1(item);
+  return Contains(Probe{b1, AltBucket(b1, fp), fp});
 }
 
 bool CuckooFilter::Delete(uint64_t item, uint32_t* removed_bucket) {
-  uint16_t fp = Fingerprint(item);
-  uint32_t b1 = Bucket1(item);
-  uint32_t b2 = AltBucket(b1, fp);
-  for (uint32_t b : {b1, b2}) {
-    for (uint32_t s = 0; s < params_.slots_per_bucket; ++s) {
-      size_t pos = static_cast<size_t>(b) * params_.slots_per_bucket + s;
-      if (table_[pos] == fp) {
-        table_[pos] = 0;
-        if (removed_bucket) *removed_bucket = b;
-        return true;
-      }
-    }
-    if (b1 == b2) break;
+  const uint16_t fp = Fingerprint(item);
+  const uint32_t b1 = Bucket1(item);
+  return Remove(b1, AltBucket(b1, fp), fp, removed_bucket);
+}
+
+bool CuckooFilter::Delete(const Probe& p, uint32_t* removed_bucket) {
+  return Remove(p.b1, p.b2, p.fingerprint, removed_bucket);
+}
+
+bool CuckooFilter::Remove(uint32_t b1, uint32_t b2, uint16_t fp,
+                          uint32_t* removed_bucket) {
+  const size_t pos = Find(b1, b2, fp);
+  if (pos == kAbsent) return false;
+  table_[pos] = 0;
+  if (removed_bucket) {
+    const size_t b1_base = static_cast<size_t>(b1) * params_.slots_per_bucket;
+    *removed_bucket = pos - b1_base < params_.slots_per_bucket ? b1 : b2;
   }
-  return false;
+  return true;
 }
 
 size_t CuckooFilter::Count() const {
@@ -175,39 +181,63 @@ uint32_t MaxCountGamma(const std::vector<const CuckooFilter*>& filters) {
   return tracker.Gamma();
 }
 
-size_t MaxCountTracker::KeyOf(uint32_t bucket, uint16_t fp) const {
-  return (static_cast<size_t>(bucket) << fp_bits_) + fp;
-}
-
 MaxCountTracker::MaxCountTracker(const std::vector<const CuckooFilter*>& filters) {
   if (filters.empty()) return;
-  num_buckets_ = filters[0]->params().num_buckets;
-  fp_bits_ = filters[0]->params().fingerprint_bits;
-  counts_.assign(static_cast<size_t>(num_buckets_) << fp_bits_, 0);
-  histogram_.assign(filters.size() * filters[0]->params().slots_per_bucket + 2, 0);
+  const CuckooParams& params = filters[0]->params();
   for (const CuckooFilter* f : filters) {
-    for (uint32_t b = 0; b < num_buckets_; ++b) {
-      for (uint32_t s = 0; s < f->params().slots_per_bucket; ++s) {
-        uint16_t fp = f->slot(b, s);
-        if (fp == 0) continue;
-        uint32_t& c = counts_[KeyOf(b, fp)];
-        if (c > 0) --histogram_[c];
-        ++c;
-        ++histogram_[c];
-        if (c > current_max_) current_max_ = c;
-      }
+    if (f->params() != params) {
+      ok_ = false;
+      return;
     }
   }
+  // Per-bucket multiplicities, counted in a fingerprint-indexed scratch
+  // that each bucket leaves zeroed for the next.
+  const uint32_t spb = params.slots_per_bucket;
+  std::vector<const uint16_t*> tables;
+  tables.reserve(filters.size());
+  for (const CuckooFilter* f : filters) tables.push_back(f->table_.data());
+  std::vector<uint32_t> tally(size_t{1} << params.fingerprint_bits, 0);
+  // Distinct fingerprints of one bucket, at most one per slot.
+  std::vector<uint16_t> distinct(filters.size() * spb);
+  offsets_.reserve(params.num_buckets + 1);
+  for (uint32_t b = 0; b < params.num_buckets; ++b) {
+    offsets_.push_back(static_cast<uint32_t>(fps_.size()));
+    size_t n = 0;
+    const size_t base = static_cast<size_t>(b) * spb;
+    for (const uint16_t* t : tables) {
+      for (uint32_t s = 0; s < spb; ++s) {
+        const uint16_t fp = t[base + s];
+        if (fp == 0) continue;
+        distinct[n] = fp;  // kept only if this is its first occurrence
+        n += tally[fp]++ == 0;
+      }
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t c = std::exchange(tally[distinct[i]], 0);
+      fps_.push_back(distinct[i]);
+      counts_.push_back(c);
+      current_max_ = std::max(current_max_, c);
+    }
+  }
+  offsets_.push_back(static_cast<uint32_t>(fps_.size()));
+  // Multiplicities only fall from here, so current_max_ bounds the range.
+  histogram_.assign(current_max_ + 1, 0);
+  for (uint32_t c : counts_) ++histogram_[c];
 }
 
 void MaxCountTracker::OnDelete(uint32_t bucket, uint16_t fp) {
-  if (counts_.empty()) return;
-  uint32_t& c = counts_[KeyOf(bucket, fp)];
-  if (c == 0) return;  // deletion of an untracked fingerprint
-  --histogram_[c];
-  --c;
-  if (c > 0) ++histogram_[c];
-  while (current_max_ > 0 && histogram_[current_max_] == 0) --current_max_;
+  if (static_cast<size_t>(bucket) + 1 >= offsets_.size()) return;
+  for (uint32_t i = offsets_[bucket]; i < offsets_[bucket + 1]; ++i) {
+    if (fps_[i] != fp) continue;
+    uint32_t& c = counts_[i];
+    if (c == 0) return;  // more deletions than tracked occurrences
+    --histogram_[c];
+    --c;
+    if (c > 0) ++histogram_[c];
+    while (current_max_ > 0 && histogram_[current_max_] == 0) --current_max_;
+    return;
+  }
+  // Deletion of an untracked fingerprint: nothing to do.
 }
 
 }  // namespace imageproof::cuckoo

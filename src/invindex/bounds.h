@@ -23,7 +23,6 @@
 #include <limits>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bovw/bovw.h"
@@ -45,6 +44,47 @@ struct BoundsList {
   std::optional<cuckoo::CuckooFilter> filter;
 };
 
+// The engine's record of one popped image.
+struct PoppedImage {
+  double score = 0.0;  // S^L(Q, I) (Eq. 9)
+  uint32_t row = 0;    // row in the engine's popped-list bitset
+  cuckoo::Probe probe;  // shared by every list's filter (Lemma 1)
+};
+
+// Flat open-addressing set of image ids, sized for the at most k claimed
+// results: the SP's line-1 scan probes it once per relevant posting and
+// every condition-2 sweep once per popped image.
+class IdSet {
+ public:
+  explicit IdSet(const std::vector<ImageId>& ids);
+
+  bool contains(ImageId id) const {
+    for (size_t i = Home(id);; i = (i + 1) & mask_) {
+      if (!slots_[i].used) return false;
+      if (slots_[i].id == id) return true;
+    }
+  }
+  size_t size() const { return size_; }  // distinct ids
+
+ private:
+  struct Slot {
+    ImageId id = 0;
+    bool used = false;
+  };
+  size_t Home(ImageId id) const {
+    return static_cast<size_t>((id * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  unsigned shift_ = 0;
+  size_t size_ = 0;
+};
+
+// Every filter handed to one engine must share one CuckooParams (Lemma 1):
+// each popped image's probe is derived once and tested against all of
+// them. Given filters of differing geometry, the engine ignores them and
+// falls back to the loose Eq. (10) bounds, which need none.
 class BoundsEngine {
  public:
   BoundsEngine(std::vector<BoundsList> lists, bool use_filters);
@@ -79,11 +119,15 @@ class BoundsEngine {
   // Lower-bound score S^L(Q, I) accumulated from popped postings (Eq. 9);
   // 0 for images never popped.
   double ScoreOf(ImageId id) const;
-  const std::unordered_map<ImageId, double>& Scores() const { return scores_; }
-
-  bool PoppedIn(size_t li, ImageId id) const {
-    return lists_[li].popped_ids.contains(id);
+  // Every popped image. Its iteration order is fixed by the sequence of
+  // first pops (insertions, with no reserve), and the SP's condition-2 loop
+  // pops for the first violator in that order, so the order is part of
+  // what makes VOs reproducible.
+  const std::unordered_map<ImageId, PoppedImage>& Scores() const {
+    return scores_;
   }
+
+  bool PoppedIn(size_t li, ImageId id) const;
 
   // gamma (Algorithm 2), additionally capped by the number of lists that
   // still have unpopped postings.
@@ -101,20 +145,36 @@ class BoundsEngine {
   // Lists that may still contain I among their unpopped postings.
   std::vector<size_t> PossibleLists(ImageId id) const;
 
- private:
-  // Whether list `li`'s unpopped suffix may still contain I.
-  bool MayHold(size_t li, ImageId id) const;
+  // Condition 2 sweep: the first popped image outside `claimed`, in
+  // Scores() order, whose S^U exceeds `sk_lower`; nullopt if none does.
+  std::optional<ImageId> FirstViolator(const IdSet& claimed,
+                                       double sk_lower) const;
 
+ private:
   struct ListState : BoundsList {
     bool exhausted = false;
     size_t popped_count = 0;
     double cap = std::numeric_limits<double>::infinity();
-    std::unordered_set<ImageId> popped_ids;
   };
+
+  cuckoo::Probe ProbeOf(ImageId id) const;
+  const uint64_t* PoppedRow(const PoppedImage& img) const {
+    return popped_bits_.data() + static_cast<size_t>(img.row) * words_;
+  }
+  // Whether list `li`'s unpopped suffix may still contain the image with
+  // popped-list bitset row `popped` (nullptr: popped nowhere) and `probe`.
+  bool MayHold(size_t li, const uint64_t* popped,
+               const cuckoo::Probe& probe) const;
+  // S^U from a score, bitset row and probe, summed in list order.
+  double SUpper(double score, const uint64_t* popped,
+                const cuckoo::Probe& probe) const;
 
   bool use_filters_;
   std::vector<ListState> lists_;
-  std::unordered_map<ImageId, double> scores_;
+  size_t words_ = 0;  // bitset words per popped image: ceil(lists / 64)
+  std::optional<size_t> probe_list_;  // a list whose filter derives probes
+  std::unordered_map<ImageId, PoppedImage> scores_;
+  std::vector<uint64_t> popped_bits_;  // row-major, words_ per image
   std::optional<cuckoo::MaxCountTracker> tracker_;
 };
 

@@ -56,16 +56,12 @@ BoundsEngine CanonicalEngine(const std::vector<SearchList<E>>& lists,
 }
 
 bool ConditionsHold(const BoundsEngine& engine,
-                    const std::vector<ImageId>& topk_ids) {
+                    const std::vector<ImageId>& topk_ids,
+                    const IdSet& topk_set) {
   double skl = 0;
   if (!VerifyClaimedTopK(engine, topk_ids, &skl)) return false;
   if (skl < engine.PiUpper()) return false;  // Condition 1
-  std::unordered_set<ImageId> topk_set(topk_ids.begin(), topk_ids.end());
-  for (const auto& [id, score] : engine.Scores()) {
-    if (topk_set.contains(id)) continue;
-    if (engine.SUpper(id) > skl) return false;  // Condition 2
-  }
-  return true;
+  return !engine.FirstViolator(topk_set, skl).has_value();  // Condition 2
 }
 
 }  // namespace
@@ -121,7 +117,7 @@ InvSearchResult InvSearch(const MerkleInvertedIndex<E>& index,
   }
   std::vector<ImageId> topk_ids;
   for (const auto& si : result.topk) topk_ids.push_back(si.id);
-  std::unordered_set<ImageId> topk_set(topk_ids.begin(), topk_ids.end());
+  const IdSet topk_set(topk_ids);
 
   // k == 0 asks for nothing, so nothing needs proving: emit a pop-free VO
   // (the client skips the termination conditions for an empty request).
@@ -252,17 +248,9 @@ InvSearchResult InvSearch(const MerkleInvertedIndex<E>& index,
     while (!trivial) {
       ++result.stats.condition_checks;
       double skl = sk_lower();
-      ImageId violator = 0;
-      bool found = false;
-      for (const auto& [id, score] : engine.Scores()) {
-        if (topk_set.contains(id)) continue;
-        if (engine.SUpper(id) > skl) {
-          violator = id;
-          found = true;
-          break;
-        }
-      }
-      if (!found) break;
+      std::optional<ImageId> first = engine.FirstViolator(topk_set, skl);
+      if (!first) break;
+      const ImageId violator = *first;
       // Pop from the lists that may still contain the violator until its
       // bound drops or its true contribution is revealed.
       auto possible = engine.PossibleLists(violator);
@@ -346,7 +334,7 @@ InvSearchResult InvSearch(const MerkleInvertedIndex<E>& index,
   while (!trivial) {
     BoundsEngine canonical = CanonicalEngine(relevant, use_filters);
     ++result.stats.condition_checks;
-    if (ConditionsHold(canonical, topk_ids)) break;
+    if (ConditionsHold(canonical, topk_ids, topk_set)) break;
     size_t best = largest_remaining();
     if (best == relevant.size()) break;  // fully popped; conditions maximal
     pop_step(best);

@@ -1,7 +1,6 @@
 #include "invindex/verify.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "invindex/chain.h"
 #include "invindex/vo_compress.h"
@@ -109,6 +108,11 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
   std::vector<BoundsList> bounds_lists;
   std::vector<const ParsedList<E>*> relevant;  // aligned with bounds_lists
   std::vector<Digest> thetas(lists.size());  // h(Theta) per list
+  // Lemma 1: every filter of one index shares one geometry. The bounds
+  // engine derives one probe per image for all filters and MaxCount keys
+  // every filter by the same buckets, so shipped filters must agree before
+  // either sees them.
+  std::optional<cuckoo::CuckooParams> filter_params;
 
   for (size_t i = 0; i < lists.size(); ++i) {
     const ParsedList<E>& pl = lists[i];
@@ -119,6 +123,10 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
       if (pl.filter_included) {
         auto f = cuckoo::CuckooFilter::Deserialize(pl.filter_bytes);
         if (!f.ok()) return f.status();
+        if (!filter_params) filter_params = f->params();
+        if (f->params() != *filter_params) {
+          return Status::Error("inv: filter geometry differs across lists");
+        }
         theta = f->StateDigest();
         filter = std::move(*f);
       } else {
@@ -198,8 +206,8 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
   if (claimed_topk.size() > requested_k) {
     return Status::Error("inv: more results than requested");
   }
-  std::unordered_set<ImageId> dedup(claimed_topk.begin(), claimed_topk.end());
-  if (dedup.size() != claimed_topk.size()) {
+  const IdSet topk_set(claimed_topk);
+  if (topk_set.size() != claimed_topk.size()) {
     return Status::Error("inv: duplicate result ids");
   }
   if (requested_k == 0) {
@@ -232,12 +240,8 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
   if (sk_lower < engine.PiUpper()) {
     return Status::Error("inv: condition 1 fails (unseen images may rank higher)");
   }
-  std::unordered_set<ImageId> topk_set(claimed_topk.begin(), claimed_topk.end());
-  for (const auto& [id, score] : engine.Scores()) {
-    if (topk_set.contains(id)) continue;
-    if (engine.SUpper(id) > sk_lower) {
-      return Status::Error("inv: condition 2 fails (popped image may rank higher)");
-    }
+  if (engine.FirstViolator(topk_set, sk_lower).has_value()) {
+    return Status::Error("inv: condition 2 fails (popped image may rank higher)");
   }
 
   out->topk_exact = true;

@@ -2,13 +2,17 @@
 // sequences, the engine's incremental s_k^L / pi^U / S^U values must match
 // an independent from-scratch evaluation of Eqs. (9), (11), (12) over the
 // current revealed state — and the soundness properties of Lemma 1 must
-// hold against ground truth.
+// hold against ground truth. A textbook reference engine (per-list popped
+// sets, filters queried by id) pins every engine output bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <optional>
 #include <set>
+#include <tuple>
 
 #include "common/random.h"
 #include "invindex/bounds.h"
@@ -178,6 +182,224 @@ TEST_P(BoundsPropertyTest, EngineMatchesReferenceAndIsSound) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BoundsPropertyTest,
                          ::testing::Range<uint64_t>(1, 21));
+
+// The engine's state evaluated the textbook way: a std::set of popped ids
+// per list, each filter queried by image id, S^U terms summed in list
+// order, MaxCount by a full rescan of the post-deletion filters.
+class ReferenceEngine {
+ public:
+  ReferenceEngine(const RandomState& st, bool use_filters)
+      : use_filters_(use_filters) {
+    cuckoo::CuckooParams params = cuckoo::CuckooParams::ForMaxItems(64);
+    for (const auto& lt : st.lists) {
+      List l;
+      l.q_impact = lt.q_impact;
+      l.cap = ReferenceCap(lt);
+      l.exhausted = lt.popped >= lt.postings.size();
+      if (use_filters && !l.exhausted) {
+        l.filter.emplace(params);
+        for (const auto& [id, impact] : lt.postings) l.filter->Insert(id);
+      }
+      for (size_t j = 0; j < lt.popped; ++j) {
+        const auto& [id, impact] = lt.postings[j];
+        l.popped.insert(id);
+        scores_[id] += lt.q_impact * impact;
+        if (l.filter) l.filter->Delete(id);
+      }
+      lists_.push_back(std::move(l));
+    }
+  }
+
+  size_t NumScored() const { return scores_.size(); }
+  double ScoreOf(ImageId id) const {
+    auto it = scores_.find(id);
+    return it == scores_.end() ? 0.0 : it->second;
+  }
+  bool PoppedIn(size_t li, ImageId id) const {
+    return lists_[li].popped.contains(id);
+  }
+
+  std::vector<size_t> PossibleLists(ImageId id) const {
+    std::vector<size_t> out;
+    for (size_t li = 0; li < lists_.size(); ++li) {
+      if (MayHold(li, id)) out.push_back(li);
+    }
+    return out;
+  }
+
+  double SUpper(ImageId id) const {
+    double bound = ScoreOf(id);
+    for (size_t li = 0; li < lists_.size(); ++li) {
+      if (MayHold(li, id)) bound += lists_[li].q_impact * lists_[li].cap;
+    }
+    return bound;
+  }
+
+  uint32_t Gamma() const {
+    uint32_t remaining = 0;
+    std::map<std::pair<uint32_t, uint16_t>, uint32_t> counts;
+    uint32_t max = 0;
+    for (const List& l : lists_) {
+      if (l.exhausted) continue;
+      ++remaining;
+      if (!l.filter) continue;
+      const cuckoo::CuckooParams& p = l.filter->params();
+      for (uint32_t b = 0; b < p.num_buckets; ++b) {
+        for (uint32_t s = 0; s < p.slots_per_bucket; ++s) {
+          if (l.filter->slot(b, s) == 0) continue;
+          max = std::max(max, ++counts[{b, l.filter->slot(b, s)}]);
+        }
+      }
+    }
+    return use_filters_ ? std::min(2 * max, remaining) : remaining;
+  }
+
+  // Eq. (12): the gamma largest remaining contributions, summed largest
+  // first; all of them, in list order, when gamma covers every list.
+  double PiUpper() const {
+    std::vector<double> contributions;
+    for (const List& l : lists_) {
+      if (!l.exhausted) contributions.push_back(l.q_impact * l.cap);
+    }
+    const size_t gamma = Gamma();
+    if (contributions.size() > gamma) {
+      std::sort(contributions.begin(), contributions.end(),
+                std::greater<double>());
+      contributions.resize(gamma);
+    }
+    double sum = 0;
+    for (double c : contributions) sum += c;
+    return sum;
+  }
+
+ private:
+  struct List {
+    double q_impact = 0;
+    double cap = 0;
+    bool exhausted = false;
+    std::set<ImageId> popped;
+    std::optional<cuckoo::CuckooFilter> filter;
+  };
+
+  bool MayHold(size_t li, ImageId id) const {
+    const List& l = lists_[li];
+    if (l.exhausted || l.popped.contains(id)) return false;
+    return !l.filter || l.filter->Contains(id);
+  }
+
+  bool use_filters_;
+  std::vector<List> lists_;
+  std::map<ImageId, double> scores_;
+};
+
+// (number of lists, filters on). 64 lists fill one popped-list bitset word
+// exactly; 65 and 130 spill into a second and third.
+class BoundsReferenceTest
+    : public ::testing::TestWithParam<std::tuple<size_t, bool>> {};
+
+TEST_P(BoundsReferenceTest, EngineIsBitIdenticalToReference) {
+  const auto [num_lists, use_filters] = GetParam();
+  constexpr ImageId kImages = 60;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed * 977 + num_lists);
+    RandomState st = RandomState::Make(seed * 131 + num_lists, num_lists,
+                                       kImages);
+    for (int round = 0; round < 4; ++round) {
+      for (auto& lt : st.lists) {
+        // Mostly a few more pops; now and then the rest of the list.
+        size_t extra = rng.NextBounded(8) == 0 ? lt.postings.size()
+                                               : rng.NextBounded(4);
+        lt.popped = std::min(lt.postings.size(), lt.popped + extra);
+      }
+      const BoundsEngine engine = BuildEngine(st, use_filters);
+      const ReferenceEngine ref(st, use_filters);
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " round " << round);
+
+      ASSERT_EQ(engine.Scores().size(), ref.NumScored());
+      EXPECT_EQ(engine.Gamma(), ref.Gamma());
+      EXPECT_EQ(engine.PiUpper(), ref.PiUpper());
+      std::vector<double> bounds;
+      for (ImageId id = 0; id < kImages; ++id) {
+        EXPECT_EQ(engine.ScoreOf(id), ref.ScoreOf(id)) << "image " << id;
+        EXPECT_EQ(engine.SUpper(id), ref.SUpper(id)) << "image " << id;
+        EXPECT_EQ(engine.PossibleLists(id), ref.PossibleLists(id))
+            << "image " << id;
+        std::vector<bool> engine_popped, ref_popped;
+        for (size_t li = 0; li < num_lists; ++li) {
+          engine_popped.push_back(engine.PoppedIn(li, id));
+          ref_popped.push_back(ref.PoppedIn(li, id));
+        }
+        EXPECT_EQ(engine_popped, ref_popped) << "image " << id;
+        bounds.push_back(ref.SUpper(id));
+      }
+
+      // Condition 2: the first violator in Scores() order, with the three
+      // best-scored images claimed and s_k^L at the median bound.
+      std::vector<std::pair<double, ImageId>> ranked;
+      for (const auto& [id, img] : engine.Scores()) {
+        ranked.emplace_back(img.score, id);
+      }
+      std::sort(ranked.rbegin(), ranked.rend());
+      std::vector<ImageId> claimed;
+      for (size_t i = 0; i < ranked.size() && i < 3; ++i) {
+        claimed.push_back(ranked[i].second);
+      }
+      const IdSet claimed_set(claimed);
+      std::nth_element(bounds.begin(), bounds.begin() + bounds.size() / 2,
+                       bounds.end());
+      const double sk_lower = bounds[bounds.size() / 2];
+      std::optional<ImageId> expected;
+      for (const auto& [id, img] : engine.Scores()) {
+        if (std::find(claimed.begin(), claimed.end(), id) != claimed.end()) {
+          continue;
+        }
+        if (ref.SUpper(id) > sk_lower) {
+          expected = id;
+          break;
+        }
+      }
+      EXPECT_EQ(engine.FirstViolator(claimed_set, sk_lower), expected);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, BoundsReferenceTest,
+    ::testing::Combine(::testing::Values<size_t>(1, 63, 64, 65, 130),
+                       ::testing::Bool()),
+    [](const testing::TestParamInfo<std::tuple<size_t, bool>>& info) {
+      return std::to_string(std::get<0>(info.param)) + "lists_" +
+             (std::get<1>(info.param) ? "filters" : "baseline");
+    });
+
+// Filters of differing geometry share no probe: the engine ignores them and
+// gives exactly the loose Eq. (10) bounds instead of indexing by a probe
+// derived under the wrong parameters.
+TEST(BoundsEngineGeometryTest, MixedGeometryFallsBackToLooseBounds) {
+  cuckoo::CuckooFilter narrow(cuckoo::CuckooParams::ForMaxItems(8));
+  cuckoo::CuckooFilter wide(cuckoo::CuckooParams::ForMaxItems(500, 16));
+  for (ImageId id : {1, 2, 3}) {
+    ASSERT_TRUE(narrow.Insert(id));
+    ASSERT_TRUE(wide.Insert(id));
+  }
+  auto make = [&](bool with_filters) {
+    std::vector<BoundsList> lists(2);
+    lists[0] = {0, 1.0, with_filters ? std::optional(narrow) : std::nullopt};
+    lists[1] = {1, 0.5, with_filters ? std::optional(wide) : std::nullopt};
+    BoundsEngine engine(std::move(lists), with_filters);
+    EXPECT_TRUE(engine.AddPopped(0, 1, 0.9).ok());
+    EXPECT_TRUE(engine.AddPopped(1, 2, 0.8).ok());
+    return engine;
+  };
+  const BoundsEngine mixed = make(true);
+  const BoundsEngine loose = make(false);
+  EXPECT_EQ(mixed.Gamma(), loose.Gamma());
+  EXPECT_EQ(mixed.PiUpper(), loose.PiUpper());
+  for (ImageId id = 0; id < 8; ++id) {
+    EXPECT_EQ(mixed.SUpper(id), loose.SUpper(id)) << "image " << id;
+    EXPECT_EQ(mixed.PossibleLists(id), loose.PossibleLists(id));
+  }
+}
 
 }  // namespace
 }  // namespace imageproof::invindex

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -145,6 +148,49 @@ TEST(CuckooFilterTest, SixteenBitFingerprints) {
 
 // MaxCount (Algorithm 2): gamma upper-bounds the true max frequency of any
 // item across the filter set.
+// Membership by scanning both candidate buckets slot by slot.
+bool ScanContains(const CuckooFilter& f, const Probe& p) {
+  for (uint32_t b : {p.b1, p.b2}) {
+    for (uint32_t s = 0; s < f.params().slots_per_bucket; ++s) {
+      if (f.slot(b, s) == p.fingerprint) return true;
+    }
+  }
+  return false;
+}
+
+TEST(CuckooFilterTest, ProbeFormsMatchItemForms) {
+  // 4 slots per bucket takes the one-word bucket test; 2 and 8 the scan.
+  for (uint32_t slots : {4u, 2u, 8u}) {
+    CuckooParams params =
+        CuckooParams::ForMaxItems(300, /*fingerprint_bits=*/12);
+    params.slots_per_bucket = slots;
+    CuckooFilter by_item(params), by_probe(params);
+    for (uint64_t i = 0; i < 300; ++i) {
+      ASSERT_TRUE(by_item.Insert(i * 7919));
+      ASSERT_TRUE(by_probe.Insert(i * 7919));
+    }
+    // Members (multiples of 7919 below 300 * 7919) and mostly non-members.
+    for (uint64_t item = 0; item < 300 * 7919; item += 1201) {
+      const Probe p = by_probe.ProbeOf(item);
+      EXPECT_EQ(p.fingerprint, by_item.Fingerprint(item));
+      EXPECT_EQ(p.b1, by_item.Bucket1(item));
+      EXPECT_EQ(p.b2, by_item.AltBucket(p.b1, p.fingerprint));
+      EXPECT_EQ(by_probe.Contains(p), ScanContains(by_probe, p)) << item;
+      EXPECT_EQ(by_item.Contains(item), ScanContains(by_probe, p)) << item;
+    }
+    for (uint64_t i = 0; i < 300; ++i) {
+      EXPECT_TRUE(by_probe.Contains(by_probe.ProbeOf(i * 7919))) << i;
+    }
+    for (uint64_t i = 0; i < 300; i += 2) {
+      uint32_t b_item = 0, b_probe = 0;
+      ASSERT_TRUE(by_item.Delete(i * 7919, &b_item));
+      ASSERT_TRUE(by_probe.Delete(by_probe.ProbeOf(i * 7919), &b_probe));
+      EXPECT_EQ(b_item, b_probe);
+    }
+    EXPECT_EQ(by_item.Serialize(), by_probe.Serialize()) << slots;
+  }
+}
+
 TEST(MaxCountTest, BoundsTrueFrequency) {
   CuckooParams params = CuckooParams::ForMaxItems(200);
   Rng rng(77);
@@ -206,6 +252,73 @@ TEST(MaxCountTest, TrackerMatchesRescanUnderDeletions) {
     }
     ASSERT_EQ(tracker.Gamma(), MaxCountGamma(ptrs)) << "step " << step;
   }
+}
+
+// Brute-force Algorithm 2 over a (bucket, fingerprint) -> count map.
+uint32_t BruteForceGamma(const std::vector<const CuckooFilter*>& filters) {
+  std::map<std::pair<uint32_t, uint16_t>, uint32_t> counts;
+  uint32_t max = 0;
+  for (const CuckooFilter* f : filters) {
+    for (uint32_t b = 0; b < f->params().num_buckets; ++b) {
+      for (uint32_t s = 0; s < f->params().slots_per_bucket; ++s) {
+        if (f->slot(b, s) != 0) {
+          max = std::max(max, ++counts[{b, f->slot(b, s)}]);
+        }
+      }
+    }
+  }
+  return 2 * max;
+}
+
+TEST(MaxCountTest, TrackerMatchesBruteForceUnderDeletions) {
+  for (uint32_t fp_bits : {4u, 8u, 16u}) {
+    CuckooParams params = CuckooParams::ForMaxItems(64, fp_bits);
+    std::vector<CuckooFilter> filters(12, CuckooFilter(params));
+    Rng rng(fp_bits);
+    std::vector<std::vector<uint64_t>> items(filters.size());
+    for (size_t f = 0; f < filters.size(); ++f) {
+      for (int i = 0; i < 40; ++i) {
+        uint64_t item = rng.NextBounded(120);  // heavy overlap across filters
+        if (filters[f].Insert(item)) items[f].push_back(item);
+      }
+    }
+    std::vector<const CuckooFilter*> ptrs;
+    for (const auto& f : filters) ptrs.push_back(&f);
+    MaxCountTracker tracker(ptrs);
+    ASSERT_TRUE(tracker.ok());
+    ASSERT_EQ(tracker.Gamma(), BruteForceGamma(ptrs)) << fp_bits;
+    for (size_t f = 0; f < filters.size(); ++f) {
+      for (uint64_t item : items[f]) {
+        uint32_t bucket = 0;
+        ASSERT_TRUE(filters[f].Delete(item, &bucket));
+        tracker.OnDelete(bucket, filters[f].Fingerprint(item));
+        ASSERT_EQ(tracker.Gamma(), BruteForceGamma(ptrs)) << fp_bits;
+      }
+    }
+    EXPECT_EQ(tracker.Gamma(), 0u);
+  }
+}
+
+TEST(MaxCountTest, MixedGeometryRefused) {
+  CuckooParams small = CuckooParams::ForMaxItems(4);
+  CuckooParams wide = CuckooParams::ForMaxItems(1000, /*fingerprint_bits=*/16);
+  CuckooFilter a(small), b(wide);
+  for (uint64_t i = 0; i < 4; ++i) ASSERT_TRUE(a.Insert(i));
+  for (uint64_t i = 0; i < 1000; ++i) ASSERT_TRUE(b.Insert(i));
+  for (const auto& ptrs : {std::vector<const CuckooFilter*>{&a, &b},
+                           std::vector<const CuckooFilter*>{&b, &a}}) {
+    MaxCountTracker tracker(ptrs);
+    EXPECT_FALSE(tracker.ok());
+    EXPECT_EQ(tracker.Gamma(), std::numeric_limits<uint32_t>::max());
+    tracker.OnDelete(3, 0xFFFF);  // tracks nothing; must not index anything
+    EXPECT_EQ(MaxCountGamma(ptrs), std::numeric_limits<uint32_t>::max());
+  }
+  // Parameters beyond the geometry count too: a differing seed changes every
+  // probe.
+  CuckooParams reseeded = small;
+  reseeded.seed ^= 1;
+  CuckooFilter c(reseeded);
+  EXPECT_FALSE(MaxCountTracker({&a, &c}).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -406,6 +406,59 @@ TEST(ParserFuzzTest, InvVoVerifyNeverCrashes) {
   }
 }
 
+// Lemma 1 gives every filter of one index the same geometry; a VO whose
+// shipped filters disagree is rejected before any bound is computed from
+// them, since MaxCount and the shared probe key every filter by one
+// filter's buckets and fingerprint width.
+TEST(ParserFuzzTest, MixedFilterGeometryRejected) {
+  cuckoo::CuckooParams small;
+  small.num_buckets = 4;
+  small.fingerprint_bits = 8;
+  cuckoo::CuckooParams large;
+  large.num_buckets = 1024;
+  large.fingerprint_bits = 16;
+  cuckoo::CuckooFilter f0(small), f1(large);
+  for (uint64_t id = 0; id < 8; ++id) f0.Insert(id);
+  for (uint64_t id = 0; id < 3000; ++id) f1.Insert(id);
+  bovw::BovwVector query;
+  query.entries = {{1, 1}, {2, 1}};
+  for (invindex::EntryKind kind : kEntryKinds) {
+    ByteWriter w;
+    w.PutU8(1);  // filters on, uncompressed
+    w.PutVarint(2);
+    const cuckoo::CuckooFilter* filters[] = {&f0, &f1};
+    for (size_t li = 0; li < 2; ++li) {
+      w.PutVarint(li + 1);  // cluster
+      w.PutF64(1.0);        // weight
+      w.PutVarint(1);       // one popped entry
+      if (kind == invindex::EntryKind::kGroup) {
+        invindex::Group g;
+        g.freq = 1;
+        g.members = {{li + 1, 1.0}};
+        invindex::Group::VoScratch scratch;
+        invindex::Group::PutVo(w, std::span<const invindex::Group>(&g, 1),
+                               false, &scratch);
+      } else {
+        invindex::Posting p;
+        p.id = li + 1;
+        p.impact = 0.5;
+        invindex::Posting::VoScratch scratch;
+        invindex::Posting::PutVo(w, std::span<const invindex::Posting>(&p, 1),
+                                 false, &scratch);
+      }
+      w.PutU8(3);  // has_remaining | filter_included
+      crypto::PutDigest(w, crypto::Digest::Zero());
+      w.PutBlob(filters[li]->Serialize());
+    }
+    invindex::InvVerifyResult out;
+    Status st = invindex::VerifyInvVo(kind, w.Take(), query, {1}, 1, true,
+                                      &out);
+    ASSERT_FALSE(st.ok()) << KindName(kind);
+    EXPECT_NE(st.message().find("filter geometry differs"), std::string::npos)
+        << KindName(kind) << ": " << st.message();
+  }
+}
+
 TEST(ParserFuzzTest, CuckooDeserializeNeverCrashes) {
   Rng rng(3);
   for (int t = 0; t < 2000; ++t) {
