@@ -15,20 +15,32 @@
 //             walker the inverted index's build, deep verify and client
 //             verifier all run
 //
-// A fifth section, verify, times Client::Verify end to end over a fixed
-// deployment shaped like perfbench's remote-uniform workload (ImageProof,
-// 10-feature queries, k = 10) and checks every response is accepted. Run
-// it with IMAGEPROOF_NO_AVX2=1 to time the portable lane path.
+// The permutation section times Keccak-f[1600] itself on each path: the
+// scalar and 2-way instantiations of the shared round body, the 4-lane
+// dispatch with four busy lanes (AVX2 where the CPU has it, else two
+// portable pairs) and with one (the lone-lane scalar path). It first checks
+// every path against the scalar permutation bit for bit on random states.
+//
+// The verify section times Client::Verify end to end over two fixed
+// deployments and checks every response is accepted: one shaped like
+// perfbench's remote-uniform workload (ImageProof, 10-feature queries,
+// k = 10, full-vector reveals) and one like remote-zipf-hot
+// (OptimizedBoth: Dim-Merkle partial reveals and frequency-grouped
+// entries, 8-feature queries, k = 32). Run it with IMAGEPROOF_NO_AVX2=1 to
+// time the portable lane path.
 
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "crypto/hasher.h"
+#include "crypto/keccak_impl.h"
 #include "crypto/sha3.h"
 #include "invindex/chain.h"
 #include "merkle/merkle_tree.h"
@@ -93,6 +105,65 @@ void Check(bool cond, const char* what) {
     std::fprintf(stderr, "abl_hash: CHECK FAILED: %s\n", what);
     g_ok = false;
   }
+}
+
+// Mean ns per call of each of `fs` over `iters` calls, median over
+// `rounds`. The calls interleave round by round, so drift on a shared host
+// hits every path alike.
+template <size_t N, typename F>
+std::vector<double> MedianNs(int rounds, int iters, const F (&fs)[N]) {
+  std::vector<std::vector<double>> ns(N);
+  for (int r = 0; r < rounds; ++r) {
+    for (size_t k = 0; k < N; ++k) {
+      Stopwatch t;
+      for (int i = 0; i < iters; ++i) fs[k]();
+      ns[k].push_back(t.ElapsedMillis() * 1e6 / iters);
+    }
+  }
+  std::vector<double> out;
+  for (auto& v : ns) {
+    std::sort(v.begin(), v.end());
+    out.push_back(v[v.size() / 2]);
+  }
+  return out;
+}
+
+// Times Client::Verify over one query per pool entry, in rounds; the
+// median round's mean stands for the verifier. Reports <key>_us,
+// <key>_hashes and <key>_queries.
+void VerifyRow(const char* label, const std::string& key,
+               const core::Config& config, const DeploymentSpec& spec,
+               const workload::QueryMixParams& mp, size_t k, int rounds) {
+  BenchReport& report = BenchReport::Global();
+  Deployment d(config, spec);
+  workload::ZipfQueryMix mix(d.owner.package->codebook,
+                             d.owner.package->corpus, mp);
+  std::vector<core::QueryResponse> responses;
+  for (size_t q = 0; q < mix.pool_size(); ++q) {
+    responses.push_back(d.sp->Query(mix.query(q), k));
+  }
+  std::vector<double> round_us;
+  uint64_t hashes = 0;
+  bool accepted = true;
+  for (int round = 0; round < rounds; ++round) {
+    const uint64_t before = crypto::HashInvocations();
+    Stopwatch t;
+    for (size_t q = 0; q < responses.size(); ++q) {
+      accepted = d.client->Verify(mix.query(q), k, responses[q].vo).ok() &&
+                 accepted;
+    }
+    round_us.push_back(t.ElapsedMillis() * 1000.0 / responses.size());
+    hashes = (crypto::HashInvocations() - before) / responses.size();
+  }
+  std::sort(round_us.begin(), round_us.end());
+  const double median_us = round_us[round_us.size() / 2];
+  Check(accepted, "Client::Verify accepts every honest response");
+  std::printf("%-28s %14s %11.0f us %9s\n", label, "", median_us, "");
+  std::printf("%-28s %14s %14llu\n", "  hashes/verify", "",
+              static_cast<unsigned long long>(hashes));
+  report.AddValue(key + "_queries", static_cast<double>(responses.size()));
+  report.AddValue(key + "_us", median_us);
+  report.AddValue(key + "_hashes", static_cast<double>(hashes));
 }
 
 }  // namespace
@@ -212,51 +283,92 @@ int main(int argc, char** argv) {
     report.AddValue("chain_x4_speedup", serial_ms / x4_ms);
   }
 
+  // --- permutation: Keccak-f[1600] on each path ---------------------------
+  {
+    using crypto::internal::KeccakF4;
+    using crypto::internal::KeccakPermute;
+    using crypto::internal::U64x2;
+    Rng rng(1600);
+    bool same = true;
+    for (int trial = 0; trial < 16; ++trial) {
+      alignas(32) uint64_t x4[25][4];
+      alignas(32) uint64_t lone[25][4];
+      uint64_t lanes[4][25];
+      U64x2 pair[25];
+      for (int i = 0; i < 25; ++i) {
+        for (int j = 0; j < 4; ++j) {
+          lanes[j][i] = x4[i][j] = lone[i][j] = rng.NextU64();
+        }
+        pair[i] = {lanes[0][i], lanes[3][i]};
+      }
+      for (auto& lane : lanes) KeccakPermute(lane);
+      KeccakPermute(pair);
+      KeccakF4(x4, 0xF);
+      KeccakF4(lone, 0x4);
+      for (int i = 0; i < 25; ++i) {
+        same = same && pair[i].v0 == lanes[0][i] && pair[i].v1 == lanes[3][i];
+        same = same && lone[i][2] == lanes[2][i];
+        for (int j = 0; j < 4; ++j) same = same && x4[i][j] == lanes[j][i];
+      }
+    }
+    Check(same, "pair, 4-lane and lone-lane permutations match scalar");
+
+    uint64_t a[25] = {};
+    U64x2 p[25] = {};
+    alignas(32) uint64_t st[25][4] = {};
+    const std::function<void()> paths[] = {
+        [&] { KeccakPermute(a); },
+        [&] { KeccakPermute(p); },
+        [&] { KeccakF4(st, 0xF); },
+        [&] { KeccakF4(st, 0x1); },
+    };
+    const std::vector<double> ns =
+        MedianNs(smoke ? 3 : 41, smoke ? 1000 : 5000, paths);
+    const double scalar_ns = ns[0], pair_ns = ns[1], x4_ns = ns[2],
+                 lone_ns = ns[3];
+    // Keeps the timed permutations observable.
+    volatile uint64_t sink = a[0] ^ p[0].v0 ^ st[0][0];
+    (void)sink;
+    const bool avx2 = crypto::internal::KeccakF4UsesAvx2();
+    std::printf("%-28s %11.0f ns %14s %9s\n", "permutation scalar", scalar_ns,
+                "", "");
+    std::printf("%-28s %11.0f ns %14s %8.2fx\n", "permutation pair (2 lanes)",
+                pair_ns, "", pair_ns / scalar_ns);
+    std::printf("%-28s %11.0f ns %14s %8.2fx\n",
+                avx2 ? "permutation 4-way (avx2)" : "permutation 4-way (pairs)",
+                x4_ns, "", x4_ns / scalar_ns);
+    std::printf("%-28s %11.0f ns %14s %8.2fx\n", "permutation lone lane",
+                lone_ns, "", lone_ns / scalar_ns);
+    report.AddValue("perm_scalar_ns", scalar_ns);
+    report.AddValue("perm_pair_ns", pair_ns);
+    report.AddValue("perm_x4_ns", x4_ns);
+    report.AddValue("perm_lone_lane_ns", lone_ns);
+    report.AddValue("perm_x4_avx2", avx2 ? 1.0 : 0.0);
+  }
+
   // --- verify: Client::Verify end to end ----------------------------------
   {
-    DeploymentSpec spec;  // 10k images, 4096 clusters, 64 dims
+    const int rounds = smoke ? 3 : 9;
+    DeploymentSpec uniform;  // 10k images, 4096 clusters, 64 dims
     if (smoke) {
-      spec.num_images = 1000;
-      spec.num_clusters = 512;
+      uniform.num_images = 1000;
+      uniform.num_clusters = 512;
     }
-    Deployment d(core::Config::ImageProof(), spec);
     workload::QueryMixParams mp;
     mp.pool_size = smoke ? 16 : 128;
     mp.num_features = 10;
     mp.zipf_s = 0.0;
     mp.coord_noise = 0.25;
-    workload::ZipfQueryMix mix(d.owner.package->codebook,
-                               d.owner.package->corpus, mp);
-    const size_t k = 10;
-    std::vector<core::QueryResponse> responses;
-    for (size_t q = 0; q < mix.pool_size(); ++q) {
-      responses.push_back(d.sp->Query(mix.query(q), k));
-    }
-    // Rounds over the pool; the median round's mean stands for the verifier.
-    const int rounds = smoke ? 3 : 9;
-    std::vector<double> round_us;
-    uint64_t hashes = 0;
-    bool accepted = true;
-    for (int round = 0; round < rounds; ++round) {
-      const uint64_t before = crypto::HashInvocations();
-      Stopwatch t;
-      for (size_t q = 0; q < responses.size(); ++q) {
-        accepted = d.client->Verify(mix.query(q), k, responses[q].vo).ok() &&
-                   accepted;
-      }
-      round_us.push_back(t.ElapsedMillis() * 1000.0 / responses.size());
-      hashes = (crypto::HashInvocations() - before) / responses.size();
-    }
-    std::sort(round_us.begin(), round_us.end());
-    const double median_us = round_us[round_us.size() / 2];
-    Check(accepted, "Client::Verify accepts every honest response");
-    std::printf("%-28s %14s %11.0f us %9s\n", "verify (per query)", "",
-                median_us, "");
-    std::printf("%-28s %14s %14llu\n", "  hashes/verify", "",
-                static_cast<unsigned long long>(hashes));
-    report.AddValue("verify_queries", static_cast<double>(responses.size()));
-    report.AddValue("verify_us", median_us);
-    report.AddValue("verify_hashes", static_cast<double>(hashes));
+    VerifyRow("verify (per query)", "verify", core::Config::ImageProof(),
+              uniform, mp, 10, rounds);
+
+    DeploymentSpec hot;
+    hot.num_images = smoke ? 2000 : 20000;
+    hot.num_clusters = smoke ? 128 : 512;
+    mp.pool_size = smoke ? 16 : 64;
+    mp.num_features = 8;
+    VerifyRow("verify zipf-hot shape", "verify_zipf",
+              core::Config::OptimizedBoth(), hot, mp, 32, rounds);
   }
 
   return FinishBench(g_ok ? 0 : 1);

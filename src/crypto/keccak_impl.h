@@ -1,16 +1,23 @@
 // Shared Keccak-f[1600] round function, generic over the lane type.
 //
-// The same 24-round body serves three instantiations:
+// The same straight-line round body serves three instantiations:
 //   * uint64_t      — the scalar permutation behind Sha3_256
 //   * U64x2         — two interleaved states; plain integer code the
 //                     compiler schedules as 2-way ILP (portable Sha3x4 path)
 //   * V256 (AVX2)   — four interleaved states, one __m256i per Keccak lane
 //                     (sha3_avx2.cc, compiled with -mavx2 and runtime-gated)
 //
+// Every lane index and rotation count in the round is a compile-time
+// constant (template arguments drawn from constexpr tables), so the
+// compiler emits no lane loop and only immediate-count shifts, and keeps as
+// many lanes in registers as the target has. Nothing relies on an unroll
+// pragma, so GCC and clang produce the same straight-line code.
+//
 // All variants compute bit-identical states: vectorization only changes
 // which independent sponges share an instruction, never the arithmetic.
 //
-// Internal header: include only from crypto/*.cc.
+// Internal header: include only from crypto/*.cc, and from the tests and
+// benches that pin the permutation paths against each other.
 
 #ifndef IMAGEPROOF_CRYPTO_KECCAK_IMPL_H_
 #define IMAGEPROOF_CRYPTO_KECCAK_IMPL_H_
@@ -33,8 +40,9 @@ inline constexpr uint64_t kKeccakRoundConstants[kKeccakRounds] = {
 };
 
 // Rho rotation amounts and pi destination indices along the single 24-step
-// permutation cycle starting at lane 1; walking the cycle with one carried
-// temp performs rho+pi in place, with no b[25] copy.
+// lane permutation cycle starting at lane 1 (the FIPS 202 reference
+// tables): step i moves the lane at kKeccakPiln[i - 1] (lane 1 for i = 0)
+// to kKeccakPiln[i], rotated left by kKeccakRotc[i].
 inline constexpr int kKeccakRotc[kKeccakRounds] = {
     1,  3,  6,  10, 15, 21, 28, 36, 45, 55, 2,  14,
     27, 41, 56, 8,  25, 43, 62, 18, 39, 61, 20, 44,
@@ -44,8 +52,36 @@ inline constexpr int kKeccakPiln[kKeccakRounds] = {
     15, 23, 19, 13, 12, 2, 20, 14, 22, 9,  6,  1,
 };
 
-// Scalar lane ops.
-inline uint64_t RotlL(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+// The same cycle as a gather: rho+pi writes B[j] = rotl(A[src[j]], rot[j]).
+// Lane 0 is a fixed point with rotation 0.
+struct RhoPiGather {
+  int src[25];
+  int rot[25];
+};
+
+constexpr RhoPiGather MakeRhoPiGather() {
+  RhoPiGather g{};
+  int from = 1;
+  for (int i = 0; i < kKeccakRounds; ++i) {
+    g.src[kKeccakPiln[i]] = from;
+    g.rot[kKeccakPiln[i]] = kKeccakRotc[i];
+    from = kKeccakPiln[i];
+  }
+  return g;
+}
+
+inline constexpr RhoPiGather kRhoPi = MakeRhoPiGather();
+
+// Scalar lane ops. Rotation counts are template arguments so every
+// instantiation shifts by an immediate.
+template <int K>
+inline uint64_t Rotl(uint64_t x) {
+  if constexpr (K == 0) {
+    return x;
+  } else {
+    return (x << K) | (x >> (64 - K));
+  }
+}
 inline uint64_t AndNotL(uint64_t a, uint64_t b) { return ~a & b; }
 inline uint64_t XorRc(uint64_t a, uint64_t rc) { return a ^ rc; }
 
@@ -55,74 +91,65 @@ struct U64x2 {
   uint64_t v0, v1;
 };
 inline U64x2 operator^(U64x2 a, U64x2 b) { return {a.v0 ^ b.v0, a.v1 ^ b.v1}; }
-inline U64x2 RotlL(U64x2 a, int k) { return {RotlL(a.v0, k), RotlL(a.v1, k)}; }
+template <int K>
+inline U64x2 Rotl(U64x2 a) {
+  return {Rotl<K>(a.v0), Rotl<K>(a.v1)};
+}
 inline U64x2 AndNotL(U64x2 a, U64x2 b) {
   return {~a.v0 & b.v0, ~a.v1 & b.v1};
 }
 inline U64x2 XorRc(U64x2 a, uint64_t rc) { return {a.v0 ^ rc, a.v1 ^ rc}; }
 
-// The full permutation. Theta and chi are unrolled; rho+pi runs in place.
+// Theta's column effect on lane J of the gather, then rho+pi: B[J].
+template <int J, typename L>
+inline L RhoPiLane(const L a[25], const L d[5]) {
+  constexpr int kSrc = kRhoPi.src[J];
+  return Rotl<kRhoPi.rot[J]>(a[kSrc] ^ d[kSrc % 5]);
+}
+
+// Rho+pi gathers row Y of B; chi writes it to row Y of the output state.
+template <int Y, typename L>
+inline void ChiRow(const L a[25], const L d[5], L e[25]) {
+  const L b0 = RhoPiLane<5 * Y + 0>(a, d);
+  const L b1 = RhoPiLane<5 * Y + 1>(a, d);
+  const L b2 = RhoPiLane<5 * Y + 2>(a, d);
+  const L b3 = RhoPiLane<5 * Y + 3>(a, d);
+  const L b4 = RhoPiLane<5 * Y + 4>(a, d);
+  e[5 * Y + 0] = b0 ^ AndNotL(b1, b2);
+  e[5 * Y + 1] = b1 ^ AndNotL(b2, b3);
+  e[5 * Y + 2] = b2 ^ AndNotL(b3, b4);
+  e[5 * Y + 3] = b3 ^ AndNotL(b4, b0);
+  e[5 * Y + 4] = b4 ^ AndNotL(b0, b1);
+}
+
+// One round from state `a` into state `e`: theta's column parities, then
+// rho+pi and chi row by row, then iota.
+template <typename L>
+inline void KeccakRound(const L a[25], L e[25], uint64_t rc) {
+  const L c0 = a[0] ^ a[5] ^ a[10] ^ a[15] ^ a[20];
+  const L c1 = a[1] ^ a[6] ^ a[11] ^ a[16] ^ a[21];
+  const L c2 = a[2] ^ a[7] ^ a[12] ^ a[17] ^ a[22];
+  const L c3 = a[3] ^ a[8] ^ a[13] ^ a[18] ^ a[23];
+  const L c4 = a[4] ^ a[9] ^ a[14] ^ a[19] ^ a[24];
+  const L d[5] = {c4 ^ Rotl<1>(c1), c0 ^ Rotl<1>(c2), c1 ^ Rotl<1>(c3),
+                  c2 ^ Rotl<1>(c4), c3 ^ Rotl<1>(c0)};
+  ChiRow<0>(a, d, e);
+  ChiRow<1>(a, d, e);
+  ChiRow<2>(a, d, e);
+  ChiRow<3>(a, d, e);
+  ChiRow<4>(a, d, e);
+  e[0] = XorRc(e[0], rc);
+}
+
+// The full permutation: rounds run in pairs, a -> e then e -> a, so the 24
+// rounds end back in `a`. `e` is local, so no store to it can alias a load
+// from `a`.
 template <typename L>
 inline void KeccakPermute(L a[25]) {
-  for (int round = 0; round < kKeccakRounds; ++round) {
-    // Theta.
-    L c0 = a[0] ^ a[5] ^ a[10] ^ a[15] ^ a[20];
-    L c1 = a[1] ^ a[6] ^ a[11] ^ a[16] ^ a[21];
-    L c2 = a[2] ^ a[7] ^ a[12] ^ a[17] ^ a[22];
-    L c3 = a[3] ^ a[8] ^ a[13] ^ a[18] ^ a[23];
-    L c4 = a[4] ^ a[9] ^ a[14] ^ a[19] ^ a[24];
-    L d0 = c4 ^ RotlL(c1, 1);
-    L d1 = c0 ^ RotlL(c2, 1);
-    L d2 = c1 ^ RotlL(c3, 1);
-    L d3 = c2 ^ RotlL(c4, 1);
-    L d4 = c3 ^ RotlL(c0, 1);
-    a[0] = a[0] ^ d0;
-    a[5] = a[5] ^ d0;
-    a[10] = a[10] ^ d0;
-    a[15] = a[15] ^ d0;
-    a[20] = a[20] ^ d0;
-    a[1] = a[1] ^ d1;
-    a[6] = a[6] ^ d1;
-    a[11] = a[11] ^ d1;
-    a[16] = a[16] ^ d1;
-    a[21] = a[21] ^ d1;
-    a[2] = a[2] ^ d2;
-    a[7] = a[7] ^ d2;
-    a[12] = a[12] ^ d2;
-    a[17] = a[17] ^ d2;
-    a[22] = a[22] ^ d2;
-    a[3] = a[3] ^ d3;
-    a[8] = a[8] ^ d3;
-    a[13] = a[13] ^ d3;
-    a[18] = a[18] ^ d3;
-    a[23] = a[23] ^ d3;
-    a[4] = a[4] ^ d4;
-    a[9] = a[9] ^ d4;
-    a[14] = a[14] ^ d4;
-    a[19] = a[19] ^ d4;
-    a[24] = a[24] ^ d4;
-
-    // Rho and pi, in place along the permutation cycle.
-    L t = a[1];
-    for (int i = 0; i < kKeccakRounds; ++i) {
-      const int j = kKeccakPiln[i];
-      L tmp = a[j];
-      a[j] = RotlL(t, kKeccakRotc[i]);
-      t = tmp;
-    }
-
-    // Chi, row by row with five temporaries.
-    for (int y = 0; y < 25; y += 5) {
-      L b0 = a[y], b1 = a[y + 1], b2 = a[y + 2], b3 = a[y + 3], b4 = a[y + 4];
-      a[y] = b0 ^ AndNotL(b1, b2);
-      a[y + 1] = b1 ^ AndNotL(b2, b3);
-      a[y + 2] = b2 ^ AndNotL(b3, b4);
-      a[y + 3] = b3 ^ AndNotL(b4, b0);
-      a[y + 4] = b4 ^ AndNotL(b0, b1);
-    }
-
-    // Iota.
-    a[0] = XorRc(a[0], kKeccakRoundConstants[round]);
+  L e[25];
+  for (int round = 0; round < kKeccakRounds; round += 2) {
+    KeccakRound(a, e, kKeccakRoundConstants[round]);
+    KeccakRound(e, a, kKeccakRoundConstants[round + 1]);
   }
 }
 
@@ -146,6 +173,18 @@ inline void StoreLe64(uint8_t* p, uint64_t v) {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
 #endif
 }
+
+// Permutes the sponges of the interleaved 4-sponge state (state[i][j] is
+// Keccak lane i of sponge j) whose bit is set in `busy`. An idle sponge's
+// state is unspecified afterwards (the AVX2 kernel permutes all four);
+// Sha3x4::Start resets a lane before reuse. This is the dispatch behind
+// Sha3x4::Step (sha3.cc): the scalar permutation for a lone busy sponge,
+// else the AVX2 kernel or the portable pairs. `state` must be 32-byte
+// aligned (the AVX2 kernel permutes it in place).
+void KeccakF4(uint64_t state[25][4], unsigned busy);
+
+// True when KeccakF4 runs two or more busy lanes on the AVX2 kernel.
+bool KeccakF4UsesAvx2();
 
 #if defined(IMAGEPROOF_SHA3_AVX2)
 // Defined in sha3_avx2.cc (compiled with -mavx2); callable only after a

@@ -11,10 +11,10 @@ namespace imageproof::crypto {
 
 namespace {
 
+using internal::KeccakF4;
 using internal::KeccakPermute;
 using internal::LoadLe64;
 using internal::StoreLe64;
-using internal::U64x2;
 
 std::atomic<uint64_t> g_hash_invocations{0};
 
@@ -22,40 +22,50 @@ inline void CountHash() {
   g_hash_invocations.fetch_add(1, std::memory_order_relaxed);
 }
 
-#if defined(IMAGEPROOF_SHA3_AVX2)
-bool UseAvx2() {
-  // IMAGEPROOF_NO_AVX2 forces the portable path so tests and benches can
-  // A/B the two implementations on the same machine.
-  static const bool use = __builtin_cpu_supports("avx2") &&
-                          std::getenv("IMAGEPROOF_NO_AVX2") == nullptr;
-  return use;
-}
-#endif
+}  // namespace
+
+namespace internal {
+
+namespace {
 
 // Permutes lane `j` of the interleaved state alone, on the scalar path.
-void PermuteLane(uint64_t state[25][Sha3x4::kLanes], int j) {
+void PermuteLane(uint64_t state[25][4], int j) {
   uint64_t a[25];
   for (int i = 0; i < 25; ++i) a[i] = state[i][j];
   KeccakPermute(a);
   for (int i = 0; i < 25; ++i) state[i][j] = a[i];
 }
 
-// Permutes the lanes set in `busy` (bit j = lane j); the other lanes keep
-// their state. Interleaving pays only when the lanes are filled: a
-// 4-way AVX2 permutation costs ~1.7 scalar ones and a 2-way portable pair
-// ~1.5-1.7, so a lone busy lane (tree tops, the tail of the longest chain)
-// runs the scalar permutation, and the portable path skips an idle pair.
-// The portable pair runs the generic round body on two states (U64x2),
-// which keeps two independent dependency chains in flight.
-void KeccakF4(uint64_t state[25][Sha3x4::kLanes], unsigned busy) {
+}  // namespace
+
+bool KeccakF4UsesAvx2() {
+#if defined(IMAGEPROOF_SHA3_AVX2)
+  // IMAGEPROOF_NO_AVX2 forces the portable path so tests and benches can
+  // A/B the two implementations on the same machine.
+  static const bool use = __builtin_cpu_supports("avx2") &&
+                          std::getenv("IMAGEPROOF_NO_AVX2") == nullptr;
+  return use;
+#else
+  return false;
+#endif
+}
+
+// Interleaving pays only when the lanes are filled: with the straight-line
+// round, a 4-way AVX2 permutation costs ~1.5 scalar ones and a 2-way
+// portable pair ~1.4 (bench/abl_hash, permutation section), so a lone busy
+// lane (tree tops, the tail of the longest chain) runs the scalar
+// permutation, and the portable path skips an idle pair. The portable pair
+// runs the shared round body on two states (U64x2), which keeps two
+// independent dependency chains in flight.
+void KeccakF4(uint64_t state[25][4], unsigned busy) {
   if (busy == 0) return;
   if ((busy & (busy - 1)) == 0) {
     PermuteLane(state, std::countr_zero(busy));
     return;
   }
 #if defined(IMAGEPROOF_SHA3_AVX2)
-  if (UseAvx2()) {
-    internal::KeccakF4Avx2(state);
+  if (KeccakF4UsesAvx2()) {
+    KeccakF4Avx2(state);
     return;
   }
 #endif
@@ -78,7 +88,7 @@ void KeccakF4(uint64_t state[25][Sha3x4::kLanes], unsigned busy) {
   }
 }
 
-}  // namespace
+}  // namespace internal
 
 uint64_t HashInvocations() {
   return g_hash_invocations.load(std::memory_order_relaxed);

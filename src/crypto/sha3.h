@@ -1,15 +1,18 @@
 // SHA3-256 (FIPS 202) implemented from scratch on Keccak-f[1600].
 //
 // This is the cryptographic hash the ImageProof paper selects for all ADS
-// digests. Two execution paths share one permutation:
-//   * Sha3_256 — the incremental single-message sponge (optimized scalar
-//     Keccak: in-place rho/pi, unrolled theta/chi).
+// digests. Two execution paths share one straight-line Keccak-f[1600]
+// round (crypto/keccak_impl.h: compile-time lane indices and rotation
+// counts, rounds in pairs between two states, no lane loop):
+//   * Sha3_256 — the incremental single-message sponge on the scalar
+//     permutation.
 //   * Sha3x4   — four lane-interleaved sponges advanced in lockstep, the
 //     engine behind the batch digest API in crypto/hasher.h. On x86-64 with
 //     AVX2 each Keccak lane is one 4x64-bit vector; elsewhere a portable
 //     2-way-interleaved scalar path provides the ILP win.
-// Both are validated against NIST vectors (tests/sha3_kat_test.cc) and are
-// byte-identical: batching never changes a digest.
+// Both are validated against NIST vectors, and the permutation on every
+// path against the published Keccak-f output (tests/sha3_kat_test.cc); they
+// are byte-identical: batching never changes a digest.
 
 #ifndef IMAGEPROOF_CRYPTO_SHA3_H_
 #define IMAGEPROOF_CRYPTO_SHA3_H_

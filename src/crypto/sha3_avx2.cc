@@ -17,16 +17,23 @@ namespace imageproof::crypto::internal {
 
 namespace {
 
-struct V256 {
+// may_alias, like __m256i itself: the kernel permutes the caller's
+// uint64_t state in place through V256 lvalues, with no staging copy.
+struct __attribute__((may_alias)) V256 {
   __m256i v;
 };
 
 inline V256 operator^(V256 a, V256 b) {
   return {_mm256_xor_si256(a.v, b.v)};
 }
-inline V256 RotlL(V256 a, int k) {
-  return {_mm256_or_si256(_mm256_slli_epi64(a.v, k),
-                          _mm256_srli_epi64(a.v, 64 - k))};
+template <int K>
+inline V256 Rotl(V256 a) {
+  if constexpr (K == 0) {
+    return a;
+  } else {
+    return {_mm256_or_si256(_mm256_slli_epi64(a.v, K),
+                            _mm256_srli_epi64(a.v, 64 - K))};
+  }
 }
 // ~a & b, which is exactly what VPANDN computes.
 inline V256 AndNotL(V256 a, V256 b) {
@@ -39,14 +46,7 @@ inline V256 XorRc(V256 a, uint64_t rc) {
 }  // namespace
 
 void KeccakF4Avx2(uint64_t state[25][4]) {
-  V256 a[25];
-  for (int i = 0; i < 25; ++i) {
-    a[i].v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(state[i]));
-  }
-  KeccakPermute(a);
-  for (int i = 0; i < 25; ++i) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(state[i]), a[i].v);
-  }
+  KeccakPermute(reinterpret_cast<V256*>(state));
 }
 
 }  // namespace imageproof::crypto::internal

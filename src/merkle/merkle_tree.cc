@@ -154,52 +154,58 @@ std::vector<Digest> MerkleTree::ProveSubset(
   return out;
 }
 
-namespace {
+uint32_t SubsetRootBatch::AddNode(const Node& node, const Digest& digest) {
+  nodes_.push_back(node);
+  digests_.push_back(digest);
+  return static_cast<uint32_t>(nodes_.size() - 1);
+}
 
-// Mirrors ProveRange, consuming payloads/proof digests in the same order.
-Status VerifyRange(size_t begin, size_t end,
-                   const std::vector<uint32_t>& indices,
-                   const std::vector<Bytes>& payloads, size_t idx_begin,
-                   size_t idx_end, const std::vector<Digest>& proof,
-                   size_t* proof_pos, Digest* out) {
+Status SubsetRootBatch::Record(size_t begin, size_t end,
+                               const std::vector<uint32_t>& indices,
+                               const BytesView* payloads, size_t idx_begin,
+                               size_t idx_end, const std::vector<Digest>& proof,
+                               size_t* proof_pos, uint32_t* node_out) {
   if (idx_begin == idx_end) {
     if (*proof_pos >= proof.size()) {
       return Status::Error("merkle: proof too short");
     }
-    *out = proof[(*proof_pos)++];
+    *node_out = AddNode({}, proof[(*proof_pos)++]);
     return Status::Ok();
   }
   if (end - begin == 1) {
     if (indices[idx_begin] != begin || idx_end - idx_begin != 1) {
       return Status::Error("merkle: indices out of order or duplicated");
     }
-    *out = MerkleTree::HashLeaf(payloads[idx_begin]);
+    const BytesView& p = payloads[idx_begin];
+    leaf_bytes_.push_back(0x00);
+    leaf_bytes_.insert(leaf_bytes_.end(), p.data, p.data + p.size);
+    leaf_offsets_.push_back(leaf_bytes_.size());
+    *node_out = AddNode({}, Digest::Zero());
+    leaf_nodes_.push_back(*node_out);
     return Status::Ok();
   }
   size_t mid = begin + SplitPoint(end - begin);
   size_t idx_mid = idx_begin;
   while (idx_mid < idx_end && indices[idx_mid] < mid) ++idx_mid;
-  Digest left, right;
-  Status s = VerifyRange(begin, mid, indices, payloads, idx_begin, idx_mid,
-                         proof, proof_pos, &left);
+  Node node;
+  Status s = Record(begin, mid, indices, payloads, idx_begin, idx_mid, proof,
+                    proof_pos, &node.left);
   if (!s.ok()) return s;
-  s = VerifyRange(mid, end, indices, payloads, idx_mid, idx_end, proof,
-                  proof_pos, &right);
+  s = Record(mid, end, indices, payloads, idx_mid, idx_end, proof, proof_pos,
+             &node.right);
   if (!s.ok()) return s;
-  *out = HashNode(left, right);
+  node.height =
+      1 + std::max(nodes_[node.left].height, nodes_[node.right].height);
+  *node_out = AddNode(node, Digest::Zero());
+  if (by_height_.size() < node.height) by_height_.resize(node.height);
+  by_height_[node.height - 1].push_back(*node_out);
   return Status::Ok();
 }
 
-}  // namespace
-
-Status ReconstructSubsetRoot(size_t leaf_count,
-                             const std::vector<uint32_t>& indices,
-                             const std::vector<Bytes>& payloads,
-                             const std::vector<Digest>& proof,
-                             Digest* root_out) {
-  if (indices.size() != payloads.size()) {
-    return Status::Error("merkle: indices/payloads size mismatch");
-  }
+Status SubsetRootBatch::Add(size_t leaf_count,
+                            const std::vector<uint32_t>& indices,
+                            const BytesView* payloads,
+                            const std::vector<Digest>& proof) {
   for (size_t i = 0; i < indices.size(); ++i) {
     if (indices[i] >= leaf_count) return Status::Error("merkle: index out of range");
     if (i > 0 && indices[i] <= indices[i - 1]) {
@@ -210,14 +216,57 @@ Status ReconstructSubsetRoot(size_t leaf_count,
     if (!indices.empty() || !proof.empty()) {
       return Status::Error("merkle: nonempty proof for empty tree");
     }
-    *root_out = Digest::Zero();
+    roots_.push_back(AddNode({}, Digest::Zero()));
     return Status::Ok();
   }
   size_t proof_pos = 0;
-  Status s = VerifyRange(0, leaf_count, indices, payloads, 0, indices.size(),
-                         proof, &proof_pos, root_out);
+  uint32_t root = 0;
+  Status s = Record(0, leaf_count, indices, payloads, 0, indices.size(), proof,
+                    &proof_pos, &root);
   if (!s.ok()) return s;
   if (proof_pos != proof.size()) return Status::Error("merkle: proof too long");
+  roots_.push_back(root);
+  return Status::Ok();
+}
+
+void SubsetRootBatch::Finish(std::vector<Digest>* roots) {
+  std::vector<Digest> outs(leaf_nodes_.size());
+  crypto::HashBatch(leaf_bytes_, leaf_offsets_, outs.data());
+  for (size_t i = 0; i < leaf_nodes_.size(); ++i) {
+    digests_[leaf_nodes_[i]] = outs[i];
+  }
+  std::vector<Digest> lefts, rights;
+  for (const std::vector<uint32_t>& level : by_height_) {
+    lefts.clear();
+    rights.clear();
+    for (uint32_t n : level) {
+      lefts.push_back(digests_[nodes_[n].left]);
+      rights.push_back(digests_[nodes_[n].right]);
+    }
+    outs.resize(level.size());
+    crypto::HashPairBatch(0x01, lefts.data(), rights.data(), outs.data(),
+                          level.size());
+    for (size_t i = 0; i < level.size(); ++i) digests_[level[i]] = outs[i];
+  }
+  roots->clear();
+  for (uint32_t r : roots_) roots->push_back(digests_[r]);
+}
+
+Status ReconstructSubsetRoot(size_t leaf_count,
+                             const std::vector<uint32_t>& indices,
+                             const std::vector<Bytes>& payloads,
+                             const std::vector<Digest>& proof,
+                             Digest* root_out) {
+  if (indices.size() != payloads.size()) {
+    return Status::Error("merkle: indices/payloads size mismatch");
+  }
+  const std::vector<BytesView> views(payloads.begin(), payloads.end());
+  SubsetRootBatch batch;
+  Status s = batch.Add(leaf_count, indices, views.data(), proof);
+  if (!s.ok()) return s;
+  std::vector<Digest> roots;
+  batch.Finish(&roots);
+  *root_out = roots.front();
   return Status::Ok();
 }
 

@@ -89,9 +89,57 @@ class MerkleTree {
   Digest root_;
 };
 
+// Reconstructs the roots of many subset proofs together, in two passes, so
+// that their hashes share the Keccak lanes.
+//
+// Add is the first pass over one proof. It makes every structural check
+// (index out of range, indices not strictly increasing, proof too short or
+// too long, nonempty proof for an empty tree) and records the revealed
+// leaves' 0x00-prefixed preimages into one buffer and the internal nodes
+// with their heights. It hashes nothing.
+//
+// Finish is the second pass: one crypto::HashBatch over every recorded
+// leaf, then one 0x01-prefixed HashPairBatch per height (a node's children
+// are strictly lower). The digests, and how many there are, equal those of
+// reconstructing each proof on its own. A batch is scratch of one
+// verification: after a failed Add it must be discarded.
+class SubsetRootBatch {
+ public:
+  // First pass over one proof. `indices` must be sorted and unique;
+  // payloads[i] is the payload of leaf indices[i] and is copied.
+  Status Add(size_t leaf_count, const std::vector<uint32_t>& indices,
+             const BytesView* payloads, const std::vector<Digest>& proof);
+
+  // Second pass: (*roots)[i] is the root the i-th Add's proof implies
+  // (Digest::Zero() for an empty tree).
+  void Finish(std::vector<Digest>* roots);
+
+ private:
+  struct Node {
+    uint32_t height = 0;  // 0: a revealed leaf or a proof digest
+    uint32_t left = 0, right = 0;
+  };
+
+  // Mirrors MerkleTree::ProveRange, consuming payloads and proof digests
+  // in the same order; *node_out receives the subtree's node.
+  Status Record(size_t begin, size_t end, const std::vector<uint32_t>& indices,
+                const BytesView* payloads, size_t idx_begin, size_t idx_end,
+                const std::vector<Digest>& proof, size_t* proof_pos,
+                uint32_t* node_out);
+  uint32_t AddNode(const Node& node, const Digest& digest);
+
+  std::vector<Node> nodes_;
+  std::vector<Digest> digests_;  // per node; proof digests known at once
+  Bytes leaf_bytes_;             // leaf preimages, end to end
+  std::vector<size_t> leaf_offsets_{0};
+  std::vector<uint32_t> leaf_nodes_;                 // node of each leaf
+  std::vector<std::vector<uint32_t>> by_height_;     // internal nodes
+  std::vector<uint32_t> roots_;                      // root node per Add
+};
+
 // Recomputes the root implied by a subset proof without comparing it to a
 // known value (the caller embeds the result in a larger digest). Same input
-// contract as MerkleTree::VerifySubset.
+// contract as MerkleTree::VerifySubset: a SubsetRootBatch of one proof.
 Status ReconstructSubsetRoot(size_t leaf_count,
                              const std::vector<uint32_t>& indices,
                              const std::vector<Bytes>& payloads,

@@ -175,16 +175,24 @@ ClusterReveal BuildReveal(RevealMode mode, ClusterId id, const float* coords,
 
 namespace {
 
-// Checks one reveal and appends its commitment preimage to `w`: the
-// coordinates of a full reveal, the root a partial reveal's subset proof
-// reconstructs.
-Status PutRevealPreimage(RevealMode mode, size_t dims,
-                         const ClusterReveal& reveal, ByteWriter& w) {
+// First-pass scratch of one reveal section, reused across its partial
+// reveals so that no block allocates a payload of its own.
+struct BlockScratch {
+  std::vector<uint32_t> blocks;   // revealed block indices
+  Bytes payloads;                 // their leaf payloads, end to end
+  std::vector<size_t> ends;       // payload i ends at ends[i]
+  std::vector<BytesView> views;
+};
+
+// First pass over one reveal: every check of the reveal. A partial
+// reveal's subset proof joins `roots`, which reconstructs its root in the
+// second pass.
+Status CheckReveal(RevealMode mode, size_t dims, const ClusterReveal& reveal,
+                   merkle::SubsetRootBatch* roots, BlockScratch* scratch) {
   if (reveal.full) {
     if (reveal.coords.size() != dims) {
       return Status::Error("reveal: wrong coordinate count");
     }
-    PutCommitmentPreimage(w, mode, reveal.id, dims, reveal.coords.data());
     return Status::Ok();
   }
   if (mode != RevealMode::kDimMerkle) {
@@ -195,9 +203,10 @@ Status PutRevealPreimage(RevealMode mode, size_t dims,
     return Status::Error("reveal: malformed partial reveal");
   }
   // Revealed dimensions must form complete, strictly increasing blocks.
-  std::vector<uint32_t> block_indices;
-  std::vector<Bytes> payloads;
-  const size_t num_blocks = NumBlocks(dims);
+  scratch->blocks.clear();
+  scratch->payloads.clear();
+  scratch->ends.clear();
+  crypto::PreimageWriter w(&scratch->payloads);
   size_t i = 0;
   while (i < reveal.dim_indices.size()) {
     uint32_t d0 = reveal.dim_indices[i];
@@ -205,30 +214,60 @@ Status PutRevealPreimage(RevealMode mode, size_t dims,
       return Status::Error("reveal: partial reveal not block-aligned");
     }
     uint32_t blk = d0 / kDimBlock;
-    if (!block_indices.empty() && blk <= block_indices.back()) {
+    if (!scratch->blocks.empty() && blk <= scratch->blocks.back()) {
       return Status::Error("reveal: blocks out of order");
     }
     size_t block_len = std::min<size_t>(kDimBlock, dims - d0);
     if (i + block_len > reveal.dim_indices.size()) {
       return Status::Error("reveal: incomplete block");
     }
-    ByteWriter w;
     for (size_t j = 0; j < block_len; ++j) {
       if (reveal.dim_indices[i + j] != d0 + j) {
         return Status::Error("reveal: incomplete block");
       }
-      w.PutF32(reveal.dim_values[i + j]);
+      w.AddF32(reveal.dim_values[i + j]);
     }
-    block_indices.push_back(blk);
-    payloads.push_back(w.Take());
+    scratch->blocks.push_back(blk);
+    scratch->ends.push_back(scratch->payloads.size());
     i += block_len;
   }
+  scratch->views.clear();
+  size_t begin = 0;
+  for (size_t end : scratch->ends) {
+    scratch->views.emplace_back(scratch->payloads.data() + begin, end - begin);
+    begin = end;
+  }
+  return roots->Add(NumBlocks(dims), scratch->blocks, scratch->views.data(),
+                    reveal.proof);
+}
 
-  Digest root;
-  Status s = merkle::ReconstructSubsetRoot(num_blocks, block_indices, payloads,
-                                           reveal.proof, &root);
-  if (!s.ok()) return s;
-  PutCommitmentPreimage(w, mode, reveal.id, dims, nullptr, &root);
+// Both passes over reveals[0, n): checks every reveal in order (the first
+// failure is returned), reconstructs all partial reveals' block roots
+// together, then digests every commitment preimage in one batch.
+Status VerifyRevealSection(RevealMode mode, size_t dims,
+                           const ClusterReveal* reveals, size_t n,
+                           Digest* commitments) {
+  merkle::SubsetRootBatch batch;
+  BlockScratch scratch;
+  for (size_t i = 0; i < n; ++i) {
+    Status s = CheckReveal(mode, dims, reveals[i], &batch, &scratch);
+    if (!s.ok()) return s;
+  }
+  std::vector<Digest> roots;
+  batch.Finish(&roots);
+  ByteWriter w;
+  std::vector<size_t> offsets(n + 1, 0);
+  size_t next_root = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const ClusterReveal& r = reveals[i];
+    if (r.full) {
+      PutCommitmentPreimage(w, mode, r.id, dims, r.coords.data());
+    } else {
+      PutCommitmentPreimage(w, mode, r.id, dims, nullptr, &roots[next_root++]);
+    }
+    offsets[i + 1] = w.bytes().size();
+  }
+  crypto::HashBatch(w.bytes(), offsets, commitments);
   return Status::Ok();
 }
 
@@ -236,26 +275,15 @@ Status PutRevealPreimage(RevealMode mode, size_t dims,
 
 Status VerifyReveal(RevealMode mode, size_t dims, const ClusterReveal& reveal,
                     Digest* commitment_out) {
-  ByteWriter w;
-  Status s = PutRevealPreimage(mode, dims, reveal, w);
-  if (!s.ok()) return s;
-  *commitment_out = crypto::Sha3(w.bytes());
-  return Status::Ok();
+  return VerifyRevealSection(mode, dims, &reveal, 1, commitment_out);
 }
 
 Status VerifyReveals(RevealMode mode, size_t dims,
                      const std::vector<ClusterReveal>& reveals,
                      std::vector<Digest>* commitments) {
-  ByteWriter w;
-  std::vector<size_t> offsets(reveals.size() + 1, 0);
-  for (size_t i = 0; i < reveals.size(); ++i) {
-    Status s = PutRevealPreimage(mode, dims, reveals[i], w);
-    if (!s.ok()) return s;
-    offsets[i + 1] = w.bytes().size();
-  }
   commitments->resize(reveals.size());
-  crypto::HashBatch(w.bytes(), offsets, commitments->data());
-  return Status::Ok();
+  return VerifyRevealSection(mode, dims, reveals.data(), reveals.size(),
+                             commitments->data());
 }
 
 void SerializeReveals(const std::vector<ClusterReveal>& reveals, ByteWriter& w) {

@@ -109,9 +109,13 @@ ClusterReveal BuildReveal(RevealMode mode, ClusterId id, const float* coords,
 Status VerifyReveal(RevealMode mode, size_t dims, const ClusterReveal& reveal,
                     Digest* commitment_out);
 
-// The same for a whole reveal section: checks every reveal in order (the
-// first failure is returned), then digests all commitment preimages in one
-// batch on the Keccak lanes. (*commitments)[i] belongs to reveals[i].
+// The same for a whole reveal section, in two passes: first every check of
+// every reveal in order (the first failure is returned), recording the
+// partial reveals' subset proofs into one merkle::SubsetRootBatch; then
+// that batch reconstructs all their coordinate-block roots together and one
+// more batch digests every commitment preimage, all on the Keccak lanes.
+// (*commitments)[i] belongs to reveals[i]. VerifyReveal is this over a
+// section of one.
 Status VerifyReveals(RevealMode mode, size_t dims,
                      const std::vector<ClusterReveal>& reveals,
                      std::vector<Digest>* commitments);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "crypto/hasher.h"
 #include "crypto/sha3.h"
 #include "merkle/merkle_tree.h"
 
@@ -242,6 +243,201 @@ TEST(MerkleTreeTest, LeafNodeDomainSeparation) {
   fake_leaf.insert(fake_leaf.end(), l1.bytes.begin(), l1.bytes.end());
   MerkleTree fake({fake_leaf});
   EXPECT_NE(fake.root(), tree.root());
+}
+
+// ---------------------------------------------------------------------------
+// SubsetRootBatch: many proofs reconstructed together on the Keccak lanes.
+// ---------------------------------------------------------------------------
+
+// Textbook reference: the recursive largest-power-of-two-split
+// reconstruction, one serial hash per revealed leaf and internal node.
+struct TextbookReconstruct {
+  const std::vector<uint32_t>& indices;
+  const std::vector<Bytes>& payloads;
+  const std::vector<Digest>& proof;
+  size_t proof_pos = 0;
+  uint64_t hashes = 0;
+
+  Digest Range(size_t begin, size_t end, size_t idx_begin, size_t idx_end) {
+    if (idx_begin == idx_end) return proof.at(proof_pos++);
+    if (end - begin == 1) {
+      ++hashes;
+      return crypto::DigestBuilder()
+          .AddU8(0x00)
+          .AddBytes(payloads[idx_begin])
+          .Finalize();
+    }
+    size_t split = 1;
+    while (split * 2 < end - begin) split *= 2;
+    const size_t mid = begin + split;
+    size_t idx_mid = idx_begin;
+    while (idx_mid < idx_end && indices[idx_mid] < mid) ++idx_mid;
+    const Digest left = Range(begin, mid, idx_begin, idx_mid);
+    const Digest right = Range(mid, end, idx_mid, idx_end);
+    ++hashes;
+    return crypto::DigestBuilder()
+        .AddU8(0x01)
+        .AddDigest(left)
+        .AddDigest(right)
+        .Finalize();
+  }
+};
+
+struct SubsetJob {
+  size_t n = 0;
+  std::vector<uint32_t> indices;
+  std::vector<Bytes> payloads;
+  std::vector<Digest> proof;
+  Digest tree_root;
+};
+
+// A job over `n` leaves revealing an empty, single, full or random subset
+// (by `shape`), with an honest proof.
+SubsetJob MakeJob(size_t n, int shape, Rng& rng) {
+  SubsetJob job;
+  job.n = n;
+  auto leaves = MakeLeaves(n, rng.NextU64());
+  MerkleTree tree(leaves);
+  job.tree_root = tree.root();
+  const uint64_t single = rng.NextBounded(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    const bool take = shape == 1   ? i == single
+                      : shape == 2 ? true
+                      : shape == 3 ? rng.NextDouble() < 0.35
+                                   : false;
+    if (take) {
+      job.indices.push_back(i);
+      job.payloads.push_back(leaves[i]);
+    }
+  }
+  job.proof = tree.ProveSubset(job.indices);
+  return job;
+}
+
+std::vector<std::vector<BytesView>> AddJobs(const std::vector<SubsetJob>& jobs,
+                                            SubsetRootBatch* batch) {
+  std::vector<std::vector<BytesView>> views;
+  for (const SubsetJob& job : jobs) {
+    views.emplace_back(job.payloads.begin(), job.payloads.end());
+    EXPECT_TRUE(
+        batch->Add(job.n, job.indices, views.back().data(), job.proof).ok());
+  }
+  return views;
+}
+
+TEST(SubsetRootBatchTest, MixedBatchesMatchTextbookReference) {
+  Rng rng(7070);
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t jobs_in_batch = 1 + rng.NextBounded(12);
+    std::vector<SubsetJob> jobs;
+    for (size_t j = 0; j < jobs_in_batch; ++j) {
+      jobs.push_back(MakeJob(1 + rng.NextBounded(70),
+                             static_cast<int>(rng.NextBounded(4)), rng));
+    }
+    std::vector<Digest> want;
+    uint64_t want_hashes = 0;
+    for (const SubsetJob& job : jobs) {
+      TextbookReconstruct ref{job.indices, job.payloads, job.proof};
+      want.push_back(ref.Range(0, job.n, 0, job.indices.size()));
+      ASSERT_EQ(ref.proof_pos, job.proof.size());
+      ASSERT_EQ(want.back(), job.tree_root) << "reference is honest";
+      want_hashes += ref.hashes;
+    }
+    SubsetRootBatch batch;
+    auto views = AddJobs(jobs, &batch);
+    std::vector<Digest> got;
+    const uint64_t before = crypto::HashInvocations();
+    batch.Finish(&got);
+    EXPECT_EQ(crypto::HashInvocations() - before, want_hashes)
+        << "trial " << trial;
+    EXPECT_EQ(got, want) << "trial " << trial;
+  }
+}
+
+TEST(SubsetRootBatchTest, TamperedJobInTheMiddleChangesOnlyItsRoot) {
+  Rng rng(99);
+  std::vector<SubsetJob> jobs;
+  for (size_t n : {9u, 33u, 64u, 5u, 70u}) jobs.push_back(MakeJob(n, 3, rng));
+  jobs[2] = MakeJob(64, 1, rng);  // one revealed leaf, guaranteed
+  jobs[2].payloads[0][0] ^= 0x10;
+  SubsetRootBatch batch;
+  auto views = AddJobs(jobs, &batch);
+  std::vector<Digest> roots;
+  batch.Finish(&roots);
+  ASSERT_EQ(roots.size(), jobs.size());
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    if (j == 2) {
+      EXPECT_NE(roots[j], jobs[j].tree_root);
+    } else {
+      EXPECT_EQ(roots[j], jobs[j].tree_root) << j;
+    }
+  }
+}
+
+TEST(SubsetRootBatchTest, EmptyTreeAndEmptyBatch) {
+  SubsetRootBatch batch;
+  ASSERT_TRUE(batch.Add(0, {}, nullptr, {}).ok());
+  std::vector<Digest> roots;
+  batch.Finish(&roots);
+  EXPECT_EQ(roots, std::vector<Digest>{Digest::Zero()});
+  SubsetRootBatch none;
+  none.Finish(&roots);
+  EXPECT_TRUE(roots.empty());
+}
+
+// Every malformed proof fails with the message the one-proof-at-a-time
+// recursion gave, through ReconstructSubsetRoot and through a batch that
+// already holds a good proof.
+TEST(SubsetRootBatchTest, MalformedProofErrorsUnchanged) {
+  auto leaves = MakeLeaves(10);
+  MerkleTree tree(leaves);
+  const std::vector<uint32_t> one = {1};
+  const std::vector<Bytes> one_payload = {leaves[1]};
+  const auto proof = tree.ProveSubset(one);
+  auto too_short = proof;
+  too_short.pop_back();
+  auto too_long = proof;
+  too_long.push_back(Digest::Zero());
+
+  struct Case {
+    const char* what;
+    size_t n;
+    std::vector<uint32_t> indices;
+    std::vector<Bytes> payloads;
+    std::vector<Digest> proof;
+    const char* error;
+  };
+  const std::vector<Case> cases = {
+      {"too short", 10, one, one_payload, too_short, "merkle: proof too short"},
+      {"too long", 10, one, one_payload, too_long, "merkle: proof too long"},
+      {"duplicate", 10, {5, 5}, {leaves[5], leaves[5]}, proof,
+       "merkle: indices not strictly increasing"},
+      {"unsorted", 10, {5, 2}, {leaves[5], leaves[2]}, proof,
+       "merkle: indices not strictly increasing"},
+      {"out of range", 10, {99}, {leaves[1]}, proof,
+       "merkle: index out of range"},
+      {"empty tree", 0, {}, {}, proof,
+       "merkle: nonempty proof for empty tree"},
+      {"empty proof", 10, {}, {}, {}, "merkle: proof too short"},
+  };
+  for (const Case& c : cases) {
+    Digest root;
+    Status s =
+        ReconstructSubsetRoot(c.n, c.indices, c.payloads, c.proof, &root);
+    ASSERT_FALSE(s.ok()) << c.what;
+    EXPECT_EQ(s.message(), c.error) << c.what;
+
+    SubsetRootBatch batch;
+    const std::vector<BytesView> good(one_payload.begin(), one_payload.end());
+    ASSERT_TRUE(batch.Add(10, one, good.data(), proof).ok());
+    const std::vector<BytesView> views(c.payloads.begin(), c.payloads.end());
+    s = batch.Add(c.n, c.indices, views.data(), c.proof);
+    ASSERT_FALSE(s.ok()) << c.what;
+    EXPECT_EQ(s.message(), c.error) << c.what;
+  }
+  Digest root;
+  Status s = ReconstructSubsetRoot(10, {1, 2}, {leaves[1]}, proof, &root);
+  EXPECT_EQ(s.message(), "merkle: indices/payloads size mismatch");
 }
 
 }  // namespace

@@ -453,6 +453,96 @@ TEST(RevealTest, TamperedPartialValueRejected) {
   EXPECT_TRUE(!s.ok() || commitment != original);
 }
 
+// A Dim-Merkle reveal section mixing full and partial reveals of clusters
+// with 64 dims (8 coordinate blocks); (*coords)[i] backs reveals[i].
+std::vector<ClusterReveal> MixedSection(
+    size_t count, uint64_t seed, std::vector<std::vector<float>>* coords) {
+  const size_t dims = 64;
+  Rng rng(seed);
+  std::vector<ClusterReveal> reveals;
+  coords->assign(count, std::vector<float>(dims));
+  for (size_t i = 0; i < count; ++i) {
+    for (auto& v : (*coords)[i]) v = static_cast<float>(rng.NextGaussian());
+    // Queries farther off need fewer blocks to exclude the cluster.
+    std::vector<float> q(dims, static_cast<float>(1 + rng.NextBounded(6)));
+    const bool full = i % 3 == 0;
+    reveals.push_back(BuildReveal(RevealMode::kDimMerkle,
+                                  static_cast<ClusterId>(i),
+                                  (*coords)[i].data(), dims, full, {q.data()},
+                                  {0.5 + 40.0 * rng.NextDouble()}));
+  }
+  return reveals;
+}
+
+TEST(RevealTest, SectionMatchesPerRevealVerification) {
+  const size_t dims = 64;
+  std::vector<std::vector<float>> coords;
+  auto reveals = MixedSection(24, 83, &coords);
+  size_t partial = 0;
+  for (const ClusterReveal& r : reveals) partial += r.full ? 0 : 1;
+  ASSERT_GE(partial, 8u) << "the section must mix in partial reveals";
+  ASSERT_LT(partial, reveals.size());
+
+  uint64_t before = crypto::HashInvocations();
+  std::vector<Digest> section;
+  ASSERT_TRUE(
+      VerifyReveals(RevealMode::kDimMerkle, dims, reveals, &section).ok());
+  const uint64_t section_hashes = crypto::HashInvocations() - before;
+
+  std::vector<Digest> singles(reveals.size());
+  before = crypto::HashInvocations();
+  for (size_t i = 0; i < reveals.size(); ++i) {
+    ASSERT_TRUE(VerifyReveal(RevealMode::kDimMerkle, dims, reveals[i],
+                             &singles[i])
+                    .ok());
+  }
+  EXPECT_EQ(crypto::HashInvocations() - before, section_hashes);
+  for (size_t i = 0; i < reveals.size(); ++i) {
+    EXPECT_EQ(section[i], singles[i]) << i;
+    EXPECT_EQ(section[i], ClusterCommitment(RevealMode::kDimMerkle,
+                                            reveals[i].id, coords[i].data(),
+                                            dims))
+        << i;
+  }
+}
+
+TEST(RevealTest, TamperedPartialRevealMidSectionRejected) {
+  const size_t dims = 64;
+  std::vector<std::vector<float>> coords;
+  auto reveals = MixedSection(24, 89, &coords);
+  size_t mid = reveals.size() / 2;
+  while (reveals[mid].full) ++mid;
+  ASSERT_LT(mid, reveals.size());
+
+  // A changed coordinate changes that reveal's commitment and no other.
+  auto tampered = reveals;
+  tampered[mid].dim_values.back() += 0.25f;
+  std::vector<Digest> section;
+  ASSERT_TRUE(
+      VerifyReveals(RevealMode::kDimMerkle, dims, tampered, &section).ok());
+  for (size_t i = 0; i < reveals.size(); ++i) {
+    const Digest honest = ClusterCommitment(
+        RevealMode::kDimMerkle, reveals[i].id, coords[i].data(), dims);
+    if (i == mid) {
+      EXPECT_NE(section[i], honest);
+    } else {
+      EXPECT_EQ(section[i], honest) << i;
+    }
+  }
+
+  // A truncated proof fails the section with that reveal's own error.
+  tampered = reveals;
+  ASSERT_FALSE(tampered[mid].proof.empty());
+  tampered[mid].proof.pop_back();
+  Digest one;
+  Status alone =
+      VerifyReveal(RevealMode::kDimMerkle, dims, tampered[mid], &one);
+  ASSERT_FALSE(alone.ok());
+  Status s = VerifyReveals(RevealMode::kDimMerkle, dims, tampered, &section);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.message(), alone.message());
+}
+
 TEST(RevealTest, SerializationRoundTrip) {
   const size_t dims = 64;
   Rng rng(61);

@@ -10,6 +10,12 @@
 // The batch API (crypto/hasher.h HashBatch/HashPairBatch) is exercised here
 // too: whatever lane-interleaved path serves a given batch size must produce
 // exactly the serial digests.
+//
+// Below the sponge, Keccak-f[1600] itself is pinned to the published
+// all-zero-state output on every path the library can take: the scalar and
+// 2-way instantiations of the shared round body, and the 4-lane dispatch at
+// every busy-lane mask (AVX2 where the CPU has it, the portable pairs in an
+// IMAGEPROOF_NO_AVX2 build or run).
 
 #include <gtest/gtest.h>
 
@@ -19,6 +25,7 @@
 
 #include "common/random.h"
 #include "crypto/hasher.h"
+#include "crypto/keccak_impl.h"
 #include "crypto/sha3.h"
 
 namespace imageproof::crypto {
@@ -178,6 +185,116 @@ TEST(Sha3BatchTest, HashInvocationCounterAdvances) {
   std::vector<Digest> out(3);
   HashBatch(views.data(), out.data(), views.size());
   EXPECT_EQ(HashInvocations() - before, 5u);
+}
+
+// ---------------------------------------------------------------------------
+// Keccak-f[1600] on every path.
+// ---------------------------------------------------------------------------
+
+// Keccak-f[1600] applied to the all-zero state: the published output lanes
+// (Keccak team, KeccakF-1600 intermediate values), lane x + 5y at [x + 5y].
+constexpr uint64_t kZeroStatePermuted[25] = {
+    0xF1258F7940E1DDE7ULL, 0x84D5CCF933C0478AULL, 0xD598261EA65AA9EEULL,
+    0xBD1547306F80494DULL, 0x8B284E056253D057ULL, 0xFF97A42D7F8E6FD4ULL,
+    0x90FEE5A0A44647C4ULL, 0x8C5BDA0CD6192E76ULL, 0xAD30A6F71B19059CULL,
+    0x30935AB7D08FFC64ULL, 0xEB5AA93F2317D635ULL, 0xA9A6E6260D712103ULL,
+    0x81A57C16DBCF555FULL, 0x43B831CD0347C826ULL, 0x01F22F1A11A5569FULL,
+    0x05E5635A21D9AE61ULL, 0x64BEFEF28CC970F2ULL, 0x613670957BC46611ULL,
+    0xB87C5A554FD00ECBULL, 0x8C3EE88A1CCF32C8ULL, 0x940C7922AE3A2614ULL,
+    0x1841F924A2C509E4ULL, 0x16F53526E70465C2ULL, 0x75F644E97F30A13BULL,
+    0xEAF1FF7B5CECA249ULL,
+};
+
+TEST(KeccakPermutationTest, ZeroStateScalar) {
+  uint64_t a[25] = {};
+  internal::KeccakPermute(a);
+  for (int i = 0; i < 25; ++i) EXPECT_EQ(a[i], kZeroStatePermuted[i]) << i;
+}
+
+TEST(KeccakPermutationTest, ZeroStatePair) {
+  internal::U64x2 a[25] = {};
+  internal::KeccakPermute(a);
+  for (int i = 0; i < 25; ++i) {
+    EXPECT_EQ(a[i].v0, kZeroStatePermuted[i]) << i;
+    EXPECT_EQ(a[i].v1, kZeroStatePermuted[i]) << i;
+  }
+}
+
+// Every busy mask of the 4-lane dispatch: each busy sponge gets the
+// published output. (An idle sponge's state is unspecified afterwards: the
+// AVX2 kernel permutes all four, and Sha3x4::Start resets a lane anyway.)
+TEST(KeccakPermutationTest, ZeroStateEveryLaneMask) {
+  for (unsigned busy = 1; busy < 16; ++busy) {
+    alignas(32) uint64_t state[25][4] = {};
+    internal::KeccakF4(state, busy);
+    for (int j = 0; j < 4; ++j) {
+      if (((busy >> j) & 1u) == 0) continue;
+      for (int i = 0; i < 25; ++i) {
+        EXPECT_EQ(state[i][j], kZeroStatePermuted[i])
+            << "busy=" << busy << " lane " << i << " sponge " << j
+            << (internal::KeccakF4UsesAvx2() ? " (avx2)" : " (portable)");
+      }
+    }
+  }
+}
+
+TEST(KeccakPermutationTest, RandomStatesAgreeOnEveryPath) {
+  Rng rng(1600);
+  for (int trial = 0; trial < 64; ++trial) {
+    alignas(32) uint64_t state[25][4];
+    for (auto& lane : state) {
+      for (uint64_t& v : lane) v = rng.NextU64();
+    }
+    // The scalar permutation of each sponge is the reference.
+    uint64_t want[4][25];
+    for (int j = 0; j < 4; ++j) {
+      for (int i = 0; i < 25; ++i) want[j][i] = state[i][j];
+      internal::KeccakPermute(want[j]);
+    }
+    internal::U64x2 pair[25];
+    for (int i = 0; i < 25; ++i) pair[i] = {state[i][1], state[i][2]};
+    internal::KeccakPermute(pair);
+    for (int i = 0; i < 25; ++i) {
+      ASSERT_EQ(pair[i].v0, want[1][i]) << "trial " << trial << " lane " << i;
+      ASSERT_EQ(pair[i].v1, want[2][i]) << "trial " << trial << " lane " << i;
+    }
+    const unsigned busy = 1 + static_cast<unsigned>(trial % 15);
+    alignas(32) uint64_t x4[25][4];
+    std::memcpy(x4, state, sizeof(x4));
+    internal::KeccakF4(x4, busy);
+    for (int j = 0; j < 4; ++j) {
+      if (((busy >> j) & 1u) == 0) continue;
+      for (int i = 0; i < 25; ++i) {
+        ASSERT_EQ(x4[i][j], want[j][i])
+            << "trial " << trial << " busy=" << busy << " lane " << i;
+      }
+    }
+  }
+}
+
+// Sha3x4 driven by hand with 4, then 2, then 3 busy lanes per Step:
+// multi-block messages keep the chosen lanes busy together for several
+// permutations, and every digest must equal the serial Sha3.
+TEST(KeccakPermutationTest, Sha3x4BusyLaneCountsMatchSerial) {
+  Rng rng(41);
+  for (int busy_lanes : {4, 2, 3}) {
+    std::vector<Bytes> msgs(busy_lanes);
+    for (size_t m = 0; m < msgs.size(); ++m) {
+      msgs[m].resize(3 * Sha3x4::kRate + 17 * m);
+      for (auto& b : msgs[m]) b = static_cast<uint8_t>(rng.NextU64());
+    }
+    Sha3x4 eng;
+    // Leave lane 0 idle when fewer than four lanes are busy, so the busy
+    // lanes are not always the low ones.
+    const int first = busy_lanes == 4 ? 0 : 1;
+    for (int m = 0; m < busy_lanes; ++m) eng.Start(first + m, msgs[m]);
+    while (eng.AnyAbsorbing()) eng.Step();
+    for (int m = 0; m < busy_lanes; ++m) {
+      ASSERT_TRUE(eng.done(first + m));
+      EXPECT_EQ(eng.Take(first + m), Sha3(msgs[m]))
+          << busy_lanes << " busy lanes, message " << m;
+    }
+  }
 }
 
 }  // namespace
