@@ -1,6 +1,8 @@
 // Micro-benchmarks for the cuckoo filter: insert/lookup/delete throughput,
 // the MaxCount (Algorithm 2) scan vs. the incremental tracker, and the
-// bounds engine those feed (pop replay and the condition-2 sweep).
+// bounds engines those feed: the SP's incremental engine (pop replay and
+// the condition-2 sweep) and the final-state engine the client verifies
+// with (pop replay and its one check).
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +13,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -149,10 +152,26 @@ struct PopStream {
     }
   }
 
-  invindex::BoundsEngine Replay() const {
+  size_t Pops() const {
+    size_t pops = 0;
+    for (const List& l : lists) pops += l.popped;
+    return pops;
+  }
+
+  // Feeds every pop to a fresh engine in canonical order.
+  template <class Engine>
+  Engine Replay() const {
     std::vector<invindex::BoundsList> bl;
     for (const List& l : lists) bl.push_back({0, l.q_impact, l.filter});
-    invindex::BoundsEngine engine(std::move(bl), /*use_filters=*/true);
+    auto make = [&] {
+      if constexpr (std::is_same_v<Engine, invindex::FinalBounds>) {
+        return invindex::FinalBounds(std::move(bl), /*use_filters=*/true,
+                                     Pops());
+      } else {
+        return invindex::BoundsEngine(std::move(bl), /*use_filters=*/true);
+      }
+    };
+    Engine engine = make();
     for (size_t li = 0; li < lists.size(); ++li) {
       const List& l = lists[li];
       for (size_t j = 0; j < l.popped; ++j) {
@@ -167,8 +186,9 @@ struct PopStream {
 
   // S^L and S^U of every popped image by the textbook evaluation of
   // Eqs. (9) and (11): per-list popped sets, filters queried by id, terms
-  // summed in list order.
-  bool MatchesReference(const invindex::BoundsEngine& engine) const {
+  // summed in list order. `scored` is the engine's popped-image count.
+  template <class Engine>
+  bool MatchesReference(const Engine& engine, size_t scored) const {
     std::vector<std::set<invindex::ImageId>> popped(lists.size());
     std::vector<std::optional<CuckooFilter>> filters;
     std::map<invindex::ImageId, double> scores;
@@ -181,7 +201,7 @@ struct PopStream {
         if (filters[li]) filters[li]->Delete(id);
       }
     }
-    if (scores.size() != engine.Scores().size()) return false;
+    if (scores.size() != scored) return false;
     for (const auto& [id, score] : scores) {
       double bound = score;
       if (engine.ScoreOf(id) != score) return false;
@@ -195,23 +215,30 @@ struct PopStream {
     }
     return true;
   }
+
+  bool IncrementalMatches() const {
+    const auto engine = Replay<invindex::BoundsEngine>();
+    return MatchesReference(engine, engine.Scores().size());
+  }
+  bool FinalMatches() const {
+    const auto engine = Replay<invindex::FinalBounds>();
+    return MatchesReference(engine, engine.NumImages());
+  }
 };
 
 // Engine construction (filter copies, MaxCount tracker) plus the replay of
-// every pop in canonical order: what each verifier run pays up front.
+// every pop in canonical order: what the SP's incremental engine pays.
 void BM_BoundsReplay(benchmark::State& state) {
   const PopStream stream(static_cast<size_t>(state.range(0)));
-  if (!stream.MatchesReference(stream.Replay())) {
+  if (!stream.IncrementalMatches()) {
     state.SkipWithError("bounds engine disagrees with the reference");
     return;
   }
-  size_t pops = 0;
-  for (const auto& l : stream.lists) pops += l.popped;
   for (auto _ : state) {
-    invindex::BoundsEngine engine = stream.Replay();
+    auto engine = stream.Replay<invindex::BoundsEngine>();
     benchmark::DoNotOptimize(engine.Gamma());
   }
-  state.SetItemsProcessed(state.iterations() * pops);
+  state.SetItemsProcessed(state.iterations() * stream.Pops());
 }
 BENCHMARK(BM_BoundsReplay)->Arg(10)->Arg(80);
 
@@ -219,11 +246,11 @@ BENCHMARK(BM_BoundsReplay)->Arg(10)->Arg(80);
 // above every bound so the sweep never stops early.
 void BM_BoundsCondition2Sweep(benchmark::State& state) {
   const PopStream stream(static_cast<size_t>(state.range(0)));
-  const invindex::BoundsEngine engine = stream.Replay();
-  if (!stream.MatchesReference(engine)) {
+  if (!stream.IncrementalMatches()) {
     state.SkipWithError("bounds engine disagrees with the reference");
     return;
   }
+  const auto engine = stream.Replay<invindex::BoundsEngine>();
   const double sk_lower = std::numeric_limits<double>::infinity();
   for (auto _ : state) {
     size_t violators = 0;
@@ -235,6 +262,55 @@ void BM_BoundsCondition2Sweep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * engine.Scores().size());
 }
 BENCHMARK(BM_BoundsCondition2Sweep)->Arg(10)->Arg(80);
+
+// The final-state engine's construction and canonical replay plus its one
+// MaxCount scan: what each verifier run pays up front.
+void BM_FinalBoundsReplay(benchmark::State& state) {
+  const PopStream stream(static_cast<size_t>(state.range(0)));
+  if (!stream.FinalMatches()) {
+    state.SkipWithError("final-state engine disagrees with the reference");
+    return;
+  }
+  for (auto _ : state) {
+    auto engine = stream.Replay<invindex::FinalBounds>();
+    benchmark::DoNotOptimize(engine.Gamma());
+  }
+  state.SetItemsProcessed(state.iterations() * stream.Pops());
+}
+BENCHMARK(BM_FinalBoundsReplay)->Arg(10)->Arg(80);
+
+// The final-state engine's one check for the best ten images: the top-k
+// selection, then pi^U with its MaxCount scan, then (if condition 1 holds)
+// the condition-2 sweep. The label names the check that decided.
+void BM_FinalBoundsCheck(benchmark::State& state) {
+  const PopStream stream(static_cast<size_t>(state.range(0)));
+  if (!stream.FinalMatches()) {
+    state.SkipWithError("final-state engine disagrees with the reference");
+    return;
+  }
+  const auto engine = stream.Replay<invindex::FinalBounds>();
+  std::vector<std::pair<double, invindex::ImageId>> ranked;
+  for (const PopStream::List& l : stream.lists) {
+    for (size_t j = 0; j < l.popped; ++j) {
+      const invindex::ImageId id = l.postings[j].first;
+      ranked.emplace_back(-engine.ScoreOf(id), id);
+    }
+  }
+  std::sort(ranked.begin(), ranked.end());
+  ranked.erase(std::unique(ranked.begin(), ranked.end()), ranked.end());
+  std::vector<invindex::ImageId> claimed;
+  for (size_t i = 0; i < 10 && i < ranked.size(); ++i) {
+    claimed.push_back(ranked[i].second);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.Check(claimed));
+  }
+  static const char* const kVerdicts[] = {"holds", "not top-k", "condition 1",
+                                          "condition 2"};
+  state.SetLabel(kVerdicts[static_cast<int>(engine.Check(claimed))]);
+  state.SetItemsProcessed(state.iterations() * engine.NumImages());
+}
+BENCHMARK(BM_FinalBoundsCheck)->Arg(10)->Arg(80);
 
 }  // namespace
 

@@ -76,6 +76,18 @@ class ByteWriter {
     PutU32(bits);
   }
 
+  // `n` floats, each as PutF32 writes it.
+  void PutF32s(const float* v, size_t n) {
+#if defined(__BYTE_ORDER__) && (__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__)
+    // Little-endian IEEE-754 is the in-memory representation: one copy.
+    const size_t at = buf_.size();
+    buf_.resize(at + 4 * n);
+    if (n > 0) std::memcpy(buf_.data() + at, v, 4 * n);
+#else
+    for (size_t i = 0; i < n; ++i) PutF32(v[i]);
+#endif
+  }
+
   void PutBytes(const uint8_t* data, size_t n) {
     buf_.insert(buf_.end(), data, data + n);
   }
@@ -175,6 +187,23 @@ class ByteReader {
     if (!s.ok()) return s;
     std::memcpy(out, &bits, sizeof(bits));
     return Status::Ok();
+  }
+
+  // `n` floats, each as GetF32 reads it; fails as GetF32 would when fewer
+  // than 4n bytes remain.
+  Status GetF32s(float* out, size_t n) {
+#if defined(__BYTE_ORDER__) && (__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__)
+    if (remaining() / 4 < n) return Truncated("u32");
+    if (n > 0) std::memcpy(out, data_, 4 * n);
+    data_ += 4 * n;
+    return Status::Ok();
+#else
+    for (size_t i = 0; i < n; ++i) {
+      Status s = GetF32(&out[i]);
+      if (!s.ok()) return s;
+    }
+    return Status::Ok();
+#endif
   }
 
   Status GetBytes(size_t n, Bytes* out) {

@@ -101,7 +101,9 @@ class CuckooFilter {
   crypto::Digest StateDigest() const;
 
  private:
-  friend class MaxCountTracker;  // scans table_ directly
+  // MaxCount scans table_ directly.
+  friend class MaxCountTracker;
+  friend uint32_t MaxCountGamma(const std::vector<const CuckooFilter*>&);
 
   bool InsertFingerprint(uint16_t fp, uint32_t bucket);
   // Table position of `fp` in bucket b1, else in b2 (slot order), or
@@ -138,7 +140,9 @@ class CuckooFilter {
 // still contain any single image, given the filters of the lists with
 // unrevealed postings. Returns gamma = 2 * max over bucket index i of the
 // highest multiplicity of one fingerprint in bucket i across all filters
-// (no bound, the uint32_t maximum, for filters of differing geometry).
+// (no bound, the uint32_t maximum, for filters of differing geometry). One
+// scan of the filters' current contents; the final-state bounds engine
+// (invindex/bounds.h) calls it once on the post-deletion filters.
 uint32_t MaxCountGamma(const std::vector<const CuckooFilter*>& filters);
 
 // Incremental version: tracks (bucket, fingerprint) multiplicities across a

@@ -370,6 +370,7 @@ Status Group::GetVo(ByteReader& r, uint64_t n, bool compressed,
       }
     }
     ImageId prev = 0;
+    bool ascending = true;  // false only if an id sum wrapped around
     for (uint64_t m = 0; m < num_members; ++m) {
       uint64_t gap;
       if (gflags & kGvIds) {
@@ -380,6 +381,7 @@ Status Group::GetVo(ByteReader& r, uint64_t n, bool compressed,
       if (m > 0 && gap == 0) {
         return Status::Error("inv: duplicate member id in group");
       }
+      if (m > 0 && prev + gap < prev) ascending = false;
       prev = (m == 0) ? gap : prev + gap;
       g.members[m].id = prev;
       // Raw members interleave (gap, norm); compressed ones split streams.
@@ -390,9 +392,10 @@ Status Group::GetVo(ByteReader& r, uint64_t n, bool compressed,
         }
       }
     }
+    const bool squared = gflags & kGvNormsSq;
+    std::vector<uint32_t>& norms = scratch->norms;
     if (compressed) {
-      std::vector<uint32_t>& norms = scratch->norms;
-      if (gflags & kGvNormsSq) {
+      if (squared) {
         norms.resize(num_members);
         if (!(s = kern::GroupVarintDecode(r, num_members, norms.data()))
                  .ok()) {
@@ -401,7 +404,7 @@ Status Group::GetVo(ByteReader& r, uint64_t n, bool compressed,
       }
       for (uint64_t m = 0; m < num_members; ++m) {
         double& norm = g.members[m].norm;
-        if (gflags & kGvNormsSq) {
+        if (squared) {
           if (norms[m] == 0) return Status::Error("inv: non-positive norm");
           norm = std::sqrt(static_cast<double>(norms[m]));
         } else {
@@ -410,8 +413,32 @@ Status Group::GetVo(ByteReader& r, uint64_t n, bool compressed,
         }
       }
     }
-    // Restore the canonical digest order.
-    std::sort(g.members.begin(), g.members.end(), MemberBefore);
+    // Restore the canonical digest order (norm asc, id asc). The members
+    // arrived id-ascending, so sorting on (integer norm key, arrival index)
+    // gives exactly that order, ties included. The key is the u32 squared
+    // norm when the norms rode as such (sqrt is strictly increasing on
+    // them), else the IEEE-754 bits of the positive norm, which order as
+    // the norms do.
+    if (!ascending) {
+      std::sort(g.members.begin(), g.members.end(), MemberBefore);
+      continue;
+    }
+    std::vector<VoScratch::Key>& keys = scratch->keys;
+    keys.resize(num_members);
+    for (uint64_t m = 0; m < num_members; ++m) {
+      const uint64_t key =
+          squared ? norms[m] : std::bit_cast<uint64_t>(g.members[m].norm);
+      keys[m] = {key, static_cast<uint32_t>(m)};
+    }
+    std::sort(keys.begin(), keys.end(),
+              [](const VoScratch::Key& a, const VoScratch::Key& b) {
+                return a.norm != b.norm ? a.norm < b.norm : a.index < b.index;
+              });
+    std::vector<Member>& arrived = scratch->by_id;
+    arrived.assign(g.members.begin(), g.members.end());
+    for (uint64_t m = 0; m < num_members; ++m) {
+      g.members[m] = arrived[keys[m].index];
+    }
   }
   return Status::Ok();
 }

@@ -165,8 +165,14 @@ struct Group {
                                       double weight);
 
   struct VoScratch {
+    // A decoded member's integer norm key and its arrival index.
+    struct Key {
+      uint64_t norm;
+      uint32_t index;
+    };
     std::vector<Member> by_id;
     std::vector<uint32_t> gaps, norms;
+    std::vector<Key> keys;
   };
   static void PutVo(ByteWriter& w, std::span<const Group> popped,
                     bool compressed, VoScratch* scratch);

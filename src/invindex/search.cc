@@ -19,9 +19,9 @@ struct SearchList {
   size_t next_pop = 0;  // entries [0, next_pop) have been popped
 };
 
-// Feeds entry e of list li to the engine: each member with the entry's cap.
-template <class E>
-void AddPopped(BoundsEngine& engine, size_t li, const E& e, double weight) {
+// Feeds entry e of list li to an engine: each member with the entry's cap.
+template <class Engine, class E>
+void AddPopped(Engine& engine, size_t li, const E& e, double weight) {
   const double cap = e.Cap(weight);
   e.ForEachMember(weight, [&](ImageId id, double impact) {
     Status s = engine.AddPopped(li, id, impact, cap);
@@ -29,11 +29,12 @@ void AddPopped(BoundsEngine& engine, size_t li, const E& e, double weight) {
   });
 }
 
-// Rebuilds a bounds engine exactly as the client will: lists in cluster
-// order, pops in prefix order.
-template <class E>
-BoundsEngine CanonicalEngine(const std::vector<SearchList<E>>& lists,
-                             bool use_filters) {
+// Builds an engine exactly as the client will: lists in cluster order,
+// pops in prefix order. `args` follow the lists and filter mode in the
+// engine's constructor.
+template <class Engine, class E, class... Args>
+Engine CanonicalEngine(const std::vector<SearchList<E>>& lists,
+                       bool use_filters, Args... args) {
   std::vector<BoundsList> bl;
   bl.reserve(lists.size());
   for (const SearchList<E>& sl : lists) {
@@ -44,7 +45,7 @@ BoundsEngine CanonicalEngine(const std::vector<SearchList<E>>& lists,
     if (use_filters && !exhausted) b.filter = sl.list->filter;
     bl.push_back(std::move(b));
   }
-  BoundsEngine engine(std::move(bl), use_filters);
+  Engine engine(std::move(bl), use_filters, args...);
   for (size_t li = 0; li < lists.size(); ++li) {
     const SearchList<E>& sl = lists[li];
     for (size_t i = 0; i < sl.next_pop; ++i) {
@@ -53,15 +54,6 @@ BoundsEngine CanonicalEngine(const std::vector<SearchList<E>>& lists,
     if (sl.next_pop >= sl.list->postings.size()) engine.MarkExhausted(li);
   }
   return engine;
-}
-
-bool ConditionsHold(const BoundsEngine& engine,
-                    const std::vector<ImageId>& topk_ids,
-                    const IdSet& topk_set) {
-  double skl = 0;
-  if (!VerifyClaimedTopK(engine, topk_ids, &skl)) return false;
-  if (skl < engine.PiUpper()) return false;  // Condition 1
-  return !engine.FirstViolator(topk_set, skl).has_value();  // Condition 2
 }
 
 }  // namespace
@@ -152,7 +144,7 @@ InvSearchResult InvSearch(const MerkleInvertedIndex<E>& index,
     }
   }
   result.stats.popped_postings = result.stats.popped_initial;
-  BoundsEngine engine = CanonicalEngine(relevant, use_filters);
+  BoundsEngine engine = CanonicalEngine<BoundsEngine>(relevant, use_filters);
 
   // Lazy mode: the schedule of unrevealed top-k occurrences, highest impact
   // first (each reveal pops the containing list down to the occurrence).
@@ -328,13 +320,14 @@ InvSearchResult InvSearch(const MerkleInvertedIndex<E>& index,
 
   run_settle();
 
-  // Final canonical re-check: evaluate the conditions exactly as the client
-  // will (same summation order). On the rare float-ordering miss, keep
-  // popping the largest remaining contribution and re-check.
+  // Final check: the client's own check on the final state the VO will
+  // reveal (same engine, same summation order). On the rare float-ordering
+  // miss, keep popping the largest remaining contribution and re-check.
   while (!trivial) {
-    BoundsEngine canonical = CanonicalEngine(relevant, use_filters);
     ++result.stats.condition_checks;
-    if (ConditionsHold(canonical, topk_ids, topk_set)) break;
+    const FinalBounds final_state = CanonicalEngine<FinalBounds>(
+        relevant, use_filters, result.stats.popped_postings);
+    if (final_state.Check(topk_ids) == FinalBounds::Verdict::kHolds) break;
     size_t best = largest_remaining();
     if (best == relevant.size()) break;  // fully popped; conditions maximal
     pop_step(best);

@@ -189,25 +189,25 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
   }
 
   // Replay every pop in canonical order.
-  BoundsEngine engine(std::move(bounds_lists), expect_filters);
+  FinalBounds bounds(std::move(bounds_lists), expect_filters,
+                     out->popped_postings);
   for (size_t li = 0; li < relevant.size(); ++li) {
     const double weight = relevant[li]->weight;
     for (const E& e : relevant[li]->popped) {
       const double cap = e.Cap(weight);
       e.ForEachMember(weight, [&](ImageId id, double impact) {
-        if (s.ok()) s = engine.AddPopped(li, id, impact, cap);
+        if (s.ok()) s = bounds.AddPopped(li, id, impact, cap);
       });
       if (!s.ok()) return s;
     }
-    if (!relevant[li]->has_remaining) engine.MarkExhausted(li);
+    if (!relevant[li]->has_remaining) bounds.MarkExhausted(li);
   }
 
   // The claimed results must be exactly the best popped images.
   if (claimed_topk.size() > requested_k) {
     return Status::Error("inv: more results than requested");
   }
-  const IdSet topk_set(claimed_topk);
-  if (topk_set.size() != claimed_topk.size()) {
+  if (IdSet(claimed_topk).size() != claimed_topk.size()) {
     return Status::Error("inv: duplicate result ids");
   }
   if (requested_k == 0) {
@@ -223,30 +223,31 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
     // Fewer than k results are only acceptable when the relevant lists are
     // provably drained and contain no further distinct image.
     for (size_t li = 0; li < relevant.size(); ++li) {
-      if (!engine.Exhausted(li)) {
+      if (!bounds.Exhausted(li)) {
         return Status::Error("inv: short result set with unpopped entries");
       }
     }
-    if (engine.Scores().size() != claimed_topk.size()) {
+    if (bounds.NumImages() != claimed_topk.size()) {
       return Status::Error("inv: short result set hides popped images");
     }
   }
-  double sk_lower = 0;
-  if (!VerifyClaimedTopK(engine, claimed_topk, &sk_lower)) {
-    return Status::Error("inv: claimed results are not the top-k popped images");
-  }
-
-  // Termination conditions.
-  if (sk_lower < engine.PiUpper()) {
-    return Status::Error("inv: condition 1 fails (unseen images may rank higher)");
-  }
-  if (engine.FirstViolator(topk_set, sk_lower).has_value()) {
-    return Status::Error("inv: condition 2 fails (popped image may rank higher)");
+  switch (bounds.Check(claimed_topk)) {
+    case FinalBounds::Verdict::kHolds:
+      break;
+    case FinalBounds::Verdict::kNotTopK:
+      return Status::Error(
+          "inv: claimed results are not the top-k popped images");
+    case FinalBounds::Verdict::kCondition1:
+      return Status::Error(
+          "inv: condition 1 fails (unseen images may rank higher)");
+    case FinalBounds::Verdict::kCondition2:
+      return Status::Error(
+          "inv: condition 2 fails (popped image may rank higher)");
   }
 
   out->topk_exact = true;
   for (ImageId id : claimed_topk) {
-    if (!engine.PossibleLists(id).empty()) {
+    if (!bounds.PossibleLists(id).empty()) {
       out->topk_exact = false;
       break;
     }
@@ -254,7 +255,7 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
 
   out->topk.clear();
   for (ImageId id : claimed_topk) {
-    out->topk.push_back({id, engine.ScoreOf(id)});
+    out->topk.push_back({id, bounds.ScoreOf(id)});
   }
   std::sort(out->topk.begin(), out->topk.end(),
             [](const bovw::ScoredImage& a, const bovw::ScoredImage& b) {

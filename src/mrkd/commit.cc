@@ -43,7 +43,7 @@ void PutCommitmentPreimage(ByteWriter& w, RevealMode mode, ClusterId id,
   w.PutU32(id);
   w.PutU32(static_cast<uint32_t>(dims));
   if (mode == RevealMode::kFullVector) {
-    for (size_t d = 0; d < dims; ++d) w.PutF32(coords[d]);
+    w.PutF32s(coords, dims);
   } else if (block_root != nullptr) {
     crypto::PutDigest(w, *block_root);
   } else {
@@ -184,52 +184,61 @@ struct BlockScratch {
   std::vector<BytesView> views;
 };
 
-// First pass over one reveal: every check of the reveal. A partial
-// reveal's subset proof joins `roots`, which reconstructs its root in the
-// second pass.
+// First pass over one reveal: every check of the reveal. In kDimMerkle
+// mode its block root joins `roots`, which reconstructs it in the second
+// pass: a partial reveal's from its subset proof, a full reveal's from
+// every block.
 Status CheckReveal(RevealMode mode, size_t dims, const ClusterReveal& reveal,
                    merkle::SubsetRootBatch* roots, BlockScratch* scratch) {
-  if (reveal.full) {
-    if (reveal.coords.size() != dims) {
-      return Status::Error("reveal: wrong coordinate count");
-    }
-    return Status::Ok();
-  }
-  if (mode != RevealMode::kDimMerkle) {
-    return Status::Error("reveal: partial reveal in full-vector mode");
-  }
-  if (reveal.dim_indices.size() != reveal.dim_values.size() ||
-      reveal.dim_indices.empty()) {
-    return Status::Error("reveal: malformed partial reveal");
-  }
-  // Revealed dimensions must form complete, strictly increasing blocks.
   scratch->blocks.clear();
   scratch->payloads.clear();
   scratch->ends.clear();
   crypto::PreimageWriter w(&scratch->payloads);
-  size_t i = 0;
-  while (i < reveal.dim_indices.size()) {
-    uint32_t d0 = reveal.dim_indices[i];
-    if (d0 % kDimBlock != 0) {
-      return Status::Error("reveal: partial reveal not block-aligned");
+  if (reveal.full) {
+    if (reveal.coords.size() != dims) {
+      return Status::Error("reveal: wrong coordinate count");
     }
-    uint32_t blk = d0 / kDimBlock;
-    if (!scratch->blocks.empty() && blk <= scratch->blocks.back()) {
-      return Status::Error("reveal: blocks out of order");
+    if (mode != RevealMode::kDimMerkle) return Status::Ok();
+    for (size_t d = 0; d < dims; ++d) {
+      w.AddF32(reveal.coords[d]);
+      if ((d + 1) % kDimBlock == 0 || d + 1 == dims) {
+        scratch->blocks.push_back(static_cast<uint32_t>(d / kDimBlock));
+        scratch->ends.push_back(scratch->payloads.size());
+      }
     }
-    size_t block_len = std::min<size_t>(kDimBlock, dims - d0);
-    if (i + block_len > reveal.dim_indices.size()) {
-      return Status::Error("reveal: incomplete block");
+  } else {
+    if (mode != RevealMode::kDimMerkle) {
+      return Status::Error("reveal: partial reveal in full-vector mode");
     }
-    for (size_t j = 0; j < block_len; ++j) {
-      if (reveal.dim_indices[i + j] != d0 + j) {
+    if (reveal.dim_indices.size() != reveal.dim_values.size() ||
+        reveal.dim_indices.empty()) {
+      return Status::Error("reveal: malformed partial reveal");
+    }
+    // Revealed dimensions must form complete, strictly increasing blocks.
+    size_t i = 0;
+    while (i < reveal.dim_indices.size()) {
+      uint32_t d0 = reveal.dim_indices[i];
+      if (d0 % kDimBlock != 0) {
+        return Status::Error("reveal: partial reveal not block-aligned");
+      }
+      uint32_t blk = d0 / kDimBlock;
+      if (!scratch->blocks.empty() && blk <= scratch->blocks.back()) {
+        return Status::Error("reveal: blocks out of order");
+      }
+      size_t block_len = std::min<size_t>(kDimBlock, dims - d0);
+      if (i + block_len > reveal.dim_indices.size()) {
         return Status::Error("reveal: incomplete block");
       }
-      w.AddF32(reveal.dim_values[i + j]);
+      for (size_t j = 0; j < block_len; ++j) {
+        if (reveal.dim_indices[i + j] != d0 + j) {
+          return Status::Error("reveal: incomplete block");
+        }
+        w.AddF32(reveal.dim_values[i + j]);
+      }
+      scratch->blocks.push_back(blk);
+      scratch->ends.push_back(scratch->payloads.size());
+      i += block_len;
     }
-    scratch->blocks.push_back(blk);
-    scratch->ends.push_back(scratch->payloads.size());
-    i += block_len;
   }
   scratch->views.clear();
   size_t begin = 0;
@@ -237,13 +246,14 @@ Status CheckReveal(RevealMode mode, size_t dims, const ClusterReveal& reveal,
     scratch->views.emplace_back(scratch->payloads.data() + begin, end - begin);
     begin = end;
   }
+  // A full reveal carries no proof: every block is revealed.
   return roots->Add(NumBlocks(dims), scratch->blocks, scratch->views.data(),
                     reveal.proof);
 }
 
 // Both passes over reveals[0, n): checks every reveal in order (the first
-// failure is returned), reconstructs all partial reveals' block roots
-// together, then digests every commitment preimage in one batch.
+// failure is returned), reconstructs all block roots together, then
+// digests every commitment preimage in one batch.
 Status VerifyRevealSection(RevealMode mode, size_t dims,
                            const ClusterReveal* reveals, size_t n,
                            Digest* commitments) {
@@ -260,7 +270,7 @@ Status VerifyRevealSection(RevealMode mode, size_t dims,
   size_t next_root = 0;
   for (size_t i = 0; i < n; ++i) {
     const ClusterReveal& r = reveals[i];
-    if (r.full) {
+    if (mode == RevealMode::kFullVector) {
       PutCommitmentPreimage(w, mode, r.id, dims, r.coords.data());
     } else {
       PutCommitmentPreimage(w, mode, r.id, dims, nullptr, &roots[next_root++]);
@@ -292,7 +302,7 @@ void SerializeReveals(const std::vector<ClusterReveal>& reveals, ByteWriter& w) 
     w.PutVarint(r.id);
     w.PutU8(r.full ? 1 : 0);
     if (r.full) {
-      for (float v : r.coords) w.PutF32(v);
+      w.PutF32s(r.coords.data(), r.coords.size());
     } else {
       w.PutVarint(r.dim_indices.size());
       for (size_t i = 0; i < r.dim_indices.size(); ++i) {
@@ -326,9 +336,7 @@ Status DeserializeReveals(ByteReader& r, size_t dims,
     rev.full = full != 0;
     if (rev.full) {
       rev.coords.resize(dims);
-      for (size_t d = 0; d < dims; ++d) {
-        if (!(s = r.GetF32(&rev.coords[d])).ok()) return s;
-      }
+      if (!(s = r.GetF32s(rev.coords.data(), dims)).ok()) return s;
     } else {
       uint64_t n;
       if (!(s = r.GetVarint(&n)).ok()) return s;

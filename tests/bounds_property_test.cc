@@ -1,9 +1,10 @@
-// Property tests for the bounds engine: on randomized corpora and pop
+// Property tests for the bounds engines: on randomized corpora and pop
 // sequences, the engine's incremental s_k^L / pi^U / S^U values must match
 // an independent from-scratch evaluation of Eqs. (9), (11), (12) over the
 // current revealed state — and the soundness properties of Lemma 1 must
 // hold against ground truth. A textbook reference engine (per-list popped
-// sets, filters queried by id) pins every engine output bit for bit.
+// sets, filters queried by id) pins every output of both the incremental
+// and the final-state engine bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <optional>
 #include <set>
 #include <tuple>
+#include <type_traits>
 
 #include "common/random.h"
 #include "invindex/bounds.h"
@@ -57,10 +59,15 @@ struct RandomState {
   }
 };
 
-// Builds a filters-enabled engine over the state and replays its pops.
-BoundsEngine BuildEngine(RandomState& st, bool use_filters) {
+// Builds an engine over the state and replays its pops in canonical order.
+// A FinalBounds is sized for `max_images` distinct images (default: the
+// pop count, which bounds them).
+template <class Engine = BoundsEngine>
+Engine BuildEngine(RandomState& st, bool use_filters,
+                   std::optional<size_t> max_images = std::nullopt) {
   cuckoo::CuckooParams params = cuckoo::CuckooParams::ForMaxItems(64);
   std::vector<BoundsList> bl;
+  size_t pops = 0;
   for (const auto& lt : st.lists) {
     BoundsList b;
     b.cluster = lt.cluster;
@@ -73,8 +80,16 @@ BoundsEngine BuildEngine(RandomState& st, bool use_filters) {
       b.filter = std::move(filter);
     }
     bl.push_back(std::move(b));
+    pops += lt.popped;
   }
-  BoundsEngine engine(std::move(bl), use_filters);
+  auto make = [&] {
+    if constexpr (std::is_same_v<Engine, FinalBounds>) {
+      return FinalBounds(std::move(bl), use_filters, max_images.value_or(pops));
+    } else {
+      return BoundsEngine(std::move(bl), use_filters);
+    }
+  };
+  Engine engine = make();
   for (size_t li = 0; li < st.lists.size(); ++li) {
     const auto& lt = st.lists[li];
     for (size_t j = 0; j < lt.popped; ++j) {
@@ -235,6 +250,36 @@ class ReferenceEngine {
     return bound;
   }
 
+  // The popped images by (score desc, id asc).
+  std::vector<ImageId> Ranked() const {
+    std::vector<std::pair<double, ImageId>> ranked;
+    for (const auto& [id, score] : scores_) ranked.emplace_back(-score, id);
+    std::sort(ranked.begin(), ranked.end());
+    std::vector<ImageId> ids;
+    for (const auto& [neg_score, id] : ranked) ids.push_back(id);
+    return ids;
+  }
+
+  // FinalBounds::Check evaluated the textbook way.
+  FinalBounds::Verdict Check(const std::vector<ImageId>& claimed) const {
+    const std::vector<ImageId> ranked = Ranked();
+    if (claimed.size() > ranked.size()) return FinalBounds::Verdict::kNotTopK;
+    const std::set<ImageId> best(ranked.begin(),
+                                 ranked.begin() + claimed.size());
+    if (best != std::set<ImageId>(claimed.begin(), claimed.end()) ||
+        best.size() != claimed.size()) {
+      return FinalBounds::Verdict::kNotTopK;
+    }
+    const double sk_lower =
+        claimed.empty() ? 0.0 : ScoreOf(ranked[claimed.size() - 1]);
+    if (sk_lower < PiUpper()) return FinalBounds::Verdict::kCondition1;
+    for (const auto& [id, score] : scores_) {
+      if (best.contains(id)) continue;
+      if (SUpper(id) > sk_lower) return FinalBounds::Verdict::kCondition2;
+    }
+    return FinalBounds::Verdict::kHolds;
+  }
+
   uint32_t Gamma() const {
     uint32_t remaining = 0;
     std::map<std::pair<uint32_t, uint16_t>, uint32_t> counts;
@@ -359,6 +404,42 @@ TEST_P(BoundsReferenceTest, EngineIsBitIdenticalToReference) {
         }
       }
       EXPECT_EQ(engine.FirstViolator(claimed_set, sk_lower), expected);
+
+      // The final-state engine, sized for every pop or (odd rounds) grown
+      // from a one-image table, gives the same values.
+      const FinalBounds final_state = BuildEngine<FinalBounds>(
+          st, use_filters,
+          round % 2 == 1 ? std::optional<size_t>(1) : std::nullopt);
+      ASSERT_EQ(final_state.NumImages(), ref.NumScored());
+      EXPECT_EQ(final_state.Gamma(), ref.Gamma());
+      EXPECT_EQ(final_state.PiUpper(), ref.PiUpper());
+      for (ImageId id = 0; id < kImages; ++id) {
+        EXPECT_EQ(final_state.ScoreOf(id), ref.ScoreOf(id)) << "image " << id;
+        EXPECT_EQ(final_state.SUpper(id), ref.SUpper(id)) << "image " << id;
+        EXPECT_EQ(final_state.PossibleLists(id), ref.PossibleLists(id))
+            << "image " << id;
+        for (size_t li = 0; li < num_lists; ++li) {
+          EXPECT_EQ(final_state.PoppedIn(li, id), ref.PoppedIn(li, id))
+              << "image " << id << " list " << li;
+        }
+      }
+      // Its one check, for the best 1, 3 and 8 images and for sets that
+      // are not the top-k (the best 3 with the third swapped for the
+      // fourth, and an image never popped).
+      const std::vector<ImageId> ranked_ids = ref.Ranked();
+      std::vector<std::vector<ImageId>> claims = {{}};
+      for (size_t k : {1u, 3u, 8u}) {
+        if (k > ranked_ids.size()) break;
+        claims.emplace_back(ranked_ids.begin(), ranked_ids.begin() + k);
+      }
+      if (ranked_ids.size() >= 4) {
+        claims.push_back({ranked_ids[0], ranked_ids[1], ranked_ids[3]});
+      }
+      claims.push_back({kImages + 1});
+      for (const std::vector<ImageId>& claim : claims) {
+        EXPECT_EQ(final_state.Check(claim), ref.Check(claim))
+            << "claiming " << claim.size() << " images";
+      }
     }
   }
 }
@@ -398,6 +479,32 @@ TEST(BoundsEngineGeometryTest, MixedGeometryFallsBackToLooseBounds) {
   for (ImageId id = 0; id < 8; ++id) {
     EXPECT_EQ(mixed.SUpper(id), loose.SUpper(id)) << "image " << id;
     EXPECT_EQ(mixed.PossibleLists(id), loose.PossibleLists(id));
+  }
+
+  // The final-state engine falls back the same way.
+  auto make_final = [&](bool with_filters) {
+    std::vector<BoundsList> lists(2);
+    lists[0] = {0, 1.0, with_filters ? std::optional(narrow) : std::nullopt};
+    lists[1] = {1, 0.5, with_filters ? std::optional(wide) : std::nullopt};
+    FinalBounds final_state(std::move(lists), with_filters, 2);
+    EXPECT_TRUE(final_state.AddPopped(0, 1, 0.9).ok());
+    EXPECT_TRUE(final_state.AddPopped(1, 2, 0.8).ok());
+    return final_state;
+  };
+  const FinalBounds final_mixed = make_final(true);
+  const FinalBounds final_loose = make_final(false);
+  EXPECT_EQ(final_mixed.Gamma(), loose.Gamma());
+  EXPECT_EQ(final_loose.Gamma(), loose.Gamma());
+  EXPECT_EQ(final_mixed.PiUpper(), loose.PiUpper());
+  EXPECT_EQ(final_loose.PiUpper(), loose.PiUpper());
+  for (ImageId id = 0; id < 8; ++id) {
+    EXPECT_EQ(final_mixed.SUpper(id), loose.SUpper(id)) << "image " << id;
+    EXPECT_EQ(final_loose.SUpper(id), loose.SUpper(id)) << "image " << id;
+    EXPECT_EQ(final_mixed.PossibleLists(id), loose.PossibleLists(id));
+  }
+  for (const std::vector<ImageId>& claim :
+       std::vector<std::vector<ImageId>>{{}, {1}, {2}, {1, 2}}) {
+    EXPECT_EQ(final_mixed.Check(claim), final_loose.Check(claim));
   }
 }
 

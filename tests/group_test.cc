@@ -1,11 +1,16 @@
-// Tests for the frequency-grouped Merkle inverted index (Optimization B):
-// grouping invariants, digest chains, search-vs-oracle agreement, VO
-// compression behavior, and adversarial rejection.
+// Tests for the frequency-grouped Merkle inverted index (Optimization B,
+// invindex::Group entries): grouping invariants, digest chains,
+// search-vs-oracle agreement, VO compression behavior and decoding, and
+// adversarial rejection.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <set>
+#include <span>
 
 #include "common/random.h"
 #include "invindex/merkle_inv_index.h"
@@ -230,6 +235,87 @@ TEST(FgAttackTest, TamperingRejected) {
     auto dropped = std::vector<ImageId>(claimed.begin() + 1, claimed.end());
     EXPECT_FALSE(accepts(honest.vo, dropped));
   }
+}
+
+// The digest order of a group's members: norm ascending, id ascending.
+bool DigestOrder(const Member& a, const Member& b) {
+  if (a.norm != b.norm) return a.norm < b.norm;
+  return a.id < b.id;
+}
+
+// Decoding a group VO restores the digest order, ties included, whether
+// the norms ride as u32 squares, as raw f64 in a compressed VO (some norm
+// has no exact u32 square) or in a raw VO, and whether the ids fit
+// group-varint gaps or not.
+TEST(GroupDecodeTest, RestoresDigestOrderWithTiedNorms) {
+  Rng rng(41);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<Group> groups(1 + rng.NextBounded(4));
+    for (Group& g : groups) {
+      g.freq = 1 + static_cast<uint32_t>(rng.NextBounded(8));
+      std::set<ImageId> ids;
+      const size_t n = 1 + rng.NextBounded(40);
+      const bool wide_ids = rng.NextBounded(4) == 0;
+      const bool raw_norms = rng.NextBounded(4) == 0;
+      while (ids.size() < n) {
+        ids.insert(wide_ids ? rng.NextU64() : rng.NextBounded(200));
+      }
+      for (ImageId id : ids) {
+        // Few distinct norms, so most members tie with another; raw ones
+        // also come in pairs one ulp apart.
+        const double sq = static_cast<double>(1 + rng.NextBounded(4));
+        double norm = std::sqrt(sq);
+        if (raw_norms) {
+          norm = sq + 0.5;
+          if (rng.NextBounded(2) == 0) norm = std::nextafter(norm, 10.0);
+        }
+        g.members.push_back({id, norm});
+      }
+      std::sort(g.members.begin(), g.members.end(), DigestOrder);
+    }
+    for (bool compressed : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "trial " << trial
+                                      << (compressed ? " compressed" : " raw"));
+      ByteWriter w;
+      Group::VoScratch scratch;
+      Group::PutVo(w, std::span<const Group>(groups), compressed, &scratch);
+      const Bytes vo = w.Take();
+      ByteReader r(vo);
+      std::vector<Group> decoded;
+      ASSERT_TRUE(
+          Group::GetVo(r, groups.size(), compressed, &decoded, &scratch).ok());
+      EXPECT_TRUE(r.AtEnd());
+      ASSERT_EQ(decoded.size(), groups.size());
+      for (size_t i = 0; i < groups.size(); ++i) {
+        EXPECT_EQ(decoded[i].freq, groups[i].freq);
+        EXPECT_EQ(decoded[i].members, groups[i].members) << "group " << i;
+      }
+    }
+  }
+}
+
+// Ids whose gaps wrap past 2^64 do not arrive ascending; decoding still
+// gives the digest order of the decoded members.
+TEST(GroupDecodeTest, WrappedIdsStillSortByNormThenId) {
+  const uint64_t top = std::numeric_limits<uint64_t>::max();
+  ByteWriter w;
+  w.PutVarint(3);  // freq
+  w.PutVarint(3);  // members: ids top - 1, top, 1 (the last gap wraps)
+  w.PutVarint(top - 1);
+  w.PutF64(2.0);
+  w.PutVarint(1);
+  w.PutF64(1.0);
+  w.PutVarint(2);
+  w.PutF64(2.0);
+  const Bytes vo = w.Take();
+  ByteReader r(vo);
+  std::vector<Group> decoded;
+  Group::VoScratch scratch;
+  ASSERT_TRUE(
+      Group::GetVo(r, 1, /*compressed=*/false, &decoded, &scratch).ok());
+  ASSERT_EQ(decoded.size(), 1u);
+  const std::vector<Member> expected = {{top, 1.0}, {1, 2.0}, {top - 1, 2.0}};
+  EXPECT_EQ(decoded[0].members, expected);
 }
 
 }  // namespace

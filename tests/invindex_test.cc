@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
+#include <string>
+#include <type_traits>
 #include <unordered_map>
 
 #include "bovw/bovw.h"
@@ -13,6 +16,7 @@
 #include "invindex/merkle_inv_index.h"
 #include "invindex/search.h"
 #include "invindex/verify.h"
+#include "invindex/vo_compress.h"
 
 namespace imageproof::invindex {
 namespace {
@@ -354,6 +358,151 @@ TEST_F(InvAttackTest, RandomBitFlipsRejected) {
 TEST_F(InvAttackTest, TruncatedVoRejected) {
   Bytes truncated(honest_.vo.begin(), honest_.vo.end() - 5);
   EXPECT_FALSE(Accepts(truncated, claimed_));
+}
+
+// ---------------------------------------------------------------------------
+// Rejection reasons: one hand-built VO per verifier guard, for both entry
+// kinds and both encodings, each rejected with its exact message.
+// ---------------------------------------------------------------------------
+
+// One list of a hand-built VO. Pops are (image, impact); a group VO carries
+// each pop as a one-member group of freq 1 and norm 1 / impact (the lists'
+// weight is 1), which has that impact up to rounding.
+struct HandList {
+  std::vector<std::pair<ImageId, double>> pops;
+  bool has_remaining = false;
+  std::vector<ImageId> filter_ids;  // shipped filter's contents, if any
+  bool ship_filter = false;
+};
+
+template <class E>
+E HandEntry(ImageId id, double impact);
+
+template <>
+Posting HandEntry<Posting>(ImageId id, double impact) {
+  return Posting{id, impact, {}};
+}
+
+template <>
+Group HandEntry<Group>(ImageId id, double impact) {
+  Group g;
+  g.freq = 1;
+  g.members.push_back({id, 1.0 / impact});
+  return g;
+}
+
+// The VO of InvSearch's layout over clusters 0, 1, ... of weight 1.
+template <class E>
+Bytes HandVo(const std::vector<HandList>& lists, bool filters,
+             bool compressed) {
+  ByteWriter w;
+  w.PutU8(static_cast<uint8_t>((filters ? 1 : 0) |
+                               (compressed ? kVoFlagCompressed : 0)));
+  w.PutVarint(lists.size());
+  typename E::VoScratch scratch;
+  for (size_t c = 0; c < lists.size(); ++c) {
+    const HandList& l = lists[c];
+    w.PutVarint(c);
+    w.PutF64(1.0);
+    std::vector<E> popped;
+    for (const auto& [id, impact] : l.pops) {
+      popped.push_back(HandEntry<E>(id, impact));
+    }
+    w.PutVarint(popped.size());
+    E::PutVo(w, std::span<const E>(popped), compressed, &scratch);
+    w.PutU8(static_cast<uint8_t>((l.has_remaining ? 1 : 0) |
+                                 (l.ship_filter ? 2 : 0)));
+    if (l.has_remaining) crypto::PutDigest(w, Digest::Zero());
+    if (!filters) continue;
+    if (l.ship_filter) {
+      cuckoo::CuckooFilter f(cuckoo::CuckooParams::ForMaxItems(64));
+      for (ImageId id : l.filter_ids) EXPECT_TRUE(f.Insert(id));
+      w.PutBlob(f.Serialize());
+    } else {
+      crypto::PutDigest(w, Digest::Zero());
+    }
+  }
+  return w.Take();
+}
+
+struct RejectionCase {
+  const char* name;
+  std::vector<HandList> lists;
+  bool filters;
+  std::vector<ImageId> claimed;
+  size_t k;
+  const char* message;  // "" for an accepted VO
+  bool posting_only;    // a group's impacts can never be negative
+};
+
+std::vector<RejectionCase> RejectionCases() {
+  auto open = [](std::vector<std::pair<ImageId, double>> pops) {
+    HandList l;
+    l.pops = std::move(pops);
+    l.has_remaining = true;
+    return l;
+  };
+  auto drained = [](std::vector<std::pair<ImageId, double>> pops) {
+    HandList l;
+    l.pops = std::move(pops);
+    return l;
+  };
+  HandList unfiltered_pop = open({{5, 0.9}});
+  unfiltered_pop.ship_filter = true;
+  unfiltered_pop.filter_ids = {6, 7, 8};
+  return {
+      {"honest", {drained({{5, 0.9}, {6, 0.8}}), drained({})}, false, {5}, 1,
+       "", false},
+      {"popped twice", {open({{5, 0.9}, {5, 0.8}}), drained({})}, false, {5},
+       1, "bounds: image popped twice in one list", false},
+      {"out of impact order", {open({{5, 0.5}, {6, 0.9}}), drained({})}, false,
+       {6}, 1, "bounds: postings not in impact order", false},
+      {"negative impact", {open({{5, -0.1}}), drained({})}, false, {5}, 1,
+       "bounds: negative impact", true},
+      {"missing from filter", {unfiltered_pop, drained({})}, true, {5}, 1,
+       "bounds: popped image missing from cuckoo filter", false},
+      {"short result set", {open({{5, 0.9}}), drained({})}, false, {5}, 2,
+       "inv: short result set with unpopped entries", false},
+      {"short result set hiding a pop",
+       {drained({{5, 0.9}, {6, 0.8}}), drained({})}, false, {5}, 3,
+       "inv: short result set hides popped images", false},
+      {"not the top-k", {drained({{5, 0.9}, {6, 0.8}}), drained({})}, false,
+       {6}, 1, "inv: claimed results are not the top-k popped images", false},
+      {"condition 1", {open({{5, 0.5}}), open({{6, 0.5}})}, false, {5}, 1,
+       "inv: condition 1 fails (unseen images may rank higher)", false},
+      {"condition 2", {open({{1, 0.9}, {2, 0.85}, {4, 0.1}}), open({{3, 0.1}})},
+       false, {1}, 1, "inv: condition 2 fails (popped image may rank higher)",
+       false},
+  };
+}
+
+template <class E>
+void ExpectRejectionReasons() {
+  BovwVector query;
+  query.entries = {{0, 1}, {1, 1}};
+  for (bool compressed : {false, true}) {
+    for (const RejectionCase& c : RejectionCases()) {
+      if (c.posting_only && !std::is_same_v<E, Posting>) continue;
+      SCOPED_TRACE(testing::Message()
+                   << c.name << (compressed ? ", compressed" : ", raw"));
+      const Bytes vo = HandVo<E>(c.lists, c.filters, compressed);
+      InvVerifyResult out;
+      Status s = VerifyInvVo<E>(vo, query, c.claimed, c.k, c.filters, &out);
+      EXPECT_EQ(s.message(), c.message);
+      EXPECT_EQ(s.ok(), std::string(c.message).empty());
+    }
+  }
+}
+
+TEST(InvRejectionTest, EachGuardGivesItsMessage) {
+  {
+    SCOPED_TRACE("posting kind");
+    ExpectRejectionReasons<Posting>();
+  }
+  {
+    SCOPED_TRACE("group kind");
+    ExpectRejectionReasons<Group>();
+  }
 }
 
 // ---------------------------------------------------------------------------
