@@ -1,7 +1,9 @@
 // Ablation: cold-start latency and peak memory of the mmap package store
-// (storage/package_store.h) versus full serializer deserialization
-// (storage/serializer.h), at 10x-100x the image count of the unit-test
-// corpora.
+// (storage/package_store.h) served straight from the mapping, versus the
+// same file opened and then materialized in memory (core::ClonePackage:
+// every payload copied to the heap, every posting chain and MRKD digest
+// re-derived — what an engine update's clone costs), at 10x-100x the image
+// count of the unit-test corpora.
 //
 // Each measurement runs in a freshly forked+exec'd child so "cold start"
 // and "peak RSS" (VmHWM from /proc/self/status) are per-scenario process
@@ -11,13 +13,13 @@
 // high-water mark on stdout.
 //
 // What the numbers must show (checked at the largest scale in full mode):
-//   * store cold start >= 10x faster than the serializer — the store opens
+//   * store cold start >= 10x faster than materializing — the store opens
 //     by digest-checking the mapped metadata sections and never touches
-//     image payload pages, while the serializer parses and copies the
-//     whole corpus and rebuilds every posting chain digest;
+//     image payload pages, while the materialized copy reads and copies
+//     the whole corpus and rebuilds every posting chain digest;
 //   * store peak RSS below the corpus payload size — payloads stay in
 //     evictable page cache and only fault in for the top-k actually
-//     served, while the serializer's copy puts the entire corpus on the
+//     served, while the materialized copy puts the entire corpus on the
 //     process heap.
 //
 // Usage: abl_store [--smoke] [--json <path>]   (the internal --worker mode
@@ -34,8 +36,9 @@
 
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
+#include "core/update.h"
+#include "storage/format.h"
 #include "storage/package_store.h"
-#include "storage/serializer.h"
 
 namespace imageproof::bench {
 namespace {
@@ -45,7 +48,6 @@ struct Scale {
   size_t blob_bytes;
 };
 
-std::string PkgPath(const std::string& dir) { return dir + "/package.bin"; }
 std::string StorePath(const std::string& dir) { return dir + "/package.ipk"; }
 std::string ParamsPath(const std::string& dir) { return dir + "/params.bin"; }
 
@@ -86,8 +88,7 @@ int WorkerBuild(const std::string& dir, size_t num_images, size_t blob_bytes) {
   core::OwnerOutput owner = core::BuildDeployment(
       config, workload::GenerateCodebook(cbp), std::move(corpus),
       std::move(blobs), 9);
-  if (!storage::SaveSpPackage(PkgPath(dir), *owner.package).ok() ||
-      !storage::PackageStore::Write(StorePath(dir), *owner.package).ok() ||
+  if (!storage::PackageStore::Write(StorePath(dir), *owner.package).ok() ||
       !storage::SavePublicParams(ParamsPath(dir), owner.public_params).ok()) {
     std::fprintf(stderr, "abl_store: build write failed\n");
     return 1;
@@ -105,25 +106,22 @@ int WorkerLoad(const std::string& dir, const std::string& backend) {
     return 1;
   }
   Stopwatch ready;
-  std::unique_ptr<core::SpPackage> pkg;
-  if (backend == "serializer") {
-    auto loaded = storage::LoadSpPackage(PkgPath(dir));
-    if (!loaded.ok()) {
+  storage::OpenOptions opts;
+  opts.params = &*params;
+  auto loaded = storage::PackageStore::Open(StorePath(dir), opts);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "abl_store: %s\n", loaded.status().message().c_str());
+    return 1;
+  }
+  std::unique_ptr<core::SpPackage> pkg = std::move(*loaded);
+  if (backend == "materialized") {
+    auto clone = core::ClonePackage(*pkg);
+    if (!clone.ok()) {
       std::fprintf(stderr, "abl_store: %s\n",
-                   loaded.status().message().c_str());
+                   clone.status().message().c_str());
       return 1;
     }
-    pkg = std::move(*loaded);
-  } else {
-    storage::OpenOptions opts;
-    opts.params = &*params;
-    auto loaded = storage::PackageStore::Open(StorePath(dir), opts);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "abl_store: %s\n",
-                   loaded.status().message().c_str());
-      return 1;
-    }
-    pkg = std::move(*loaded);
+    pkg = std::move(*clone);  // drops the mapping: serve from the heap only
   }
   const double ready_ms = ready.ElapsedMillis();
 
@@ -223,9 +221,10 @@ int Main(int argc, char** argv) {
                                                        {10000, 131072}};
 
   std::printf("====================================================================\n");
-  std::printf("abl_store — cold start + peak RSS: mmap store vs serializer\n");
+  std::printf(
+      "abl_store — cold start + peak RSS: mmap store vs materialized\n");
   std::printf("%8s %12s | %13s %13s %9s | %12s %12s %11s\n", "images",
-              "corpus_MB", "serial_ms", "store_ms", "speedup", "serial_MB",
+              "corpus_MB", "mater_ms", "store_ms", "speedup", "mater_MB",
               "store_MB", "rss<corpus");
   std::printf("--------------------------------------------------------------------\n");
 
@@ -237,29 +236,29 @@ int Main(int argc, char** argv) {
                                      std::to_string(s.num_images),
                                      std::to_string(s.blob_bytes)});
     if (!built.ok) return FinishBench(1);
-    auto serial = RunWorker(argv[0], {"--worker", "load", dir, "serializer"});
+    auto mater = RunWorker(argv[0], {"--worker", "load", dir, "materialized"});
     auto store = RunWorker(argv[0], {"--worker", "load", dir, "store"});
-    if (!serial.ok || !store.ok) return FinishBench(1);
+    if (!mater.ok || !store.ok) return FinishBench(1);
 
     const double speedup =
-        store.ready_ms > 0 ? serial.ready_ms / store.ready_ms : 0;
+        store.ready_ms > 0 ? mater.ready_ms / store.ready_ms : 0;
     const bool rss_below =
         store.vmhwm_kb * 1024.0 < static_cast<double>(built.corpus_bytes);
     std::printf("%8zu %12.1f | %13.1f %13.1f %8.1fx | %12.1f %12.1f %11s\n",
                 s.num_images, built.corpus_bytes / (1024.0 * 1024.0),
-                serial.ready_ms, store.ready_ms, speedup,
-                serial.vmhwm_kb / 1024.0, store.vmhwm_kb / 1024.0,
+                mater.ready_ms, store.ready_ms, speedup,
+                mater.vmhwm_kb / 1024.0, store.vmhwm_kb / 1024.0,
                 rss_below ? "yes" : "NO");
 
     const std::string prefix = "images_" + std::to_string(s.num_images) + ".";
     auto& report = BenchReport::Global();
     report.AddValue(prefix + "corpus_bytes", (double)built.corpus_bytes);
-    report.AddValue(prefix + "serializer_ready_ms", serial.ready_ms);
+    report.AddValue(prefix + "materialized_ready_ms", mater.ready_ms);
     report.AddValue(prefix + "store_ready_ms", store.ready_ms);
-    report.AddValue(prefix + "serializer_first_query_ms",
-                    serial.first_query_ms);
+    report.AddValue(prefix + "materialized_first_query_ms",
+                    mater.first_query_ms);
     report.AddValue(prefix + "store_first_query_ms", store.first_query_ms);
-    report.AddValue(prefix + "serializer_vmhwm_kb", (double)serial.vmhwm_kb);
+    report.AddValue(prefix + "materialized_vmhwm_kb", (double)mater.vmhwm_kb);
     report.AddValue(prefix + "store_vmhwm_kb", (double)store.vmhwm_kb);
     report.AddValue(prefix + "cold_start_speedup", speedup);
     // Scale-independent copies at the largest scale of this run, so a smoke
@@ -268,7 +267,7 @@ int Main(int argc, char** argv) {
     // is of course a much smaller corpus — the delta line labels the mode).
     if (i + 1 == scales.size()) {
       report.AddValue("largest.cold_start_speedup", speedup);
-      report.AddValue("largest.serializer_ready_ms", serial.ready_ms);
+      report.AddValue("largest.materialized_ready_ms", mater.ready_ms);
       report.AddValue("largest.store_ready_ms", store.ready_ms);
       report.AddValue("largest.store_vmhwm_kb", (double)store.vmhwm_kb);
     }

@@ -7,8 +7,8 @@
 // <dir> is a deployment_cli-built directory: params.bin supplies the
 // TRUSTED public parameters (config + owner RSA public key) the client
 // verifies against — obtained out of band, never from the server. The
-// package is loaded only to synthesize query features from the codebook
-// (standing in for running SIFT on a real query image).
+// CURRENT epoch's package is opened only to synthesize query features from
+// the codebook (standing in for running SIFT on a real query image).
 //
 // Exit codes follow the wire taxonomy (net::ExitCodeForStatus): 0 verified
 // OK, 11 rejected/bad request, 12 shed, 13 deadline, 14 unavailable, 15
@@ -20,7 +20,8 @@
 #include <string>
 
 #include "net/client.h"
-#include "storage/serializer.h"
+#include "storage/format.h"
+#include "storage/package_store.h"
 #include "workload/synthetic.h"
 
 using namespace imageproof;
@@ -72,8 +73,8 @@ int main(int argc, char** argv) {
 
   // query/insert need the codebook (and a source image) to synthesize
   // features; a real client would extract SIFT from its own query image.
-  auto pkg = storage::LoadSpPackage(dir + "/package.bin");
-  if (!pkg.ok()) return Fail("load package (feature synthesis)", pkg.status());
+  auto pkg = storage::PackageStore::OpenCurrent(dir);
+  if (!pkg.ok()) return Fail("open epoch (feature synthesis)", pkg.status());
 
   if (cmd == "query") {
     auto features = workload::FeaturesFromBovw(

@@ -1,10 +1,11 @@
 // Network serving demo: core::QueryEngine behind the src/net wire protocol.
 //
-//   net_server <dir> [port]   serve a deployment_cli-built deployment dir
-//                             over TCP (port 0/omitted = ephemeral, printed
-//                             on stdout); runs until stdin closes. If the
-//                             dir contains owner.key, kInsert/kDelete frames
-//                             are accepted.
+//   net_server <dir> [port]   serve the CURRENT epoch of a deployment_cli-
+//                             built deployment dir over TCP (port 0/omitted
+//                             = ephemeral, printed on stdout); runs until
+//                             stdin closes. If the dir contains owner.key,
+//                             kInsert/kDelete frames are accepted (applied
+//                             in memory; the dir is not rewritten).
 //
 // Run without arguments for a self-contained loopback demo: build a tiny
 // deployment in memory, serve it on an ephemeral port, then act as a remote
@@ -25,7 +26,8 @@
 #include "core/owner.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "storage/serializer.h"
+#include "storage/format.h"
+#include "storage/package_store.h"
 #include "workload/synthetic.h"
 
 using namespace imageproof;
@@ -50,14 +52,19 @@ extern "C" void OnShutdownSignal(int) {
 }
 
 int ServeDir(const std::string& dir, uint16_t port) {
-  auto pkg = storage::LoadSpPackage(dir + "/package.bin");
-  if (!pkg.ok()) return Fail("load package", pkg.status());
   auto params = storage::LoadPublicParams(dir + "/params.bin");
   if (!params.ok()) return Fail("load params", params.status());
+  storage::OpenOptions open_opts;
+  open_opts.params = &*params;
+  uint64_t epoch = 0;
+  auto pkg = storage::PackageStore::OpenCurrent(dir, open_opts, &epoch);
+  if (!pkg.ok()) return Fail("open epoch", pkg.status());
 
+  core::EngineOptions eo;
+  eo.initial_version = epoch;
   core::QueryEngine engine(
       std::shared_ptr<const core::SpPackage>(std::move(pkg).value()),
-      std::move(params).value());
+      std::move(params).value(), eo);
   net::ServerOptions opts;
   opts.port = port;
   net::NetServer server(&engine, opts);

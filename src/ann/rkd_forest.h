@@ -10,9 +10,8 @@
 // Thread safety: ApproxNearest is const; without a scratch it allocates its
 // priority queue locally, so concurrent searches over one forest are safe.
 // A kern::SearchScratch passed in is the *caller's* single-owner state — one
-// scratch per concurrent searcher. ReplaceTrees mutates and requires
-// external exclusion (it only runs on freshly deserialized, not-yet-shared
-// packages).
+// scratch per concurrent searcher. A forest never changes after
+// construction.
 
 #ifndef IMAGEPROOF_ANN_RKD_FOREST_H_
 #define IMAGEPROOF_ANN_RKD_FOREST_H_
@@ -45,6 +44,13 @@ class RkdForest {
   // Builds `params.num_trees` randomized trees over `points` (borrowed).
   RkdForest(const PointSet& points, ForestParams params);
 
+  // Adopts already-built trees (a package loaded from storage/package_store.h
+  // or cloned by core::ClonePackage keeps its committed tree shapes instead
+  // of rebuilding them); the trees must index `points`.
+  RkdForest(const PointSet& points, ForestParams params,
+            std::vector<std::unique_ptr<RkdTree>> trees)
+      : points_(&points), params_(params), trees_(std::move(trees)) {}
+
   // Approximate nearest neighbor of `query` (AKM step). With a scratch the
   // best-bin-first queue lives in (and warms) the caller's buffers, so a
   // steady-state search allocates nothing; without one a local queue is
@@ -56,12 +62,6 @@ class RkdForest {
                               kern::SearchScratch* scratch = nullptr) const;
 
   const std::vector<std::unique_ptr<RkdTree>>& trees() const { return trees_; }
-
-  // Swaps in persisted tree structures (storage/serializer.h); the trees
-  // must index this forest's point set.
-  void ReplaceTrees(std::vector<std::unique_ptr<RkdTree>> trees) {
-    trees_ = std::move(trees);
-  }
   const PointSet& points() const { return *points_; }
   const ForestParams& params() const { return params_; }
 

@@ -2,7 +2,7 @@
 //
 // A FaultInjector is a process-global registry of *sites* — string keys
 // compiled into production code paths at the exact points where hardware or
-// an adversary could bite: serializer output (bit flips, truncation), the
+// an adversary could bite: crash-safe file writes, the epoch scrubber, the
 // engine's clone/sign pipeline, artificial latency in queries and updates.
 // Tests arm sites (probabilistically, on scripted hit indices, or always)
 // and production code asks `Fire(site)` at each pass; a disarmed injector
@@ -17,8 +17,6 @@
 // invariants, not exact schedules.)
 //
 // Site keys currently wired in:
-//   storage.serialize.bitflip    flip one bit of a serialized package
-//   storage.serialize.truncate   drop the tail of a serialized package
 //   storage.file.short_write     tear an atomic file write partway through
 //   storage.file.fsync_fail      fail the pre-rename data fsync
 //   storage.file.rename_fail     drop the atomic-rename publish step
@@ -37,7 +35,6 @@
 #ifndef IMAGEPROOF_COMMON_FAULT_H_
 #define IMAGEPROOF_COMMON_FAULT_H_
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -48,9 +45,8 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
-
-#include "common/bytes.h"
 
 namespace imageproof::fault {
 
@@ -58,11 +54,10 @@ namespace imageproof::fault {
 // call sites; ArmX() on a name outside this list (and outside the
 // test-registered extras) aborts the process.
 inline constexpr const char* kWiredSites[] = {
-    "storage.serialize.bitflip", "storage.serialize.truncate",
-    "storage.file.short_write",  "storage.file.fsync_fail",
-    "storage.file.rename_fail",  "storage.scrub.bitflip",
-    "engine.update.clone",       "engine.update.sign",
-    "engine.update.latency",     "engine.query.latency",
+    "storage.file.short_write", "storage.file.fsync_fail",
+    "storage.file.rename_fail", "storage.scrub.bitflip",
+    "engine.update.clone",      "engine.update.sign",
+    "engine.update.latency",    "engine.query.latency",
     "net.conn.reset",
 };
 
@@ -251,24 +246,6 @@ inline void InjectLatency(const char* site) {
   if (!fi.enabled() || !fi.Fire(site)) return;
   uint32_t ms = fi.LatencyMs(site);
   if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
-
-// Applies the armed serializer faults to an outgoing byte buffer: a single
-// deterministic bit flip and/or a tail truncation. The storage serializer
-// calls this on every package it emits, so the engine's clone path (and any
-// test that round-trips a package) sees realistic storage corruption.
-inline void InjectByteFaults(Bytes* data) {
-  FaultInjector& fi = FaultInjector::Global();
-  if (!fi.enabled() || data->empty()) return;
-  if (fi.Fire("storage.serialize.bitflip")) {
-    uint64_t r = fi.Draw("storage.serialize.bitflip");
-    (*data)[(r >> 3) % data->size()] ^= static_cast<uint8_t>(1u << (r & 7));
-  }
-  if (fi.Fire("storage.serialize.truncate")) {
-    uint64_t drop = 1 + fi.Draw("storage.serialize.truncate") %
-                            std::min<size_t>(64, data->size());
-    data->resize(data->size() - static_cast<size_t>(drop));
-  }
 }
 
 }  // namespace imageproof::fault

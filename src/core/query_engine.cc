@@ -11,7 +11,6 @@
 #include "obs/registry.h"
 #include "storage/epoch_janitor.h"
 #include "storage/package_store.h"
-#include "storage/serializer.h"
 
 namespace imageproof::core {
 
@@ -279,26 +278,22 @@ Result<UpdateStats> QueryEngine::TryApplyUpdate(
   }
   fault::InjectLatency("engine.update.latency");
 
-  // Deep-clone via the canonical serializer: the load path re-derives every
-  // digest from raw data, so a corrupted in-memory package (or a storage
-  // fault on the wire bytes — see fault::InjectByteFaults in the
-  // serializer) fails here instead of being silently republished under a
-  // fresh signature.
-  Result<std::unique_ptr<SpPackage>> clone =
-      storage::DeserializeSpPackage(storage::SerializeSpPackage(*base->package));
+  // Deep-clone by re-deriving every digest from raw data (ClonePackage), so
+  // a corrupted in-memory package fails the checks below instead of being
+  // silently republished under a fresh signature.
+  Result<std::unique_ptr<SpPackage>> clone = ClonePackage(*base->package);
   if (!clone.ok()) {
     return Result<UpdateStats>(
         Status::WithCode(clone.status().code(), "engine update: clone failed: " +
                                                     clone.status().message()));
   }
-  // A bit flip can survive parsing when it lands in content the load path
-  // takes at face value. The clone's re-derived root must match the root
-  // the served snapshot was signed under, or we would be about to sign
-  // corrupted state. The root transitively covers the codebook (cluster
-  // commitments), tree shapes, corpus/posting chains, weights, and filter
-  // geometry — but NOT the config header, image payloads, or per-image
-  // signatures, so those are compared against the base directly. Together
-  // the two checks cover every serialized byte of the clone.
+  // The clone's re-derived root must match the root the served snapshot was
+  // signed under, or we would be about to sign corrupted state. The root
+  // transitively covers the codebook (cluster commitments), tree shapes,
+  // corpus/posting chains, weights, and filter geometry — but NOT the
+  // config, image payloads, or per-image signatures, so those are compared
+  // against the base directly. Together the two checks cover everything
+  // the clone copied.
   if ((*clone)->RootDigest() != base->package->RootDigest()) {
     return Result<UpdateStats>(Status::Corrupted(
         "engine update: cloned package root diverges from served snapshot"));

@@ -27,24 +27,24 @@
 //   * Snapshot isolation for updates: the engine serves from an immutable
 //     `shared_ptr<const Snapshot>` (package + the PublicParams whose root
 //     signature covers it). InsertImage/DeleteImage clone the current
-//     package (a serializer round-trip, which re-derives and thereby
+//     package (core::ClonePackage, which re-derives and thereby
 //     integrity-checks every digest), apply the update to the clone,
 //     re-sign, and atomically swap the pointer. In-flight queries keep
 //     verifying against the root they started under; their responses carry
 //     that snapshot so clients check the matching signature. Writers are
 //     serialized; readers never block writers or each other.
 //   * Update validation + rollback: before publishing, the engine checks
-//     (1) the clone's root digest equals the served snapshot's (a storage
-//     bit flip that survives parsing cannot sneak into a fresh signature)
-//     and (2) the freshly signed root signature actually verifies over the
+//     (1) the clone's root digest equals the served snapshot's (corrupted
+//     in-memory state cannot sneak into a fresh signature) and (2) the
+//     freshly signed root signature actually verifies over the
 //     cloned package's new root. Any corruption (kCorrupted) is retried
 //     with exponential backoff up to EngineOptions::update_max_attempts;
 //     logical failures (duplicate id, ...) are returned immediately. On
 //     every failure path the old snapshot stays published — queries racing
 //     a faulty update always verify against a consistently signed root.
 //     Fault-injection tests (tests/fault_test.cc + common/fault.h) drive
-//     storage bit flips, truncations, clone/sign failures, and latency
-//     through these paths.
+//     clone/sign failures, epoch-file write faults, and latency through
+//     these paths.
 //
 // Determinism invariant: for a fixed snapshot, the engine's response —
 // VO bytes and top-k — is byte-identical to the serial

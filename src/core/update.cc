@@ -35,14 +35,70 @@ size_t RefreshAndResign(SpPackage* package,
 
 }  // namespace
 
+Result<std::unique_ptr<SpPackage>> ClonePackage(const SpPackage& base) {
+  auto pkg = std::make_unique<SpPackage>();
+  pkg->config = base.config;
+  pkg->codebook = base.codebook;
+  pkg->corpus = base.corpus;
+  pkg->image_data.reserve(base.NumImages());
+  Status s = base.ForEachImage(
+      [&pkg](ImageId id, BytesView data, BytesView sig) {
+        pkg->image_data.emplace(id, Bytes(data.data, data.data + data.size));
+        if (sig.size > 0) {
+          pkg->image_signatures.emplace(id,
+                                        Bytes(sig.data, sig.data + sig.size));
+        }
+        return Status::Ok();
+      });
+  if (!s.ok()) return s;
+
+  // Rebuild the index deterministically from the corpus and the base's
+  // weights — the digests are pure functions of that data. Cluster weights
+  // are committed state (frozen across incremental updates), and so is the
+  // shared cuckoo-filter geometry: it was sized from the longest list at
+  // build time, and re-deriving it from the (possibly grown) current lists
+  // would change every theta digest and the root.
+  std::vector<double> raw_weights(pkg->codebook.size());
+  for (size_t c = 0; c < raw_weights.size(); ++c) {
+    raw_weights[c] = base.inv_index->weight(static_cast<bovw::ClusterId>(c));
+  }
+  pkg->inv_index =
+      std::make_unique<invindex::InvertedIndex>(invindex::InvertedIndex::Build(
+          pkg->config.freq_grouped ? invindex::EntryKind::kGroup
+                                   : invindex::EntryKind::kPosting,
+          pkg->codebook.size(), pkg->corpus,
+          bovw::ClusterWeights::FromRaw(std::move(raw_weights)),
+          pkg->config.with_filters, pkg->config.fingerprint_bits,
+          pkg->config.filter_seed, base.inv_index->filter_params()));
+  pkg->list_digests = pkg->inv_index->ListDigests();
+
+  // Copy the committed tree shapes rather than rebuilding them, so node
+  // layouts (and therefore digests) match the owner's signature even if the
+  // standard library's partition order ever changes.
+  std::vector<std::unique_ptr<ann::RkdTree>> trees;
+  trees.reserve(base.forest->trees().size());
+  for (const auto& tree : base.forest->trees()) {
+    trees.push_back(std::make_unique<ann::RkdTree>(
+        pkg->codebook, tree->max_leaf_size(), tree->nodes(),
+        tree->point_indices()));
+  }
+  pkg->forest = std::make_unique<ann::RkdForest>(
+      pkg->codebook, pkg->config.forest, std::move(trees));
+  for (const auto& tree : pkg->forest->trees()) {
+    pkg->mrkd_trees.push_back(std::make_unique<mrkd::MrkdTree>(
+        tree.get(), pkg->config.reveal_mode, pkg->list_digests));
+  }
+  return pkg;
+}
+
 Result<UpdateStats> InsertImage(SpPackage* package,
                                 const crypto::RsaPrivateKey& owner_key,
                                 PublicParams* public_params, ImageId id,
                                 bovw::BovwVector bovw, Bytes image_data) {
   if (package->disk_backed()) {
     // Disk-backed packages are immutable views of a mapped file; the engine
-    // clones them into memory (via the serializer round-trip) before
-    // applying updates, so a direct mutation here is a caller bug.
+    // clones them into memory (ClonePackage) before applying updates, so a
+    // direct mutation here is a caller bug.
     return Result<UpdateStats>::Error(
         "update: cannot mutate a disk-backed package in place");
   }

@@ -17,9 +17,24 @@
 #ifndef IMAGEPROOF_CORE_UPDATE_H_
 #define IMAGEPROOF_CORE_UPDATE_H_
 
+#include <memory>
+
 #include "core/owner.h"
 
 namespace imageproof::core {
+
+// Deep-copies `base` into a fresh in-memory package by re-deriving every
+// digest from its raw data: config, codebook, corpus, image payloads and
+// signatures are copied (a disk-backed base streams its payloads through
+// ForEachImage, so each one is integrity-checked and materialized), the
+// inverted index is rebuilt from the corpus under the base's frozen
+// weights and filter geometry, and the committed tree shapes are copied
+// and re-decorated into MRKD-trees. Nothing is trusted from the base's
+// digests, so in-memory corruption of any committed input shows up as a
+// clone root that diverges from the base's (the engine's update check,
+// core/query_engine.h). Fails only when a disk-backed payload fails its
+// integrity check.
+Result<std::unique_ptr<SpPackage>> ClonePackage(const SpPackage& base);
 
 struct UpdateStats {
   size_t lists_updated = 0;

@@ -40,7 +40,7 @@
 // server kUnavailable, malformed bytes in either direction kCorrupted.
 //
 // Parsing discipline: every decoder here follows the hardened-deserializer
-// rules from storage/serializer.cc — length prefixes are capped against the
+// rules from storage/format.h — length prefixes are capped against the
 // bytes actually present before any allocation, counts have absolute sanity
 // bounds, bools decode strictly, trailing bytes reject — and every failure
 // is StatusCode::kCorrupted. The wire fuzz matrix (tests/net_frame_test.cc)

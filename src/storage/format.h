@@ -1,6 +1,6 @@
-// Canonical on-disk codec for package components, shared by the interchange
-// serializer (storage/serializer.cc) and the mmap package store
-// (storage/package_store.cc).
+// Canonical on-disk codec for package components (the sections of the mmap
+// package store, storage/package_store.cc) and for the public parameters
+// clients persist (params.bin).
 //
 // Every encoder/decoder here follows the hardened-deserialization discipline
 // of PR 4: decoders cap every allocation against the bytes actually present,
@@ -8,19 +8,20 @@
 // only), validate structural invariants (tree acyclicity, sorted BoVW
 // entries, filter geometry), and report every failure as
 // StatusCode::kCorrupted. Encodings are the canonical little-endian forms of
-// common/bytes.h — both persistence formats must produce bit-identical
-// component bytes so digests derived from them agree.
+// common/bytes.h.
 
 #ifndef IMAGEPROOF_STORAGE_FORMAT_H_
 #define IMAGEPROOF_STORAGE_FORMAT_H_
 
 #include <memory>
+#include <string>
 
 #include "ann/rkd_tree.h"
 #include "bovw/bovw.h"
 #include "common/bytes.h"
 #include "common/status.h"
 #include "core/config.h"
+#include "core/vo.h"
 #include "crypto/bignum.h"
 #include "cuckoo/cuckoo_filter.h"
 
@@ -56,6 +57,17 @@ Status GetBigInt(ByteReader& r, crypto::BigInt* out);
 // fingerprint_bits and seed ride in the config and are filled by the caller.
 void PutFilterGeometry(ByteWriter& w, const cuckoo::CuckooParams& geo);
 Status GetFilterGeometry(ByteReader& r, cuckoo::CuckooParams* geo);
+
+// Public parameters (what clients persist as params.bin): magic 'IPPB',
+// format version 1, config, owner public key, root signature, dims and
+// cluster count. Deserialize rejects trailing bytes.
+Bytes SerializePublicParams(const core::PublicParams& params);
+Result<core::PublicParams> DeserializePublicParams(const Bytes& data);
+
+// File wrappers: crash-safe write (storage/file_io.h) and whole-file read.
+Status SavePublicParams(const std::string& path,
+                        const core::PublicParams& params);
+Result<core::PublicParams> LoadPublicParams(const std::string& path);
 
 }  // namespace imageproof::storage
 

@@ -544,8 +544,6 @@ Result<std::unique_ptr<core::SpPackage>> PackageStore::Open(
     if (num_trees != static_cast<uint64_t>(pkg->config.forest.num_trees)) {
       return Corrupt("tree count diverges from config");
     }
-    pkg->forest =
-        std::make_unique<ann::RkdForest>(pkg->codebook, pkg->config.forest);
     std::vector<std::unique_ptr<ann::RkdTree>> trees;
     for (uint64_t i = 0; i < num_trees; ++i) {
       std::unique_ptr<ann::RkdTree> tree;
@@ -556,8 +554,9 @@ Result<std::unique_ptr<core::SpPackage>> PackageStore::Open(
       }
       trees.push_back(std::move(tree));
     }
-    pkg->forest->ReplaceTrees(std::move(trees));
     if (!(s = section_done(r, "trees")).ok()) return s;
+    pkg->forest = std::make_unique<ann::RkdForest>(
+        pkg->codebook, pkg->config.forest, std::move(trees));
   }
   for (const auto& tree : pkg->forest->trees()) {
     pkg->mrkd_trees.push_back(std::make_unique<mrkd::MrkdTree>(

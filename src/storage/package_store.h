@@ -1,14 +1,12 @@
 // Disk-backed mmap package store with crash-safe epoch updates.
 //
-// The interchange serializer (storage/serializer.h) is a flat stream: load
-// means parse everything, copy every image payload into anonymous memory,
-// and rebuild every posting-chain digest — cost proportional to the corpus.
-// The package store is the serving format: a page-aligned sectioned file
-// that is mmap'd read-only (MAP_SHARED), opened by checking digests instead
-// of recomputing them, and whose image payloads are never loaded at all —
-// they fault in lazily from evictable page cache when a query's top-k
-// result needs them, which keeps the resident set of a deployment below
-// its corpus size.
+// The `.ipk` file is the one encoding of a whole SP package: a page-aligned
+// sectioned file that is mmap'd read-only (MAP_SHARED), opened by checking
+// digests instead of recomputing every posting chain, and whose image
+// payloads are never loaded at all — they fault in lazily from evictable
+// page cache when a query's top-k result needs them, which keeps the
+// resident set of a deployment below its corpus size. (In-memory snapshot
+// copies need no encoding: core::ClonePackage re-derives them directly.)
 //
 // File layout (all integers canonical little-endian, common/bytes.h):
 //

@@ -18,8 +18,8 @@
 #include "core/client.h"
 #include "core/query_engine.h"
 #include "core/server.h"
+#include "core/update.h"
 #include "storage/package_store.h"
-#include "storage/serializer.h"
 #include "test_support.h"
 #include "workload/synthetic.h"
 
@@ -151,9 +151,9 @@ class EngineCrashTest : public ::testing::Test {
   void TearDown() override { fault::FaultInjector::Global().DisarmAll(); }
 
   std::unique_ptr<core::QueryEngine> MakeEngine() {
-    // Serializer round-trip = the engine's own clone path; leaves
-    // owner_.package available for reference comparisons.
-    auto clone = DeserializeSpPackage(SerializeSpPackage(*owner_.package));
+    // The engine's own clone path; leaves owner_.package available for
+    // reference comparisons.
+    auto clone = core::ClonePackage(*owner_.package);
     EXPECT_TRUE(clone.ok());
     core::EngineOptions eo;
     eo.num_workers = 1;

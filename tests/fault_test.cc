@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -84,35 +85,6 @@ TEST_F(FaultInjectorTest, ProbabilityStreamIsDeterministic) {
   for (bool f : a) count += f;
   EXPECT_GT(count, 16u);  // p=0.5 over 64 draws: wildly improbable bounds
   EXPECT_LT(count, 48u);
-}
-
-TEST_F(FaultInjectorTest, ByteFaultsFlipAndTruncate) {
-  auto& fi = fault::FaultInjector::Global();
-  Bytes original(256);
-  for (size_t i = 0; i < original.size(); ++i) {
-    original[i] = static_cast<uint8_t>(i);
-  }
-
-  fi.ArmAlways("storage.serialize.bitflip");
-  Bytes flipped = original;
-  fault::InjectByteFaults(&flipped);
-  ASSERT_EQ(flipped.size(), original.size());
-  size_t diff_bits = 0;
-  for (size_t i = 0; i < original.size(); ++i) {
-    uint8_t x = flipped[i] ^ original[i];
-    while (x) {
-      diff_bits += x & 1;
-      x >>= 1;
-    }
-  }
-  EXPECT_EQ(diff_bits, 1u) << "bitflip site must flip exactly one bit";
-
-  fi.DisarmAll();
-  fi.ArmAlways("storage.serialize.truncate");
-  Bytes truncated = original;
-  fault::InjectByteFaults(&truncated);
-  EXPECT_LT(truncated.size(), original.size());
-  EXPECT_GE(truncated.size(), original.size() - 64);
 }
 
 // ---------------------------------------------------------------------------
@@ -346,50 +318,55 @@ TEST_F(EngineFaultTest, TransientCloneFaultIsRetried) {
 
 TEST_F(EngineFaultTest, StorageBitFlipRollsBackThenRecovers) {
   EngineFixture fx;
-  core::QueryEngine engine(fx.package, fx.owner.public_params, {});
   auto& fi = fault::FaultInjector::Global();
-
-  // Every serialize emits one flipped bit: all attempts fail, nothing is
-  // published, and the old snapshot keeps serving verifiable responses.
-  fi.ArmAlways("storage.serialize.bitflip");
   workload::CorpusParams qp;
   qp.num_clusters = 64;
-  auto ins = engine.InsertImage(fx.owner.private_key, 40001,
-                                workload::GenerateQueryBovw(qp, 10, 2),
-                                workload::GenerateImageBlob(40001));
-  EXPECT_FALSE(ins.ok());
-  EXPECT_EQ(ins.status().code(), StatusCode::kCorrupted)
-      << ins.status().message();
-  EXPECT_EQ(engine.CurrentSnapshot()->version, 0u) << "faulty update published";
-  EXPECT_GE(fi.Fired("storage.serialize.bitflip"),
-            static_cast<uint64_t>(engine.options().update_max_attempts));
+  struct Case {
+    const char* what;
+    std::function<Result<core::UpdateStats>(core::QueryEngine&)> update;
+  };
+  const Case cases[] = {
+      {"insert",
+       [&](core::QueryEngine& engine) {
+         return engine.InsertImage(fx.owner.private_key, 40001,
+                                   workload::GenerateQueryBovw(qp, 10, 2),
+                                   workload::GenerateImageBlob(40001));
+       }},
+      {"delete",
+       [&](core::QueryEngine& engine) {
+         return engine.DeleteImage(fx.owner.private_key, 1);
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    core::QueryEngine engine(fx.package, fx.owner.public_params, {});
 
-  auto features = fx.Features(9);
-  core::EngineResponse resp = engine.Submit(features, 5).get();
-  ASSERT_TRUE(resp.ok());
-  core::Client client(resp.snapshot->params);
-  EXPECT_TRUE(client.Verify(features, 5, resp.response.vo).ok())
-      << "rolled-back update corrupted the served snapshot";
+    // Every clone attempt fails: all attempts fail, nothing is published,
+    // and the old snapshot keeps serving verifiable responses.
+    fi.DisarmAll();
+    fi.ArmAlways("engine.update.clone");
+    auto result = c.update(engine);
+    EXPECT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kCorrupted)
+        << result.status().message();
+    EXPECT_EQ(engine.CurrentSnapshot()->version, 0u)
+        << "faulty update published";
+    EXPECT_GE(fi.Fired("engine.update.clone"),
+              static_cast<uint64_t>(engine.options().update_max_attempts));
 
-  // Fault cleared: the same update now applies.
-  fi.DisarmAll();
-  ins = engine.InsertImage(fx.owner.private_key, 40001,
-                           workload::GenerateQueryBovw(qp, 10, 2),
-                           workload::GenerateImageBlob(40001));
-  ASSERT_TRUE(ins.ok()) << ins.status().message();
-  EXPECT_EQ(engine.CurrentSnapshot()->version, 1u);
-}
+    auto features = fx.Features(9);
+    core::EngineResponse resp = engine.Submit(features, 5).get();
+    ASSERT_TRUE(resp.ok());
+    core::Client client(resp.snapshot->params);
+    EXPECT_TRUE(client.Verify(features, 5, resp.response.vo).ok())
+        << "rolled-back update corrupted the served snapshot";
 
-TEST_F(EngineFaultTest, TruncationFaultRollsBack) {
-  EngineFixture fx;
-  core::QueryEngine engine(fx.package, fx.owner.public_params, {});
-  fault::FaultInjector::Global().ArmAlways("storage.serialize.truncate");
-
-  auto del = engine.DeleteImage(fx.owner.private_key, 1);
-  EXPECT_FALSE(del.ok());
-  EXPECT_EQ(del.status().code(), StatusCode::kCorrupted)
-      << del.status().message();
-  EXPECT_EQ(engine.CurrentSnapshot()->version, 0u);
+    // Fault cleared: the same update now applies.
+    fi.DisarmAll();
+    result = c.update(engine);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    EXPECT_EQ(engine.CurrentSnapshot()->version, 1u);
+  }
 }
 
 TEST_F(EngineFaultTest, SigningFaultIsCaughtBeforePublish) {
@@ -422,9 +399,9 @@ TEST_F(EngineFaultTest, QueriesRacingFaultyUpdatesAlwaysVerify) {
   opts.num_workers = 2;
   core::QueryEngine engine(fx.package, fx.owner.public_params, opts);
 
-  // Probabilistic storage faults plus update latency, racing readers.
+  // Probabilistic clone faults plus update latency, racing readers.
   auto& fi = fault::FaultInjector::Global();
-  fi.ArmProbability("storage.serialize.bitflip", 0.4, 1234);
+  fi.ArmProbability("engine.update.clone", 0.4, 1234);
   fi.ArmLatencyMs("engine.update.latency", 2);
 
   std::atomic<int> verify_failures{0};

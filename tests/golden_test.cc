@@ -6,8 +6,8 @@
 // invalidating all previously signed state.
 //
 // If a test here fails because you *intentionally* changed a format, bump
-// the storage format version (storage/serializer.cc) and update the
-// constants — that is a breaking protocol change.
+// the package store version (kStoreVersion in storage/package_store.cc) and
+// update the constants — that is a breaking protocol change.
 
 #include <gtest/gtest.h>
 

@@ -16,7 +16,6 @@
 #include "core/server.h"
 #include "core/update.h"
 #include "storage/package_store.h"
-#include "storage/serializer.h"
 #include "test_support.h"
 #include "workload/synthetic.h"
 
@@ -365,21 +364,6 @@ TEST_F(PackageStoreTest, WriteFromDiskBackedPackageRoundTrips) {
   EXPECT_EQ((*reloaded)->RootDigest(), owner_.package->RootDigest());
   EXPECT_TRUE((*reloaded)->ImagesEqual(*owner_.package));
   std::remove(copy.c_str());
-}
-
-// The serializer interchange path and the store must agree: a package
-// loaded from one can be written to the other with identical signed state.
-TEST_F(PackageStoreTest, InterchangesWithSerializer) {
-  Bytes stream = SerializeSpPackage(*owner_.package);
-  auto from_stream = DeserializeSpPackage(stream);
-  ASSERT_TRUE(from_stream.ok());
-  std::string path = tmp_.Path("store_interchange.ipk");
-  ASSERT_TRUE(PackageStore::Write(path, **from_stream).ok());
-  auto from_store = PackageStore::Open(path, SignedOpen());
-  ASSERT_TRUE(from_store.ok()) << from_store.status().message();
-  EXPECT_EQ(SerializeSpPackage(**from_store), stream)
-      << "store -> serializer bytes diverged from the original stream";
-  std::remove(path.c_str());
 }
 
 // --- epoch directory protocol -------------------------------------------

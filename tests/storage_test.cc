@@ -1,6 +1,8 @@
-// Tests for deployment persistence: a loaded package must answer queries
-// whose VOs verify against the ORIGINAL owner's signature (bit-identical
-// ADS digests), and malformed stored data must be rejected cleanly.
+// Tests for deployment persistence and snapshot cloning: a package cloned by
+// core::ClonePackage (from memory or from a mapped .ipk) or written to the
+// store and reopened must answer queries whose VOs verify against the
+// ORIGINAL owner's signature (bit-identical ADS digests), and malformed
+// public parameters must be rejected cleanly.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +11,8 @@
 #include "core/client.h"
 #include "core/server.h"
 #include "core/update.h"
-#include "storage/serializer.h"
+#include "storage/format.h"
+#include "storage/package_store.h"
 #include "test_support.h"
 #include "workload/synthetic.h"
 
@@ -35,35 +38,55 @@ core::OwnerOutput BuildSmallDeployment(core::Config config, uint64_t seed = 3) {
                                std::move(corpus), std::move(blobs), seed + 2);
 }
 
+core::Config SchemeConfig(const std::string& name) {
+  if (name == "Baseline") return core::Config::Baseline();
+  if (name == "OptimizedBovw") return core::Config::OptimizedBovw();
+  if (name == "OptimizedBoth") return core::Config::OptimizedBoth();
+  return core::Config::ImageProof();
+}
+
 class StorageSchemeTest : public ::testing::TestWithParam<const char*> {};
 
+// ClonePackage re-derives every digest, from an in-memory base and from a
+// disk-backed one: both clones carry the signed root and the base's
+// content, and serve VOs byte-identical to the base's.
 TEST_P(StorageSchemeTest, RoundTripPreservesSignedDigests) {
-  core::Config config = std::string(GetParam()) == "ImageProof"
-                            ? core::Config::ImageProof()
-                            : core::Config::OptimizedBoth();
-  core::OwnerOutput owner = BuildSmallDeployment(config);
+  core::OwnerOutput owner = BuildSmallDeployment(SchemeConfig(GetParam()));
+  testing_support::ScopedTestDir tmp;
+  const std::string path = tmp.Path("clone_base.ipk");
+  ASSERT_TRUE(PackageStore::Write(path, *owner.package).ok());
+  OpenOptions opts;
+  opts.params = &owner.public_params;
+  auto opened = PackageStore::Open(path, opts);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
 
-  Bytes blob = SerializeSpPackage(*owner.package);
-  auto loaded = DeserializeSpPackage(blob);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
-
-  // Bit-identical ADS: the loaded package's root digest matches the
-  // original signature.
-  EXPECT_EQ((*loaded)->RootDigest(), owner.package->RootDigest());
-
-  // A query served from the LOADED package verifies against the ORIGINAL
-  // public parameters.
-  core::ServiceProvider sp(loaded->get());
+  auto features =
+      workload::GenerateQueryFeatures(owner.package->codebook, 20, 0.3, 42);
+  core::ServiceProvider base_sp(owner.package.get());
+  const Bytes base_vo = base_sp.Query(features, 5).vo.Serialize();
   core::Client client(owner.public_params);
-  auto features = workload::GenerateQueryFeatures(
-      (*loaded)->codebook, 20, 0.3, 42);
-  core::QueryResponse resp = sp.Query(features, 5);
-  auto verified = client.Verify(features, 5, resp.vo);
-  EXPECT_TRUE(verified.ok()) << verified.status().message();
+
+  for (const core::SpPackage* base : {owner.package.get(), opened->get()}) {
+    SCOPED_TRACE(base->disk_backed() ? "disk-backed base" : "in-memory base");
+    auto clone = core::ClonePackage(*base);
+    ASSERT_TRUE(clone.ok()) << clone.status().message();
+    EXPECT_FALSE((*clone)->disk_backed());
+    EXPECT_EQ((*clone)->RootDigest(), owner.package->RootDigest());
+    EXPECT_TRUE((*clone)->config == owner.package->config);
+    EXPECT_TRUE((*clone)->corpus == owner.package->corpus);
+    EXPECT_TRUE((*clone)->ImagesEqual(*owner.package));
+
+    core::ServiceProvider sp(clone->get());
+    core::QueryResponse resp = sp.Query(features, 5);
+    EXPECT_EQ(resp.vo.Serialize(), base_vo);
+    auto verified = client.Verify(features, 5, resp.vo);
+    EXPECT_TRUE(verified.ok()) << verified.status().message();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, StorageSchemeTest,
-                         ::testing::Values("ImageProof", "OptimizedBoth"));
+                         ::testing::Values("Baseline", "ImageProof",
+                                           "OptimizedBovw", "OptimizedBoth"));
 
 TEST(StorageTest, PublicParamsRoundTrip) {
   core::OwnerOutput owner = BuildSmallDeployment(core::Config::ImageProof());
@@ -86,63 +109,44 @@ TEST(StorageTest, PublicParamsRoundTrip) {
   EXPECT_TRUE(client.Verify(features, 3, resp.vo).ok());
 }
 
+// A deployment persisted as files (package store + params.bin) reopens
+// under the params read back from disk.
 TEST(StorageTest, FileRoundTrip) {
   core::OwnerOutput owner = BuildSmallDeployment(core::Config::ImageProof());
   testing_support::ScopedTestDir tmp;
-  std::string pkg_path = tmp.Path("imageproof_pkg.bin");
+  std::string pkg_path = tmp.Path("imageproof_pkg.ipk");
   std::string params_path = tmp.Path("imageproof_params.bin");
-  ASSERT_TRUE(SaveSpPackage(pkg_path, *owner.package).ok());
+  ASSERT_TRUE(PackageStore::Write(pkg_path, *owner.package).ok());
   ASSERT_TRUE(SavePublicParams(params_path, owner.public_params).ok());
-  auto pkg = LoadSpPackage(pkg_path);
-  ASSERT_TRUE(pkg.ok()) << pkg.status().message();
   auto params = LoadPublicParams(params_path);
   ASSERT_TRUE(params.ok()) << params.status().message();
+  OpenOptions opts;
+  opts.params = &*params;
+  auto pkg = PackageStore::Open(pkg_path, opts);
+  ASSERT_TRUE(pkg.ok()) << pkg.status().message();
   EXPECT_EQ((*pkg)->RootDigest(), owner.package->RootDigest());
-  std::remove(pkg_path.c_str());
-  std::remove(params_path.c_str());
 }
 
 TEST(StorageTest, MalformedInputsRejected) {
   core::OwnerOutput owner = BuildSmallDeployment(core::Config::ImageProof());
-  Bytes blob = SerializeSpPackage(*owner.package);
+  Bytes blob = SerializePublicParams(owner.public_params);
 
-  EXPECT_FALSE(DeserializeSpPackage({}).ok());
+  EXPECT_EQ(DeserializePublicParams({}).status().code(), StatusCode::kCorrupted);
   Bytes bad_magic = blob;
   bad_magic[0] ^= 0xFF;
-  EXPECT_FALSE(DeserializeSpPackage(bad_magic).ok());
+  EXPECT_EQ(DeserializePublicParams(bad_magic).status().code(),
+            StatusCode::kCorrupted);
+  Bytes bad_version = blob;
+  bad_version[4] ^= 0x01;
+  EXPECT_EQ(DeserializePublicParams(bad_version).status().code(),
+            StatusCode::kCorrupted);
   Bytes truncated(blob.begin(), blob.begin() + blob.size() / 2);
-  EXPECT_FALSE(DeserializeSpPackage(truncated).ok());
+  EXPECT_EQ(DeserializePublicParams(truncated).status().code(),
+            StatusCode::kCorrupted);
   Bytes trailing = blob;
   trailing.push_back(0);
-  EXPECT_FALSE(DeserializeSpPackage(trailing).ok());
-}
-
-TEST(StorageTest, RandomCorruptionNeverCrashes) {
-  core::OwnerOutput owner = BuildSmallDeployment(core::Config::ImageProof());
-  Bytes blob = SerializeSpPackage(*owner.package);
-  Rng rng(5);
-  int loaded_ok = 0;
-  for (int t = 0; t < 50; ++t) {
-    Bytes tampered = blob;
-    // A burst of corruption at a random position.
-    size_t pos = rng.NextBounded(tampered.size());
-    for (size_t i = pos; i < std::min(tampered.size(), pos + 8); ++i) {
-      tampered[i] = static_cast<uint8_t>(rng.NextU64());
-    }
-    auto result = DeserializeSpPackage(tampered);  // must not crash
-    if (result.ok()) {
-      ++loaded_ok;
-      // Even if structurally parseable, the ADS digests diverge, so the
-      // owner's signature would catch it downstream. Just ensure the
-      // object is usable.
-      EXPECT_GT((*result)->corpus.size(), 0u);
-    }
-  }
-  // Corruption of payload floats parses fine (the signature check catches
-  // it later); structural corruption must be caught at parse time. The
-  // real property under test is "never crashes"; just ensure the parser
-  // rejects at least some structural damage.
-  EXPECT_LT(loaded_ok, 45);
+  EXPECT_EQ(DeserializePublicParams(trailing).status().code(),
+            StatusCode::kCorrupted);
 }
 
 TEST(StorageTest, UpdatedDeploymentSurvivesPersistence) {
@@ -158,8 +162,12 @@ TEST(StorageTest, UpdatedDeploymentSurvivesPersistence) {
                         workload::GenerateImageBlob(new_id));
   ASSERT_TRUE(stats.ok()) << stats.status().message();
 
-  Bytes blob = SerializeSpPackage(*owner.package);
-  auto loaded = DeserializeSpPackage(blob);
+  testing_support::ScopedTestDir tmp;
+  const std::string path = tmp.Path("updated.ipk");
+  ASSERT_TRUE(PackageStore::Write(path, *owner.package).ok());
+  OpenOptions opts;
+  opts.params = &owner.public_params;
+  auto loaded = PackageStore::Open(path, opts);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   EXPECT_EQ((*loaded)->RootDigest(), owner.package->RootDigest());
 
@@ -176,7 +184,7 @@ TEST(StorageTest, UpdatedDeploymentSurvivesPersistence) {
 }
 
 TEST(StorageTest, MissingFile) {
-  EXPECT_FALSE(LoadSpPackage("/nonexistent/path/pkg.bin").ok());
+  EXPECT_FALSE(PackageStore::Open("/nonexistent/path/pkg.ipk").ok());
   EXPECT_FALSE(LoadPublicParams("/nonexistent/path/params.bin").ok());
 }
 

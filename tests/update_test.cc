@@ -1,12 +1,17 @@
 // Tests for incremental deployment updates: inserted images become
 // retrievable with verifying VOs under the re-signed root; deleted images
-// vanish; stale signatures are rejected; rollback on failure.
+// vanish; stale signatures are rejected; rollback on failure; and the
+// engine's clone refuses to re-sign a base corrupted in memory.
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/client.h"
+#include "core/query_engine.h"
 #include "core/server.h"
 #include "core/update.h"
+#include "crypto/rsa.h"
 #include "workload/synthetic.h"
 
 namespace imageproof::core {
@@ -183,6 +188,78 @@ TEST(UpdateTest, ManySequentialUpdatesStayConsistent) {
   auto verified =
       fx.QueryAndVerify(corpus[corpus.size() / 2].second, 5, 1234);
   EXPECT_TRUE(verified.ok()) << verified.status().message();
+}
+
+// Corrupts committed inputs of the served package in RAM, after their
+// digests were derived: the engine's clone (ClonePackage) re-derives every
+// digest from those inputs, so each update must fail on the root check,
+// publish nothing, and leave the old snapshot serving what it served.
+TEST(UpdateTest, CorruptedBaseFailsCloneRootCheck) {
+  struct Case {
+    const char* what;
+    std::function<void(SpPackage&)> corrupt;
+  };
+  const Case cases[] = {
+      {"corpus frequency on a nonzero-weight cluster",
+       [](SpPackage& pkg) {
+         for (auto& [id, v] : pkg.corpus) {
+           for (auto& [c, f] : v.entries) {
+             if (pkg.inv_index->weight(c) != 0) {
+               f += 1;
+               return;
+             }
+           }
+         }
+         FAIL() << "no nonzero-weight cluster in the corpus";
+       }},
+      {"codebook coordinate",
+       [](SpPackage& pkg) { pkg.codebook.row(0)[0] += 1.0f; }},
+      {"tree split value",
+       [](SpPackage& pkg) {
+         // The trees are immutable through the package's API; a stray
+         // write is exactly what this case simulates.
+         const ann::RkdNode& root = pkg.forest->trees()[0]->nodes()[0];
+         ASSERT_FALSE(root.IsLeaf());
+         const_cast<ann::RkdNode&>(root).split_value += 1.0f;
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    UpdateFixture fx(Config::ImageProof());
+    c.corrupt(*fx.owner.package);
+    // The engine borrows the fixture's package (the fixture outlives it).
+    QueryEngine engine(std::shared_ptr<const SpPackage>(
+                           fx.owner.package.get(), [](const SpPackage*) {}),
+                       fx.owner.public_params);
+    const auto features = workload::FeaturesFromBovw(
+        fx.owner.package->codebook, fx.owner.package->corpus[5].second, 40,
+        0.2, 0.0, 5);
+    EngineResponse before = engine.Submit(features, 5).get();
+    ASSERT_TRUE(before.ok()) << before.status.message();
+
+    bovw::BovwVector v;
+    v.entries = {{2, 3}, {50, 1}, {90, 2}};
+    auto ins = engine.InsertImage(fx.owner.private_key, 500000, v,
+                                  workload::GenerateImageBlob(500000));
+    ASSERT_FALSE(ins.ok());
+    EXPECT_EQ(ins.status().code(), StatusCode::kCorrupted);
+    EXPECT_NE(ins.status().message().find("root diverges"), std::string::npos)
+        << ins.status().message();
+
+    // The old snapshot stays published: its signature still verifies over
+    // its root, and it serves exactly the bytes it served before the
+    // update. (A codebook or split-value corruption shows up in the reveals
+    // it serves, so clients reject those queries either way.)
+    std::shared_ptr<const Snapshot> snap = engine.CurrentSnapshot();
+    EXPECT_EQ(snap->version, 0u) << "update over a corrupted base published";
+    EXPECT_EQ(snap->package.get(), fx.owner.package.get());
+    EXPECT_TRUE(crypto::RsaVerify(snap->params.public_key,
+                                  snap->package->RootDigest(),
+                                  snap->params.root_signature));
+    EngineResponse after = engine.Submit(features, 5).get();
+    ASSERT_TRUE(after.ok()) << after.status.message();
+    EXPECT_EQ(after.response.vo.Serialize(), before.response.vo.Serialize());
+  }
 }
 
 }  // namespace
