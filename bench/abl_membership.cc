@@ -10,7 +10,7 @@
 
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
-#include "cuckoo/counting_bloom.h"
+#include "bench/counting_bloom.h"
 #include "cuckoo/cuckoo_filter.h"
 
 using namespace imageproof;

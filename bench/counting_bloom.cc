@@ -1,4 +1,4 @@
-#include "cuckoo/counting_bloom.h"
+#include "bench/counting_bloom.h"
 
 #include "crypto/hasher.h"
 #include "crypto/sha3.h"

@@ -8,8 +8,8 @@
 // model; the authenticated index always uses cuckoo filters (they ship in
 // VOs, where their compactness matters most).
 
-#ifndef IMAGEPROOF_CUCKOO_COUNTING_BLOOM_H_
-#define IMAGEPROOF_CUCKOO_COUNTING_BLOOM_H_
+#ifndef IMAGEPROOF_BENCH_COUNTING_BLOOM_H_
+#define IMAGEPROOF_BENCH_COUNTING_BLOOM_H_
 
 #include <cstdint>
 #include <vector>
@@ -58,4 +58,4 @@ class CountingBloomFilter {
 
 }  // namespace imageproof::cuckoo
 
-#endif  // IMAGEPROOF_CUCKOO_COUNTING_BLOOM_H_
+#endif  // IMAGEPROOF_BENCH_COUNTING_BLOOM_H_

@@ -12,7 +12,8 @@
 //     unbounded backlog.
 //   * TrySubmit() is the load-shedding variant: it never blocks, and
 //     instead reports kQueueFull (caller sheds) or kShutdown (pool is
-//     draining) — the query engine builds its overload policy on this.
+//     draining) — the query engine's Submit/SubmitAsync admit through it,
+//     while its QueryBatch uses the blocking Submit().
 //   * Shutdown() drains every already-submitted task, joins the workers,
 //     and is idempotent/thread-safe; the destructor calls it. After
 //     Shutdown, Submit() runs the task inline on the calling thread (the

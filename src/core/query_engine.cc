@@ -14,6 +14,16 @@
 
 namespace imageproof::core {
 
+namespace {
+
+// First retry's pause after a kCorrupted update attempt; doubled per retry.
+constexpr std::chrono::milliseconds kUpdateRetryBackoff{1};
+
+// The queued task's continuation for future-returning admission.
+constexpr auto kReturnResponse = [](EngineResponse r) { return r; };
+
+}  // namespace
+
 QueryEngine::QueryEngine(std::shared_ptr<const SpPackage> package,
                          PublicParams params, EngineOptions options)
     : options_(options),
@@ -28,24 +38,22 @@ QueryEngine::QueryEngine(std::shared_ptr<const SpPackage> package,
   snap->package = std::move(package);
   snap->params = std::move(params);
   snap->version = options.initial_version;
-  snap->memo = std::make_shared<const ProofMemo>(*snap->package);
-  snapshot_ = std::move(snap);
-  if (!options_.persist_dir.empty()) {
-    epoch_params_[snapshot_->version] = snapshot_->params;
-    if (options_.retain_epochs > 0 || options_.scrub_interval.count() > 0) {
-      storage::JanitorOptions jo;
-      jo.dir = options_.persist_dir;
-      jo.retain_epochs = options_.retain_epochs;
-      jo.scrub = options_.scrub_interval.count() > 0;
-      // GC-only configurations still need a thread cadence.
-      jo.scrub_interval = jo.scrub ? options_.scrub_interval
-                                   : std::chrono::milliseconds(1000);
-      jo.scrub_bytes_per_sec = options_.scrub_bytes_per_sec;
-      janitor_ = std::make_unique<storage::EpochJanitor>(
-          std::move(jo),
-          [this](uint64_t epoch) { return RollbackFromCorruptEpoch(epoch); });
-      janitor_->Start();
-    }
+  // The initial epoch is already wherever the caller loaded it from: no
+  // write, so this publish cannot fail.
+  (void)Publish(std::move(snap), "engine", /*write=*/false);
+  if (!options_.persist_dir.empty() &&
+      (options_.retain_epochs > 0 || options_.scrub_interval.count() > 0)) {
+    storage::JanitorOptions jo;
+    jo.dir = options_.persist_dir;
+    jo.retain_epochs = options_.retain_epochs;
+    jo.scrub = options_.scrub_interval.count() > 0;
+    // GC-only configurations still need a thread cadence.
+    jo.scrub_interval = jo.scrub ? options_.scrub_interval
+                                 : std::chrono::milliseconds(1000);
+    janitor_ = std::make_unique<storage::EpochJanitor>(
+        std::move(jo),
+        [this](uint64_t epoch) { return RollbackFromCorruptEpoch(epoch); });
+    janitor_->Start();
   }
 }
 
@@ -62,14 +70,6 @@ void QueryEngine::Shutdown() {
 std::shared_ptr<const Snapshot> QueryEngine::CurrentSnapshot() const {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   return snapshot_;
-}
-
-std::future<EngineResponse> QueryEngine::ReadyResponse(Status status) {
-  std::promise<EngineResponse> p;
-  EngineResponse r;
-  r.status = std::move(status);
-  p.set_value(std::move(r));
-  return p.get_future();
 }
 
 EngineResponse QueryEngine::Serve(
@@ -151,19 +151,14 @@ EngineResponse QueryEngine::Serve(
   return out;
 }
 
-std::future<EngineResponse> QueryEngine::Submit(
+template <typename Then>
+Status QueryEngine::Admit(
     std::vector<std::vector<float>> features, size_t k,
-    SubmitOptions submit_options) {
-  return SubmitWithPolicy(std::move(features), k, submit_options,
-                          options_.overload_policy);
-}
-
-std::future<EngineResponse> QueryEngine::SubmitWithPolicy(
-    std::vector<std::vector<float>> features, size_t k,
-    SubmitOptions submit_options, OverloadPolicy policy) {
+    const SubmitOptions& submit_options, bool block, Then then,
+    std::future<std::invoke_result_t<Then, EngineResponse>>* out) {
   if (stopped_.load(std::memory_order_acquire)) {
     rejected_unavailable_.Add();
-    return ReadyResponse(Status::Unavailable("engine: stopped"));
+    return Status::Unavailable("engine: stopped");
   }
   const Clock::time_point deadline =
       submit_options.deadline.count() > 0
@@ -177,28 +172,43 @@ std::future<EngineResponse> QueryEngine::SubmitWithPolicy(
   const bool compress_vo = submit_options.compress_vo;
   const bool settle = submit_options.settle_exact_topk;
   auto task = [this, snap = std::move(snap), features = std::move(features),
-               k, compress_vo, settle, enqueued, deadline] {
-    return Serve(snap, features, k, compress_vo, settle, enqueued, deadline);
+               k, compress_vo, settle, enqueued, deadline,
+               then = std::move(then)] {
+    return then(
+        Serve(snap, features, k, compress_vo, settle, enqueued, deadline));
   };
-  if (policy == OverloadPolicy::kBlock) {
-    // PR-1 backpressure semantics: a full queue blocks the submitter. If
-    // the pool shut down between the stopped_ check above and here, the
-    // task runs inline — the future is still satisfied, never dropped.
-    return pool_.Submit(std::move(task));
+  if (block) {
+    // Backpressure: a full queue blocks the submitter. If the pool shut
+    // down between the stopped_ check above and here, the task runs inline
+    // — the future is still satisfied, never dropped.
+    *out = pool_.Submit(std::move(task));
+    return Status::Ok();
   }
-  std::future<EngineResponse> fut;
-  switch (pool_.TrySubmit(std::move(task), &fut)) {
+  switch (pool_.TrySubmit(std::move(task), out)) {
     case ThreadPool::TrySubmitResult::kAccepted:
-      return fut;
+      return Status::Ok();
     case ThreadPool::TrySubmitResult::kQueueFull:
       queries_shed_.Add();
-      return ReadyResponse(
-          Status::Overloaded("engine: submission queue full, query shed"));
+      return Status::Overloaded("engine: submission queue full, query shed");
     case ThreadPool::TrySubmitResult::kShutdown:
       break;
   }
   rejected_unavailable_.Add();
-  return ReadyResponse(Status::Unavailable("engine: stopped"));
+  return Status::Unavailable("engine: stopped");
+}
+
+std::future<EngineResponse> QueryEngine::Submit(
+    std::vector<std::vector<float>> features, size_t k,
+    SubmitOptions submit_options) {
+  std::future<EngineResponse> fut;
+  Status admitted = Admit(std::move(features), k, submit_options,
+                          /*block=*/false, kReturnResponse, &fut);
+  if (!admitted.ok()) {
+    std::promise<EngineResponse> ready;
+    ready.set_value(EngineResponse{std::move(admitted), {}, nullptr});
+    fut = ready.get_future();
+  }
+  return fut;
 }
 
 void QueryEngine::SubmitAsync(std::vector<std::vector<float>> features,
@@ -206,66 +216,35 @@ void QueryEngine::SubmitAsync(std::vector<std::vector<float>> features,
                               std::function<void(EngineResponse)> done) {
   // The callback lives in a shared_ptr because TrySubmit constructs its
   // task object before the admission check: on a shed the task (and
-  // everything it captured) is destroyed unrun, and the rejection path
-  // below still needs `done` alive to deliver the kOverloaded response.
+  // everything it captured) is destroyed unrun, and the rejection below
+  // still needs `done` alive to deliver the immediate decision inline.
   auto shared_done =
       std::make_shared<std::function<void(EngineResponse)>>(std::move(done));
-  auto immediate = [&shared_done](Status status) {
-    EngineResponse r;
-    r.status = std::move(status);
-    (*shared_done)(std::move(r));
-  };
-  if (stopped_.load(std::memory_order_acquire)) {
-    rejected_unavailable_.Add();
-    immediate(Status::Unavailable("engine: stopped"));
-    return;
-  }
-  const Clock::time_point deadline =
-      submit_options.deadline.count() > 0
-          ? Clock::now() + submit_options.deadline
-          : Clock::time_point{};
-  // Same admission-time snapshot pinning as Submit(): the caller gets an
-  // answer from the state it observed when the query was accepted.
-  std::shared_ptr<const Snapshot> snap = CurrentSnapshot();
-  obs::TimePoint enqueued = obs::Now();
-  const bool compress_vo = submit_options.compress_vo;
-  const bool settle = submit_options.settle_exact_topk;
-  auto task = [this, snap = std::move(snap), features = std::move(features),
-               k, compress_vo, settle, enqueued, deadline, shared_done] {
-    (*shared_done)(
-        Serve(snap, features, k, compress_vo, settle, enqueued, deadline));
-  };
   std::future<void> fut;
-  switch (pool_.TrySubmit(std::move(task), &fut)) {
-    case ThreadPool::TrySubmitResult::kAccepted:
-      return;
-    case ThreadPool::TrySubmitResult::kQueueFull:
-      queries_shed_.Add();
-      immediate(
-          Status::Overloaded("engine: submission queue full, query shed"));
-      return;
-    case ThreadPool::TrySubmitResult::kShutdown:
-      break;
+  Status admitted = Admit(
+      std::move(features), k, submit_options, /*block=*/false,
+      [shared_done](EngineResponse r) { (*shared_done)(std::move(r)); },
+      &fut);
+  if (!admitted.ok()) {
+    (*shared_done)(EngineResponse{std::move(admitted), {}, nullptr});
   }
-  rejected_unavailable_.Add();
-  immediate(Status::Unavailable("engine: stopped"));
 }
 
 std::vector<EngineResponse> QueryEngine::QueryBatch(
     const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
     SubmitOptions submit_options) {
-  std::vector<std::future<EngineResponse>> futures;
-  futures.reserve(queries.size());
-  for (const auto& q : queries) {
-    // The batch caller waits for every result anyway, so a full queue means
-    // backpressure (block), not shedding — shedding is for callers that
-    // need an immediate admission decision.
-    futures.push_back(
-        SubmitWithPolicy(q, k, submit_options, OverloadPolicy::kBlock));
+  // The batch caller waits for every result anyway, so a full queue means
+  // backpressure (block), not shedding — shedding is for callers that need
+  // an immediate admission decision.
+  std::vector<EngineResponse> out(queries.size());
+  std::vector<std::future<EngineResponse>> futures(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    out[i].status = Admit(queries[i], k, submit_options, /*block=*/true,
+                          kReturnResponse, &futures[i]);
   }
-  std::vector<EngineResponse> out;
-  out.reserve(queries.size());
-  for (auto& f : futures) out.push_back(f.get());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (futures[i].valid()) out[i] = futures[i].get();
+  }
   return out;
 }
 
@@ -330,38 +309,45 @@ Result<UpdateStats> QueryEngine::TryApplyUpdate(
 
   next->package = std::shared_ptr<const SpPackage>(std::move(*clone));
   next->version = base->version + 1;
+  Status published = Publish(std::move(next), "engine update", /*write=*/true);
+  if (!published.ok()) return Result<UpdateStats>(std::move(published));
+  return result;
+}
 
+Status QueryEngine::Publish(std::shared_ptr<Snapshot> next, const char* what,
+                            bool write) {
+  const bool persist = !options_.persist_dir.empty();
   // Disk-backed epochs: the clone/verify/swap protocol extended to disk.
   // The new epoch file is written crash-safely, REOPENED from its mapping
-  // with every section digest checked and the fresh root signature
-  // RsaVerify'd over the mapped bytes, and only then published — first the
-  // CURRENT pointer (a restart now serves the new epoch), then the served
+  // with every section digest checked and the root signature RsaVerify'd
+  // over the mapped bytes, and only then published — first the CURRENT
+  // pointer (a restart now serves the new epoch), then the served
   // snapshot, which is the reopened disk-backed package itself, so what we
   // serve is byte-for-byte what we persisted. Any failure leaves CURRENT
   // on the old epoch and the old snapshot serving.
-  if (!options_.persist_dir.empty()) {
+  if (write && persist) {
     Result<std::string> path = storage::PackageStore::WriteEpoch(
         options_.persist_dir, next->version, *next->package);
     if (!path.ok()) {
-      return Result<UpdateStats>(Status::WithCode(
-          path.status().code(),
-          "engine update: epoch write failed: " + path.status().message()));
+      return Status::WithCode(path.status().code(),
+                              std::string(what) + ": epoch write failed: " +
+                                  path.status().message());
     }
     storage::OpenOptions open_opts;
     open_opts.params = &next->params;
     Result<std::unique_ptr<SpPackage>> reopened =
         storage::PackageStore::Open(*path, open_opts);
     if (!reopened.ok()) {
-      return Result<UpdateStats>(Status::Corrupted(
-          "engine update: persisted epoch failed verification: " +
-          reopened.status().message()));
+      return Status::Corrupted(std::string(what) +
+                               ": persisted epoch failed verification: " +
+                               reopened.status().message());
     }
     Status flip = storage::PackageStore::SetCurrentEpoch(options_.persist_dir,
                                                          next->version);
     if (!flip.ok()) {
-      return Result<UpdateStats>(Status::WithCode(
-          flip.code(),
-          "engine update: CURRENT flip failed: " + flip.message()));
+      return Status::WithCode(
+          flip.code(), std::string(what) + ": CURRENT flip failed: " +
+                           flip.message());
     }
     next->package = std::shared_ptr<const SpPackage>(std::move(*reopened));
     // If a rollback once quarantined this epoch number, the number has now
@@ -378,17 +364,15 @@ Result<UpdateStats> QueryEngine::TryApplyUpdate(
   // disk-backed epochs that is the reopened mapping, not the clone.
   next->memo = std::make_shared<const ProofMemo>(*next->package);
 
-  {
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    if (!options_.persist_dir.empty()) {
-      epoch_params_[next->version] = next->params;
-      while (epoch_params_.size() > kEpochParamsRetained) {
-        epoch_params_.erase(epoch_params_.begin());
-      }
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  if (persist) {
+    epoch_params_[next->version] = next->params;
+    while (epoch_params_.size() > kEpochParamsRetained) {
+      epoch_params_.erase(epoch_params_.begin());
     }
-    snapshot_ = std::move(next);
   }
-  return result;
+  snapshot_ = std::move(next);
+  return Status::Ok();
 }
 
 template <typename Apply>
@@ -402,7 +386,7 @@ Result<UpdateStats> QueryEngine::ApplyUpdate(Apply&& apply) {
   std::shared_ptr<const Snapshot> base = CurrentSnapshot();
 
   const int max_attempts = std::max(options_.update_max_attempts, 1);
-  std::chrono::milliseconds backoff = options_.update_retry_backoff;
+  std::chrono::milliseconds backoff = kUpdateRetryBackoff;
   Result<UpdateStats> result =
       Result<UpdateStats>(Status::Error("engine update: not attempted"));
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
@@ -418,10 +402,8 @@ Result<UpdateStats> QueryEngine::ApplyUpdate(Apply&& apply) {
       break;
     }
     update_retries_.Add();
-    if (backoff.count() > 0) {
-      std::this_thread::sleep_for(backoff);
-      backoff *= 2;
-    }
+    std::this_thread::sleep_for(backoff);
+    backoff *= 2;
   }
   update_failures_.Add();
   return result;
@@ -488,45 +470,12 @@ Status QueryEngine::RollbackFromCorruptEpoch(uint64_t corrupt_epoch) {
     // never repeat with different bytes). Identical content has an
     // identical root, so the prior epoch's signature carries over.
     auto next = std::make_shared<Snapshot>();
+    next->package = std::shared_ptr<const SpPackage>(std::move(*pkg));
     next->params = params;
     next->version = corrupt_epoch + 1;
-    Result<std::string> wrote = storage::PackageStore::WriteEpoch(
-        options_.persist_dir, next->version, **pkg);
-    if (!wrote.ok()) {
-      return Status::WithCode(wrote.status().code(),
-                              "engine rollback: epoch write failed: " +
-                                  wrote.status().message());
-    }
-    storage::OpenOptions reopen_opts;
-    reopen_opts.params = &next->params;
-    Result<std::unique_ptr<SpPackage>> reopened =
-        storage::PackageStore::Open(*wrote, reopen_opts);
-    if (!reopened.ok()) {
-      return Status::Corrupted(
-          "engine rollback: republished epoch failed verification: " +
-          reopened.status().message());
-    }
-    Status flip = storage::PackageStore::SetCurrentEpoch(options_.persist_dir,
-                                                         next->version);
-    if (!flip.ok()) {
-      return Status::WithCode(
-          flip.code(), "engine rollback: CURRENT flip failed: " +
-                           flip.message());
-    }
-    (void)std::remove(
-        storage::EpochJanitor::QuarantineMarkerPath(options_.persist_dir,
-                                                    next->version)
-            .c_str());
-    next->package = std::shared_ptr<const SpPackage>(std::move(*reopened));
-    next->memo = std::make_shared<const ProofMemo>(*next->package);
-    {
-      std::lock_guard<std::mutex> lock(snapshot_mu_);
-      epoch_params_[next->version] = next->params;
-      while (epoch_params_.size() > kEpochParamsRetained) {
-        epoch_params_.erase(epoch_params_.begin());
-      }
-      snapshot_ = std::move(next);
-    }
+    Status published =
+        Publish(std::move(next), "engine rollback", /*write=*/true);
+    if (!published.ok()) return published;
     epoch_rollbacks_.Add();
     return Status::Ok();
   }

@@ -15,13 +15,14 @@
 //     loop, the per-tree MRKD searches, and the exact-nearest scan across
 //     ParallelFor workers. Single-query latency drops without changing a
 //     single VO byte (see below).
-//   * Load shedding instead of unbounded blocking: under the default
-//     OverloadPolicy::kShed, a Submit() against a full queue resolves
-//     immediately with Status kOverloaded (counted in `engine.shed`);
-//     kBlock restores the PR-1 backpressure behavior. Per-query deadlines
+//   * Load shedding instead of unbounded blocking: a Submit() or
+//     SubmitAsync() against a full queue resolves immediately with Status
+//     kOverloaded (counted in `engine.shed`); only QueryBatch(), whose
+//     caller waits for every result anyway, blocks for queue room. All
+//     three admit through one routine. Per-query deadlines
 //     (SubmitOptions::deadline) are enforced at worker pickup and between
 //     query stages (core::QueryControl), resolving as kDeadlineExceeded.
-//     A stopped engine (Shutdown()) resolves every later Submit() as
+//     A stopped engine (Shutdown()) resolves every later submission as
 //     kUnavailable. The engine degrades to *explicit errors*; it never
 //     blocks a caller indefinitely and never crashes on overload.
 //   * Snapshot isolation for updates: the engine serves from an immutable
@@ -38,7 +39,8 @@
 //     in-memory state cannot sneak into a fresh signature) and (2) the
 //     freshly signed root signature actually verifies over the
 //     cloned package's new root. Any corruption (kCorrupted) is retried
-//     with exponential backoff up to EngineOptions::update_max_attempts;
+//     with exponential backoff (1 ms, doubling) up to
+//     EngineOptions::update_max_attempts;
 //     logical failures (duplicate id, ...) are returned immediately. On
 //     every failure path the old snapshot stays published — queries racing
 //     a faulty update always verify against a consistently signed root.
@@ -66,6 +68,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -80,20 +83,13 @@ class EpochJanitor;
 
 namespace imageproof::core {
 
-// What Submit() does when the bounded queue is full: shed (resolve the
-// future immediately with kOverloaded) or block until space frees up.
-enum class OverloadPolicy { kShed, kBlock };
-
 struct EngineOptions {
   unsigned num_workers = 4;          // pool size (inter-query parallelism)
   size_t queue_capacity = 128;       // bounded submission queue, 0 = unbounded
   unsigned intra_query_threads = 1;  // ParallelFor width inside one query
-  OverloadPolicy overload_policy = OverloadPolicy::kShed;
   // Update fault tolerance: total attempts per InsertImage/DeleteImage when
-  // the failure is kCorrupted (transient storage/signing faults), and the
-  // first retry's backoff (doubled per subsequent attempt).
+  // the failure is kCorrupted (transient storage/signing faults).
   int update_max_attempts = 3;
-  std::chrono::milliseconds update_retry_backoff{1};
   // Non-empty = disk-backed epochs: every applied update is written to
   // persist_dir as pkg-<version>.ipk (crash-safe temp + fsync + rename),
   // reopened from the mapping with its fresh root signature verified, and
@@ -120,7 +116,6 @@ struct EngineOptions {
   // Both run on one engine-owned janitor thread.
   size_t retain_epochs = 0;
   std::chrono::milliseconds scrub_interval{0};
-  size_t scrub_bytes_per_sec = 0;  // scrub pacing; 0 = unthrottled
 };
 
 // Per-submission options. A zero deadline means none.
@@ -219,35 +214,31 @@ class QueryEngine {
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  // Enqueues one query. Under OverloadPolicy::kShed this never blocks: the
-  // returned future is immediately ready with kOverloaded when the queue is
-  // full, or kUnavailable after Shutdown(). With a deadline set, the future
-  // resolves with kDeadlineExceeded if the deadline passes before a worker
-  // picks the query up or between query stages.
+  // Enqueues one query. Never blocks: the returned future is immediately
+  // ready with kOverloaded when the queue is full, or kUnavailable after
+  // Shutdown(). With a deadline set, the future resolves with
+  // kDeadlineExceeded if the deadline passes before a worker picks the
+  // query up or between query stages.
   std::future<EngineResponse> Submit(std::vector<std::vector<float>> features,
-                                     size_t k, SubmitOptions submit_options);
-  std::future<EngineResponse> Submit(std::vector<std::vector<float>> features,
-                                     size_t k) {
-    return Submit(std::move(features), k, SubmitOptions{});
-  }
+                                     size_t k,
+                                     SubmitOptions submit_options = {});
 
   // Callback-based admission for event-loop callers (the src/net poll
-  // server): never blocks, regardless of the engine's overload policy — an
-  // event loop exists precisely to avoid parking a thread, so a full queue
-  // always resolves as an immediate kOverloaded. `done` runs on the worker
-  // thread that served the query, or inline on the calling thread when the
-  // admission decision is immediate (shed / unavailable). It is invoked
-  // exactly once, must not throw, and must not re-enter the engine's
-  // submit paths from a worker (the thread-pool self-deadlock rule).
+  // server). Admits exactly like Submit() and never blocks. `done` runs on
+  // the worker thread that served the query, or inline on the calling
+  // thread when the admission decision is immediate (shed / unavailable).
+  // It is invoked exactly once, must not throw, and must not re-enter the
+  // engine's submit paths from a worker (the thread-pool self-deadlock
+  // rule).
   void SubmitAsync(std::vector<std::vector<float>> features, size_t k,
                    SubmitOptions submit_options,
                    std::function<void(EngineResponse)> done);
 
   // Submits every query, then blocks until all are served. Results are in
   // input order. Since the caller waits for every result anyway, a full
-  // queue applies backpressure (blocks the submitter) rather than shedding,
-  // regardless of the engine's overload policy; per-query deadlines still
-  // apply, so entries may carry kDeadlineExceeded.
+  // queue applies backpressure (blocks the submitter) rather than shedding;
+  // per-query deadlines still apply, so entries may carry
+  // kDeadlineExceeded, and after Shutdown() every entry is kUnavailable.
   std::vector<EngineResponse> QueryBatch(
       const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
       SubmitOptions submit_options = {});
@@ -280,7 +271,7 @@ class QueryEngine {
   Status RollbackFromCorruptEpoch(uint64_t corrupt_epoch);
 
   // Stops admission and drains: already-accepted queries finish (their
-  // futures are satisfied), then the workers join. Every Submit() at or
+  // futures are satisfied), then the workers join. Every submission at or
   // after this point resolves immediately with kUnavailable; updates
   // return kUnavailable as well. Idempotent and safe to call concurrently
   // with Submit() from any thread.
@@ -327,13 +318,24 @@ class QueryEngine {
   Result<UpdateStats> TryApplyUpdate(
       const std::shared_ptr<const Snapshot>& base, Apply&& apply);
 
-  // An immediately-ready response for shed/expired/unavailable outcomes.
-  static std::future<EngineResponse> ReadyResponse(Status status);
+  // The one admission routine behind Submit, SubmitAsync and QueryBatch:
+  // the stopped check, the deadline, the snapshot pin and the hand-off to
+  // the pool. The queued task returns `then(response)` through `*out`.
+  // Returns OK once the query is queued; otherwise the (counted) immediate
+  // decision — kUnavailable when stopped, kOverloaded when the queue is
+  // full and `block` is false. With `block` the caller waits for room.
+  template <typename Then>
+  Status Admit(std::vector<std::vector<float>> features, size_t k,
+               const SubmitOptions& submit_options, bool block, Then then,
+               std::future<std::invoke_result_t<Then, EngineResponse>>* out);
 
-  // Submit with an explicit overload policy (QueryBatch always blocks).
-  std::future<EngineResponse> SubmitWithPolicy(
-      std::vector<std::vector<float>> features, size_t k,
-      SubmitOptions submit_options, OverloadPolicy policy);
+  // The one publish routine. With `write` and a persist_dir, first writes
+  // `next->package` as epoch next->version, reopens it verified under
+  // next->params, flips CURRENT, clears a stale quarantine marker and
+  // serves the reopened mapping. Then attaches a fresh ProofMemo, records
+  // the epoch's params and swaps snapshot_. On a failed step nothing is
+  // published; `what` prefixes the error message.
+  Status Publish(std::shared_ptr<Snapshot> next, const char* what, bool write);
 
   EngineOptions options_;
   unsigned num_workers_;            // options_.num_workers, 0 resolved to 1

@@ -71,16 +71,11 @@ void RetryingClient::Disconnect() { client_.reset(); }
 
 template <typename T, typename Op>
 Result<T> RetryingClient::WithRetries(bool retry_op, Op op) {
-  using Clock = std::chrono::steady_clock;
-  const bool bounded = policy_.overall_deadline.count() > 0;
-  const Clock::time_point give_up = Clock::now() + policy_.overall_deadline;
   prev_backoff_ = policy_.base_backoff;
   Status last = Status::Unavailable("net: no attempt made");
   for (int attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
     if (attempt > 1) {
-      std::chrono::milliseconds pause = NextBackoff();
-      if (bounded && Clock::now() + pause >= give_up) break;
-      std::this_thread::sleep_for(pause);
+      std::this_thread::sleep_for(NextBackoff());
       ++stats_.retries;
     }
     Status conn = EnsureConnected();
@@ -108,11 +103,9 @@ Result<T> RetryingClient::WithRetries(bool retry_op, Op op) {
 Result<NetQueryResult> RetryingClient::Query(
     const std::vector<std::vector<float>>& features, size_t k,
     uint32_t deadline_ms) {
-  const uint32_t attempt_deadline =
-      deadline_ms != 0 ? deadline_ms : policy_.attempt_deadline_ms;
   return WithRetries<NetQueryResult>(
       /*retry_op=*/true, [&](NetClient& c) {
-        return c.Query(features, k, attempt_deadline);
+        return c.Query(features, k, deadline_ms);
       });
 }
 
@@ -124,22 +117,18 @@ Result<StatusReply> RetryingClient::ServerStatus() {
 Result<ResponseFrame> RetryingClient::QueryForRelay(
     const std::vector<std::vector<float>>& features, size_t k,
     uint32_t deadline_ms) {
-  const uint32_t attempt_deadline =
-      deadline_ms != 0 ? deadline_ms : policy_.attempt_deadline_ms;
   return WithRetries<ResponseFrame>(
       /*retry_op=*/true, [&](NetClient& c) {
-        return c.QueryForRelay(features, k, attempt_deadline);
+        return c.QueryForRelay(features, k, deadline_ms);
       });
 }
 
 Result<Bytes> RetryingClient::QueryComposite(
     const std::vector<std::vector<float>>& features, size_t k,
     uint32_t deadline_ms) {
-  const uint32_t attempt_deadline =
-      deadline_ms != 0 ? deadline_ms : policy_.attempt_deadline_ms;
   return WithRetries<Bytes>(
       /*retry_op=*/true, [&](NetClient& c) {
-        return c.QueryComposite(features, k, attempt_deadline);
+        return c.QueryComposite(features, k, deadline_ms);
       });
 }
 

@@ -44,12 +44,6 @@ struct RetryPolicy {
   int max_attempts = 5;  // total tries per operation, including the first
   std::chrono::milliseconds base_backoff{10};
   std::chrono::milliseconds max_backoff{2000};
-  // Wire deadline stamped on each query attempt when the caller passes 0
-  // (0 here too = no per-attempt deadline).
-  uint32_t attempt_deadline_ms = 0;
-  // Across all attempts and backoff sleeps; an attempt never starts past
-  // it (0 = unbounded).
-  std::chrono::milliseconds overall_deadline{0};
   uint64_t seed = 0x9E3779B97F4A7C15ULL;  // jitter stream seed
 };
 
@@ -57,7 +51,7 @@ struct RetryStats {
   uint64_t attempts = 0;    // operations issued over the wire
   uint64_t retries = 0;     // attempts after the first, per operation
   uint64_t reconnects = 0;  // sockets re-established after a failure
-  uint64_t exhausted = 0;   // operations that ran out of attempts/deadline
+  uint64_t exhausted = 0;   // operations that ran out of attempts
 };
 
 // True when `s` is a failure a retrying client may re-issue an idempotent

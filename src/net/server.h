@@ -67,8 +67,8 @@ struct ServerOptions {
 
 class NetServer {
  public:
-  // Borrows the engine; it must outlive Stop(). The engine's options
-  // (workers, queue capacity, overload policy) define the serving capacity.
+  // Borrows the engine; it must outlive Stop(). The engine's workers and
+  // queue capacity define the serving capacity; a full queue sheds.
   explicit NetServer(core::QueryEngine* engine, ServerOptions options = {});
   ~NetServer();  // calls Stop()
 

@@ -6,6 +6,9 @@ namespace imageproof::shard {
 
 namespace {
 
+// Threads running outer QueryAsync tasks (each blocks on its fan-out).
+constexpr unsigned kServeThreads = 2;
+
 Status AnnotateShard(uint32_t shard_id, const Status& s) {
   return Status::WithCode(
       s.code(), "shard " + std::to_string(shard_id) + ": " + s.message());
@@ -116,7 +119,7 @@ Coordinator::Coordinator(std::vector<std::unique_ptr<ShardBackend>> backends,
       manifest_(std::make_shared<const ShardManifest>(std::move(manifest))),
       fanout_pool_(options.fanout_threads != 0 ? options.fanout_threads
                                                : num_shards_),
-      serve_pool_(options.serve_threads) {}
+      serve_pool_(kServeThreads) {}
 
 Coordinator::~Coordinator() {
   // Outer tasks block on fan-out futures; drain them first so no serve task

@@ -143,7 +143,6 @@ class RemoteShardBackend : public ShardBackend {
 
 struct CoordinatorOptions {
   unsigned fanout_threads = 0;  // per-shard query tasks; 0 = one per shard
-  unsigned serve_threads = 2;   // outer QueryAsync tasks
 };
 
 struct CoordinatorStats {

@@ -129,11 +129,8 @@ Result<size_t> EpochJanitor::GcOnce() {
 Result<uint64_t> EpochJanitor::ScrubEpoch(uint64_t epoch, bool is_current) {
   const std::string path =
       options_.dir + "/" + PackageStore::EpochFileName(epoch);
-  ScrubOptions scrub_opts;
-  scrub_opts.bytes_per_sec = options_.scrub_bytes_per_sec;
-  scrub_opts.cancel = &cancel_scrub_;
   ScrubReport report;
-  Status s = PackageStore::Scrub(path, scrub_opts, &report);
+  Status s = PackageStore::Scrub(path, &cancel_scrub_, &report);
   scrub_bytes_.fetch_add(report.bytes_hashed, std::memory_order_relaxed);
   if (s.ok()) return uint64_t{0};
   if (s.code() != StatusCode::kCorrupted) return s;  // cancelled / IO error

@@ -1,5 +1,5 @@
 // Background housekeeping for an epoch directory: retain-last-N garbage
-// collection of pkg-<epoch>.ipk files, plus a rate-limited scrubber that
+// collection of pkg-<epoch>.ipk files, plus a cancellable scrubber that
 // re-walks the digest chain of the epoch CURRENT names — triggering a
 // rollback when the bytes on disk no longer match — and of every retained
 // non-current epoch, so rollback candidates are known-good before rollback
@@ -66,8 +66,7 @@ struct JanitorOptions {
   // Cadence of the background thread (0 disables it; manual *Once() calls
   // still work).
   std::chrono::milliseconds scrub_interval{0};
-  size_t scrub_bytes_per_sec = 0;  // pacing for Scrub; 0 = unthrottled
-  bool scrub = true;               // false: background thread only GCs
+  bool scrub = true;  // false: background thread only GCs
 };
 
 struct JanitorStats {

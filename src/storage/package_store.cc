@@ -1,9 +1,7 @@
 #include "storage/package_store.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <thread>
 #include <utility>
 
 #include "common/fault.h"
@@ -634,7 +632,8 @@ Result<PackageLayout> PackageStore::Inspect(const std::string& path) {
 }
 
 Status PackageStore::Scrub(const std::string& path,
-                           const ScrubOptions& options, ScrubReport* report) {
+                           const std::atomic<bool>* cancel,
+                           ScrubReport* report) {
   ScrubReport local;
   ScrubReport* rep = report != nullptr ? report : &local;
   *rep = ScrubReport{};
@@ -648,36 +647,18 @@ Status PackageStore::Scrub(const std::string& path,
   if (!s.ok()) return s;
   rep->bytes_hashed += kHeaderBytes + header.toc_size;
 
-  const size_t chunk = std::max<size_t>(4096, options.chunk_bytes);
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point start = Clock::now();
-  uint64_t paced_bytes = 0;
+  constexpr size_t kChunk = 1 << 20;  // hashed between cancel checks
   for (const TocEntry& e : toc) {
     crypto::Sha3_256 hasher;
     uint64_t done = 0;
     while (done < e.size) {
-      if (options.cancel != nullptr &&
-          options.cancel->load(std::memory_order_acquire)) {
+      if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
         return Status::Unavailable("scrub: cancelled");
       }
       const size_t n =
-          static_cast<size_t>(std::min<uint64_t>(chunk, e.size - done));
+          static_cast<size_t>(std::min<uint64_t>(kChunk, e.size - done));
       hasher.Update(map->data() + e.offset + done, n);
       done += n;
-      paced_bytes += n;
-      if (options.bytes_per_sec > 0) {
-        // Sleep off any lead over the pace line so a full-file scrub
-        // averages at most bytes_per_sec of read+hash bandwidth.
-        const auto budget = std::chrono::duration<double>(
-            static_cast<double>(paced_bytes) /
-            static_cast<double>(options.bytes_per_sec));
-        const auto ahead =
-            start + std::chrono::duration_cast<Clock::duration>(budget) -
-            Clock::now();
-        if (ahead > Clock::duration::zero()) {
-          std::this_thread::sleep_for(ahead);
-        }
-      }
     }
     Digest got = hasher.Finalize();
     rep->bytes_hashed += e.size;

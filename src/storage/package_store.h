@@ -103,15 +103,6 @@ struct PackageLayout {
   std::vector<SectionExtent> sections;
 };
 
-// Knobs for the background scrub (see Scrub below). The scrubber shares
-// the machine with serving traffic, so it is paced, chunked, and
-// cancellable between chunks.
-struct ScrubOptions {
-  size_t chunk_bytes = 1 << 20;  // hash granularity between pacing sleeps
-  size_t bytes_per_sec = 0;      // 0 = unthrottled
-  const std::atomic<bool>* cancel = nullptr;  // checked between chunks
-};
-
 struct ScrubReport {
   uint64_t bytes_hashed = 0;
   uint64_t sections_checked = 0;
@@ -143,14 +134,16 @@ class PackageStore {
   // kImageBlobs, which Open() deliberately skips (hashing it would fault
   // the whole file in; its TOC digest exists precisely so a scrubber can
   // check payload bytes that no query has touched lately). kCorrupted
-  // names the first diverging region; kUnavailable means a cancel was
-  // requested. Nothing is decoded and no signature is checked — this is
-  // bit-rot detection, paired with the open-time authenticity chain.
+  // names the first diverging region; kUnavailable means `cancel` (when
+  // given) was set, which is checked between 1 MiB chunks. Nothing is
+  // decoded and no signature is checked — this is bit-rot detection,
+  // paired with the open-time authenticity chain.
   //
   // Fault site `storage.scrub.bitflip` corrupts one computed section
   // digest, simulating detected rot without touching the (shared,
   // possibly serving) file.
-  static Status Scrub(const std::string& path, const ScrubOptions& options = {},
+  static Status Scrub(const std::string& path,
+                      const std::atomic<bool>* cancel = nullptr,
                       ScrubReport* report = nullptr);
 
   // --- epoch directory protocol ---------------------------------------

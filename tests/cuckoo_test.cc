@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "common/random.h"
-#include "cuckoo/counting_bloom.h"
+#include "bench/counting_bloom.h"
 #include "cuckoo/cuckoo_filter.h"
 
 namespace imageproof::cuckoo {

@@ -9,6 +9,9 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <future>
+#include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -135,45 +138,93 @@ TEST_F(EngineFaultTest, OverloadShedsWithExplicitStatus) {
   core::EngineOptions opts;
   opts.num_workers = 1;
   opts.queue_capacity = 4;
-  core::QueryEngine engine(fx.package, fx.owner.public_params, opts);
-
-  // Pin the single worker inside one query so admission becomes
-  // deterministic: one in flight, `queue_capacity` queued, the rest shed.
-  fault::FaultInjector::Global().ArmLatencyMs("engine.query.latency", 150);
-
   auto features = fx.Features(1);
-  std::vector<std::future<core::EngineResponse>> futures;
-  futures.push_back(engine.Submit(features, 5));
-  // Wait until the worker picked the first query up (live queue state, not
-  // an obs metric, so this works in IMAGEPROOF_NO_METRICS builds too).
-  while (engine.Stats().queue_depth > 0) {
-    std::this_thread::sleep_for(milliseconds(1));
-  }
-  // Offered load at 2x queue capacity: capacity accepted, capacity shed.
-  for (size_t i = 0; i < 2 * opts.queue_capacity; ++i) {
-    futures.push_back(engine.Submit(fx.Features(2 + i), 5));
-  }
 
-  size_t served = 0, shed = 0;
-  for (auto& f : futures) {
-    core::EngineResponse r = f.get();
-    if (r.ok()) {
-      ++served;
-    } else {
-      EXPECT_EQ(r.status.code(), StatusCode::kOverloaded) << r.status.message();
-      EXPECT_TRUE(r.response.vo.tree_vos.empty()) << "shed query carried a VO";
-      ++shed;
+  // One row per entry point, each on a fresh engine whose single worker is
+  // pinned inside one query while `queue_capacity` more wait in the full
+  // queue. Submit and SubmitAsync then shed every further query at once;
+  // QueryBatch waits for room instead and serves its whole batch.
+  enum class Entry { kSubmit, kSubmitAsync, kQueryBatch };
+  for (Entry entry :
+       {Entry::kSubmit, Entry::kSubmitAsync, Entry::kQueryBatch}) {
+    SCOPED_TRACE(static_cast<int>(entry));
+    core::QueryEngine engine(fx.package, fx.owner.public_params, opts);
+    fault::FaultInjector::Global().ArmLatencyMs("engine.query.latency", 150);
+
+    std::vector<std::future<core::EngineResponse>> admitted;
+    admitted.push_back(engine.Submit(features, 5));
+    // Wait until the worker picked the first query up (live queue state,
+    // not an obs metric, so this works in IMAGEPROOF_NO_METRICS builds).
+    while (engine.Stats().queue_depth > 0) {
+      std::this_thread::sleep_for(milliseconds(1));
     }
-  }
-  EXPECT_EQ(served, 1 + opts.queue_capacity);
-  EXPECT_EQ(shed, opts.queue_capacity);
-  if (obs::kMetricsEnabled) {
-    EXPECT_EQ(engine.Stats().queries_shed, opts.queue_capacity);
+    for (size_t i = 0; i < opts.queue_capacity; ++i) {
+      admitted.push_back(engine.Submit(fx.Features(2 + i), 5));
+    }
+
+    size_t shed = 0;
+    switch (entry) {
+      case Entry::kSubmit:
+        for (size_t i = 0; i < opts.queue_capacity; ++i) {
+          std::future<core::EngineResponse> f =
+              engine.Submit(fx.Features(100 + i), 5);
+          ASSERT_EQ(f.wait_for(milliseconds(0)), std::future_status::ready)
+              << "a shed query must resolve at admission";
+          core::EngineResponse r = f.get();
+          EXPECT_EQ(r.status.code(), StatusCode::kOverloaded)
+              << r.status.message();
+          EXPECT_TRUE(r.response.vo.tree_vos.empty())
+              << "shed query carried a VO";
+          shed += r.status.code() == StatusCode::kOverloaded;
+        }
+        break;
+      case Entry::kSubmitAsync:
+        for (size_t i = 0; i < opts.queue_capacity; ++i) {
+          // Shared, so a wrongly queued callback outlives this iteration
+          // safely and the test fails instead of writing to a dead frame.
+          auto got = std::make_shared<std::optional<core::EngineResponse>>();
+          const std::thread::id caller = std::this_thread::get_id();
+          engine.SubmitAsync(fx.Features(100 + i), 5, {},
+                             [got, caller](core::EngineResponse r) {
+                               EXPECT_EQ(std::this_thread::get_id(), caller);
+                               *got = std::move(r);
+                             });
+          ASSERT_TRUE(got->has_value()) << "shed decision must arrive inline";
+          const core::EngineResponse& r = **got;
+          EXPECT_EQ(r.status.code(), StatusCode::kOverloaded)
+              << r.status.message();
+          EXPECT_TRUE(r.response.vo.tree_vos.empty())
+              << "shed query carried a VO";
+          shed += r.status.code() == StatusCode::kOverloaded;
+        }
+        break;
+      case Entry::kQueryBatch: {
+        std::vector<std::vector<std::vector<float>>> batch;
+        for (size_t i = 0; i < 2 * opts.queue_capacity; ++i) {
+          batch.push_back(fx.Features(100 + i));
+        }
+        for (const core::EngineResponse& r : engine.QueryBatch(batch, 5)) {
+          EXPECT_TRUE(r.ok()) << r.status.message();
+        }
+        break;
+      }
+    }
+    for (auto& f : admitted) {
+      core::EngineResponse r = f.get();
+      EXPECT_TRUE(r.ok()) << r.status.message();
+    }
+    const size_t want_shed =
+        entry == Entry::kQueryBatch ? 0 : opts.queue_capacity;
+    EXPECT_EQ(shed, want_shed);
+    if (obs::kMetricsEnabled) {
+      EXPECT_EQ(engine.Stats().queries_shed, want_shed);
+    }
+    fault::FaultInjector::Global().DisarmAll();
   }
 
   // Accepted queries are byte-identical to the serial path: shedding is an
   // admission decision, never a change to what an admitted query computes.
-  fault::FaultInjector::Global().DisarmAll();
+  core::QueryEngine engine(fx.package, fx.owner.public_params, opts);
   core::ServiceProvider sp(fx.package.get());
   Bytes serial = sp.Query(features, 5).vo.Serialize();
   core::EngineResponse again = engine.Submit(features, 5).get();

@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <thread>
 
 #include "common/fault.h"
@@ -489,6 +490,68 @@ TEST_F(ResilienceTest, ScrubberQuarantinesAndEngineRollsForward) {
   EXPECT_EQ(resp.response.vo.Serialize(), sp.Query(features, 5).vo.Serialize());
 
   engine.Shutdown();
+}
+
+TEST_F(ResilienceTest, PublishClearsStaleMarkerAndFlipsCurrent) {
+  // Both ways the engine publishes a new epoch — an update and a rollback —
+  // run the same write, reopen-verify, CURRENT flip and snapshot swap. A
+  // `.quarantined` marker left on the epoch number about to be written is
+  // stale once verified bytes replace it, so each publish must clear it.
+  core::OwnerOutput owner = BuildSmallDeployment(19, 80);
+  auto package =
+      std::shared_ptr<const core::SpPackage>(std::move(owner.package));
+  auto features = workload::GenerateQueryFeatures(package->codebook, 8, 0.3, 9);
+  bovw::BovwVector insert_vec = package->corpus[0].second;
+  auto insert = [&](core::QueryEngine& engine) {
+    return engine
+        .InsertImage(owner.private_key, 500000, insert_vec,
+                     workload::GenerateImageBlob(500000))
+        .status();
+  };
+
+  struct Row {
+    const char* name;
+    uint64_t published;  // the epoch the row's publish writes
+    std::function<Status(core::QueryEngine&)> publish;
+  };
+  const std::vector<Row> rows = {
+      {"insert", 1, insert},
+      {"rollback", 3,
+       [&](core::QueryEngine& engine) {
+         // Epochs 1 and 2 on disk, then roll epoch 2 back onto epoch 1's
+         // content, republished as epoch 3.
+         Status s = insert(engine);
+         if (!s.ok()) return s;
+         s = engine.DeleteImage(owner.private_key, 500000).status();
+         if (!s.ok()) return s;
+         return engine.RollbackFromCorruptEpoch(2);
+       }},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    std::string dir = TempDir(row.name);
+    const std::string marker =
+        storage::EpochJanitor::QuarantineMarkerPath(dir, row.published);
+    ASSERT_TRUE(storage::AtomicWriteFile(marker, Bytes{'x', '\n'}).ok());
+    ASSERT_TRUE(storage::EpochJanitor::IsQuarantined(dir, row.published));
+
+    core::EngineOptions eo;
+    eo.num_workers = 1;
+    eo.persist_dir = dir;
+    core::QueryEngine engine(package, owner.public_params, eo);
+    Status s = row.publish(engine);
+    ASSERT_TRUE(s.ok()) << s.message();
+
+    EXPECT_FALSE(storage::EpochJanitor::IsQuarantined(dir, row.published));
+    auto cur = storage::PackageStore::CurrentEpoch(dir);
+    ASSERT_TRUE(cur.ok()) << cur.status().message();
+    EXPECT_EQ(*cur, row.published);
+    core::EngineResponse resp = engine.Submit(features, 5).get();
+    ASSERT_TRUE(resp.ok()) << resp.status.message();
+    EXPECT_EQ(resp.snapshot->version, row.published);
+    core::Client client(resp.snapshot->params);
+    EXPECT_TRUE(client.Verify(features, 5, resp.response.vo).ok());
+  }
 }
 
 // ---------------------------------------------------------------------------
