@@ -139,6 +139,8 @@ TEST_F(EngineFaultTest, OverloadShedsWithExplicitStatus) {
   opts.num_workers = 1;
   opts.queue_capacity = 4;
   auto features = fx.Features(1);
+  core::ServiceProvider sp(fx.package.get());
+  const Bytes serial = sp.Query(features, 5).vo.Serialize();
 
   // One row per entry point, each on a fresh engine whose single worker is
   // pinned inside one query while `queue_capacity` more wait in the full
@@ -220,16 +222,14 @@ TEST_F(EngineFaultTest, OverloadShedsWithExplicitStatus) {
       EXPECT_EQ(engine.Stats().queries_shed, want_shed);
     }
     fault::FaultInjector::Global().DisarmAll();
-  }
 
-  // Accepted queries are byte-identical to the serial path: shedding is an
-  // admission decision, never a change to what an admitted query computes.
-  core::QueryEngine engine(fx.package, fx.owner.public_params, opts);
-  core::ServiceProvider sp(fx.package.get());
-  Bytes serial = sp.Query(features, 5).vo.Serialize();
-  core::EngineResponse again = engine.Submit(features, 5).get();
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again.response.vo.Serialize(), serial);
+    // The engine that just shed or blocked still serves byte-identical VOs
+    // to the serial path: shedding is an admission decision, never a change
+    // to what an admitted query computes.
+    core::EngineResponse again = engine.Submit(features, 5).get();
+    ASSERT_TRUE(again.ok()) << again.status.message();
+    EXPECT_EQ(again.response.vo.Serialize(), serial);
+  }
 }
 
 TEST_F(EngineFaultTest, DeadlineExpiredInQueue) {
