@@ -21,11 +21,11 @@ TEST(BytesTest, FixedWidthRoundTrip) {
   w.PutF32(3.25f);
 
   ByteReader r(w.bytes());
-  uint8_t u8;
-  uint32_t u32;
-  uint64_t u64;
-  double f64;
-  float f32;
+  uint8_t u8 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  double f64 = 0;
+  float f32 = 0;
   ASSERT_TRUE(r.GetU8(&u8).ok());
   ASSERT_TRUE(r.GetU32(&u32).ok());
   ASSERT_TRUE(r.GetU64(&u64).ok());

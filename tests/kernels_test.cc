@@ -229,7 +229,9 @@ TEST(GroupVarintKernelTest, Avx2MatchesPortableBitExact) {
             tp, n, portable_out.data());
         Status sa = avx2(ta, n, avx2_out.data());
         EXPECT_EQ(sp.ok(), sa.ok()) << "n=" << n << " len=" << len;
-        if (n > 0) EXPECT_FALSE(sp.ok()) << "n=" << n << " len=" << len;
+        if (n > 0) {
+          EXPECT_FALSE(sp.ok()) << "n=" << n << " len=" << len;
+        }
       }
     }
   }
