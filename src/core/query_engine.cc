@@ -75,7 +75,7 @@ std::shared_ptr<const Snapshot> QueryEngine::CurrentSnapshot() const {
 EngineResponse QueryEngine::Serve(
     const std::shared_ptr<const Snapshot>& snap,
     const std::vector<std::vector<float>>& features, size_t k,
-    bool compress_vo, bool settle_exact_topk, obs::TimePoint enqueued,
+    const SubmitOptions& options, obs::TimePoint enqueued,
     Clock::time_point deadline) {
   queue_wait_us_.Record(obs::ElapsedUs(enqueued));
   EngineResponse out;
@@ -109,8 +109,8 @@ EngineResponse QueryEngine::Serve(
   crypto::Digest cache_key;
   const bool use_cache = cache_ != nullptr;
   if (use_cache) {
-    cache_key = QueryCache::Key(snap->version, compress_vo, k, features,
-                                settle_exact_topk);
+    cache_key = QueryCache::Key(snap->version, options.compress_vo, k,
+                                features, options.settle_exact_topk);
     if (std::shared_ptr<const QueryResponse> hit = cache_->Lookup(cache_key)) {
       out.response = *hit;
       out.status = Status::Ok();
@@ -127,8 +127,8 @@ EngineResponse QueryEngine::Serve(
   QueryControl control =
       has_deadline ? QueryControl(deadline) : QueryControl();
   ServeOptions serve;
-  serve.compress_vo = compress_vo;
-  serve.settle_exact_topk = settle_exact_topk;
+  serve.compress_vo = options.compress_vo;
+  serve.settle_exact_topk = options.settle_exact_topk;
   serve.memo = snap->memo.get();
   out.status =
       sp.Query(features, k, par, control, serve, &out.response, scratch);
@@ -136,7 +136,7 @@ EngineResponse QueryEngine::Serve(
   in_flight_.Sub();
   if (out.status.ok()) {
     queries_served_.Add();
-    (compress_vo ? vo_bytes_compressed_ : vo_bytes_raw_)
+    (options.compress_vo ? vo_bytes_compressed_ : vo_bytes_raw_)
         .Add(out.response.vo.inv_vo.size());
     if (use_cache) {
       cache_->Insert(cache_key,
@@ -169,13 +169,10 @@ Status QueryEngine::Admit(
   // observed, even if it sits in the queue across the swap.
   std::shared_ptr<const Snapshot> snap = CurrentSnapshot();
   obs::TimePoint enqueued = obs::Now();
-  const bool compress_vo = submit_options.compress_vo;
-  const bool settle = submit_options.settle_exact_topk;
   auto task = [this, snap = std::move(snap), features = std::move(features),
-               k, compress_vo, settle, enqueued, deadline,
+               k, submit_options, enqueued, deadline,
                then = std::move(then)] {
-    return then(
-        Serve(snap, features, k, compress_vo, settle, enqueued, deadline));
+    return then(Serve(snap, features, k, submit_options, enqueued, deadline));
   };
   if (block) {
     // Backpressure: a full queue blocks the submitter. If the pool shut

@@ -298,13 +298,14 @@ class QueryEngine {
  private:
   using Clock = QueryControl::Clock;
 
-  // Executes one query on a worker thread against `snap`. `enqueued` is
-  // the Submit() timestamp, for the queue-wait histogram; `deadline` is
-  // the absolute per-query deadline (time_point{} = none). Consults the
+  // Executes one query on a worker thread against `snap`, with the
+  // submission's VO options. `enqueued` is the Submit() timestamp, for the
+  // queue-wait histogram; `deadline` is the absolute per-query deadline
+  // (time_point{} = none), which replaces `options.deadline`. Consults the
   // result cache (if enabled) before running the pipeline.
   EngineResponse Serve(const std::shared_ptr<const Snapshot>& snap,
                        const std::vector<std::vector<float>>& features,
-                       size_t k, bool compress_vo, bool settle_exact_topk,
+                       size_t k, const SubmitOptions& options,
                        obs::TimePoint enqueued, Clock::time_point deadline);
 
   // Clone-apply-validate-swap core of both update entry points, with the
