@@ -1,8 +1,8 @@
 // Micro-benchmarks for the cuckoo filter: insert/lookup/delete throughput,
 // the MaxCount (Algorithm 2) scan vs. the incremental tracker, and the
-// bounds engines those feed: the SP's incremental engine (pop replay and
-// the condition-2 sweep) and the final-state engine the client verifies
-// with (pop replay and its one check).
+// bounds engine those feed: a replay in the SP's pop order (gamma asked
+// between pop steps), a replay in the canonical order the client and the
+// SP's last check use, the condition-2 sweep and the one Check.
 
 #include <benchmark/benchmark.h>
 
@@ -13,7 +13,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -67,8 +66,9 @@ void BM_DeleteReinsert(benchmark::State& state) {
 }
 BENCHMARK(BM_DeleteReinsert)->Arg(1000)->Arg(10000);
 
-// Full MaxCount scan over many filters (what a naive per-check
-// implementation would pay).
+// One MaxCount scan over many filters: building the tracker, which is
+// what a bounds engine's first Gamma() pays (and what a naive per-check
+// rescan would pay every time).
 void BM_MaxCountScan(benchmark::State& state) {
   const int num_filters = static_cast<int>(state.range(0));
   CuckooParams params = CuckooParams::ForMaxItems(500);
@@ -80,7 +80,7 @@ void BM_MaxCountScan(benchmark::State& state) {
   std::vector<const CuckooFilter*> ptrs;
   for (const auto& f : filters) ptrs.push_back(&f);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MaxCountGamma(ptrs));
+    benchmark::DoNotOptimize(MaxCountTracker(ptrs).Gamma());
   }
 }
 BENCHMARK(BM_MaxCountScan)->Arg(16)->Arg(64)->Arg(256);
@@ -158,50 +158,89 @@ struct PopStream {
     return pops;
   }
 
-  // Feeds every pop to a fresh engine in canonical order.
-  template <class Engine>
-  Engine Replay() const {
+  // One pop: posting `j` of list `li`.
+  using Pop = std::pair<size_t, size_t>;
+
+  // Every pop, list-major in prefix order: the canonical order.
+  std::vector<Pop> Canonical() const {
+    std::vector<Pop> pops;
+    for (size_t li = 0; li < lists.size(); ++li) {
+      for (size_t j = 0; j < lists[li].popped; ++j) pops.emplace_back(li, j);
+    }
+    return pops;
+  }
+
+  // Every pop in a search-like order: each step pops up to 16 postings of
+  // one list drawn at random, each list still in prefix order.
+  std::vector<Pop> SearchOrder() const {
+    std::vector<Pop> pops;
+    std::vector<size_t> next(lists.size(), 0);
+    std::vector<size_t> open;
+    Rng rng(lists.size() * 7 + 1);
+    for (;;) {
+      open.clear();
+      for (size_t li = 0; li < lists.size(); ++li) {
+        if (next[li] < lists[li].popped) open.push_back(li);
+      }
+      if (open.empty()) return pops;
+      const size_t li = open[rng.NextBounded(open.size())];
+      for (size_t i = 0; i < 16 && next[li] < lists[li].popped; ++i) {
+        pops.emplace_back(li, next[li]++);
+      }
+    }
+  }
+
+  // Feeds `pops` to a fresh engine. With `gamma_every` > 0 the feed asks
+  // for gamma before every `gamma_every` pops, as the SP's condition-1 loop
+  // does between pop steps.
+  invindex::Bounds Replay(const std::vector<Pop>& pops,
+                          size_t gamma_every = 0) const {
     std::vector<invindex::BoundsList> bl;
     for (const List& l : lists) bl.push_back({0, l.q_impact, l.filter});
-    auto make = [&] {
-      if constexpr (std::is_same_v<Engine, invindex::FinalBounds>) {
-        return invindex::FinalBounds(std::move(bl), /*use_filters=*/true,
-                                     Pops());
-      } else {
-        return invindex::BoundsEngine(std::move(bl), /*use_filters=*/true);
+    invindex::Bounds engine(std::move(bl), /*use_filters=*/true, Pops());
+    for (size_t p = 0; p < pops.size(); ++p) {
+      if (gamma_every > 0 && p % gamma_every == 0) {
+        benchmark::DoNotOptimize(engine.Gamma());
       }
-    };
-    Engine engine = make();
+      const auto& [li, j] = pops[p];
+      const auto& [id, impact] = lists[li].postings[j];
+      Status st = engine.AddPopped(li, id, impact);
+      (void)st;  // the stream is impact-ordered with no repeats per list
+    }
     for (size_t li = 0; li < lists.size(); ++li) {
-      const List& l = lists[li];
-      for (size_t j = 0; j < l.popped; ++j) {
-        const auto& [id, impact] = l.postings[j];
-        Status st = engine.AddPopped(li, id, impact);
-        (void)st;  // the stream is impact-ordered with no repeats per list
+      if (lists[li].popped == lists[li].postings.size()) {
+        engine.MarkExhausted(li);
       }
-      if (l.popped == l.postings.size()) engine.MarkExhausted(li);
     }
     return engine;
   }
 
-  // S^L and S^U of every popped image by the textbook evaluation of
-  // Eqs. (9) and (11): per-list popped sets, filters queried by id, terms
-  // summed in list order. `scored` is the engine's popped-image count.
-  template <class Engine>
-  bool MatchesReference(const Engine& engine, size_t scored) const {
+  // The engine after `pops` (fed with `gamma_every`) against the textbook
+  // evaluation of Eqs. (9) and (11): per-list popped sets, filters queried
+  // by id, S^L summed in pop order, S^U terms summed in list order; and
+  // gamma against a rescan of the final filters.
+  bool MatchesReference(const std::vector<Pop>& pops,
+                        size_t gamma_every) const {
+    const invindex::Bounds engine = Replay(pops, gamma_every);
     std::vector<std::set<invindex::ImageId>> popped(lists.size());
     std::vector<std::optional<CuckooFilter>> filters;
+    std::vector<const CuckooFilter*> live;
     std::map<invindex::ImageId, double> scores;
-    for (size_t li = 0; li < lists.size(); ++li) {
-      filters.push_back(lists[li].filter);
-      for (size_t j = 0; j < lists[li].popped; ++j) {
-        const auto& [id, impact] = lists[li].postings[j];
-        popped[li].insert(id);
-        scores[id] += lists[li].q_impact * impact;
-        if (filters[li]) filters[li]->Delete(id);
-      }
+    for (const List& l : lists) filters.push_back(l.filter);
+    for (const auto& [li, j] : pops) {
+      const auto& [id, impact] = lists[li].postings[j];
+      popped[li].insert(id);
+      scores[id] += lists[li].q_impact * impact;
+      if (filters[li]) filters[li]->Delete(id);
     }
-    if (scores.size() != scored) return false;
+    for (const auto& f : filters) {
+      if (f) live.push_back(&*f);
+    }
+    uint32_t remaining = 0;
+    for (const List& l : lists) remaining += l.popped < l.postings.size();
+    const uint32_t gamma = MaxCountTracker(live).Gamma();
+    if (engine.Gamma() != std::min(gamma, remaining)) return false;
+    if (scores.size() != engine.NumImages()) return false;
     for (const auto& [id, score] : scores) {
       double bound = score;
       if (engine.ScoreOf(id) != score) return false;
@@ -215,80 +254,76 @@ struct PopStream {
     }
     return true;
   }
-
-  bool IncrementalMatches() const {
-    const auto engine = Replay<invindex::BoundsEngine>();
-    return MatchesReference(engine, engine.Scores().size());
-  }
-  bool FinalMatches() const {
-    const auto engine = Replay<invindex::FinalBounds>();
-    return MatchesReference(engine, engine.NumImages());
-  }
 };
 
-// Engine construction (filter copies, MaxCount tracker) plus the replay of
-// every pop in canonical order: what the SP's incremental engine pays.
-void BM_BoundsReplay(benchmark::State& state) {
+// Engine construction (filter copies) and every pop in a search-like
+// order, asking for gamma before each 16-pop step: the MaxCount tracker is
+// built at the first ask and follows every later deletion. What the SP's
+// search engine pays.
+void BM_BoundsPopOrderReplay(benchmark::State& state) {
   const PopStream stream(static_cast<size_t>(state.range(0)));
-  if (!stream.IncrementalMatches()) {
+  const std::vector<PopStream::Pop> pops = stream.SearchOrder();
+  if (!stream.MatchesReference(pops, 16)) {
     state.SkipWithError("bounds engine disagrees with the reference");
     return;
   }
   for (auto _ : state) {
-    auto engine = stream.Replay<invindex::BoundsEngine>();
+    auto engine = stream.Replay(pops, 16);
     benchmark::DoNotOptimize(engine.Gamma());
   }
   state.SetItemsProcessed(state.iterations() * stream.Pops());
 }
-BENCHMARK(BM_BoundsReplay)->Arg(10)->Arg(80);
+BENCHMARK(BM_BoundsPopOrderReplay)->Arg(10)->Arg(80);
 
-// Condition 2 over every scored image: S^U(I) against s_k^L, with s_k^L
-// above every bound so the sweep never stops early.
-void BM_BoundsCondition2Sweep(benchmark::State& state) {
+// Engine construction and every pop in canonical order, then gamma once:
+// what each verifier run, and each SP last check, pays up front.
+void BM_BoundsCanonicalReplay(benchmark::State& state) {
   const PopStream stream(static_cast<size_t>(state.range(0)));
-  if (!stream.IncrementalMatches()) {
+  const std::vector<PopStream::Pop> pops = stream.Canonical();
+  if (!stream.MatchesReference(pops, 0)) {
     state.SkipWithError("bounds engine disagrees with the reference");
     return;
   }
-  const auto engine = stream.Replay<invindex::BoundsEngine>();
+  for (auto _ : state) {
+    auto engine = stream.Replay(pops);
+    benchmark::DoNotOptimize(engine.Gamma());
+  }
+  state.SetItemsProcessed(state.iterations() * stream.Pops());
+}
+BENCHMARK(BM_BoundsCanonicalReplay)->Arg(10)->Arg(80);
+
+// Condition 2 over every popped image: FirstViolator with s_k^L above
+// every bound, so the sweep never stops early.
+void BM_BoundsCondition2Sweep(benchmark::State& state) {
+  const PopStream stream(static_cast<size_t>(state.range(0)));
+  const std::vector<PopStream::Pop> pops = stream.Canonical();
+  if (!stream.MatchesReference(pops, 0)) {
+    state.SkipWithError("bounds engine disagrees with the reference");
+    return;
+  }
+  const invindex::Bounds engine = stream.Replay(pops);
+  const invindex::IdSet none(std::vector<invindex::ImageId>{});
   const double sk_lower = std::numeric_limits<double>::infinity();
   for (auto _ : state) {
-    size_t violators = 0;
-    for (const auto& [id, img] : engine.Scores()) {
-      violators += engine.SUpper(id) > sk_lower;
-    }
-    benchmark::DoNotOptimize(violators);
+    benchmark::DoNotOptimize(engine.FirstViolator(none, sk_lower));
   }
-  state.SetItemsProcessed(state.iterations() * engine.Scores().size());
+  state.SetItemsProcessed(state.iterations() * engine.NumImages());
 }
 BENCHMARK(BM_BoundsCondition2Sweep)->Arg(10)->Arg(80);
 
-// The final-state engine's construction and canonical replay plus its one
-// MaxCount scan: what each verifier run pays up front.
-void BM_FinalBoundsReplay(benchmark::State& state) {
+// The engine's one check for the best ten images: the claimed-top-k
+// selection, then pi^U, then (if condition 1 holds) the condition-2 sweep.
+// The tracker behind pi^U is built by the first Gamma(), which
+// BM_BoundsCanonicalReplay times, so this loop runs on a warm engine. The
+// label names the check that decided.
+void BM_BoundsCheck(benchmark::State& state) {
   const PopStream stream(static_cast<size_t>(state.range(0)));
-  if (!stream.FinalMatches()) {
-    state.SkipWithError("final-state engine disagrees with the reference");
+  const std::vector<PopStream::Pop> pops = stream.Canonical();
+  if (!stream.MatchesReference(pops, 0)) {
+    state.SkipWithError("bounds engine disagrees with the reference");
     return;
   }
-  for (auto _ : state) {
-    auto engine = stream.Replay<invindex::FinalBounds>();
-    benchmark::DoNotOptimize(engine.Gamma());
-  }
-  state.SetItemsProcessed(state.iterations() * stream.Pops());
-}
-BENCHMARK(BM_FinalBoundsReplay)->Arg(10)->Arg(80);
-
-// The final-state engine's one check for the best ten images: the top-k
-// selection, then pi^U with its MaxCount scan, then (if condition 1 holds)
-// the condition-2 sweep. The label names the check that decided.
-void BM_FinalBoundsCheck(benchmark::State& state) {
-  const PopStream stream(static_cast<size_t>(state.range(0)));
-  if (!stream.FinalMatches()) {
-    state.SkipWithError("final-state engine disagrees with the reference");
-    return;
-  }
-  const auto engine = stream.Replay<invindex::FinalBounds>();
+  const invindex::Bounds engine = stream.Replay(pops);
   std::vector<std::pair<double, invindex::ImageId>> ranked;
   for (const PopStream::List& l : stream.lists) {
     for (size_t j = 0; j < l.popped; ++j) {
@@ -310,7 +345,7 @@ void BM_FinalBoundsCheck(benchmark::State& state) {
   state.SetLabel(kVerdicts[static_cast<int>(engine.Check(claimed))]);
   state.SetItemsProcessed(state.iterations() * engine.NumImages());
 }
-BENCHMARK(BM_FinalBoundsCheck)->Arg(10)->Arg(80);
+BENCHMARK(BM_BoundsCheck)->Arg(10)->Arg(80);
 
 }  // namespace
 

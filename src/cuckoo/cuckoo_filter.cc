@@ -175,35 +175,6 @@ crypto::Digest CuckooFilter::StateDigest() const {
   return crypto::Sha3(Serialize());
 }
 
-uint32_t MaxCountGamma(const std::vector<const CuckooFilter*>& filters) {
-  if (filters.empty()) return 0;
-  const CuckooParams& params = filters[0]->params();
-  for (const CuckooFilter* f : filters) {
-    if (f->params() != params) return std::numeric_limits<uint32_t>::max();
-  }
-  // One pass over the buckets: tally each bucket's fingerprints across the
-  // filters in a fingerprint-indexed scratch, then zero what was touched.
-  const uint32_t spb = params.slots_per_bucket;
-  std::vector<uint32_t> tally(size_t{1} << params.fingerprint_bits, 0);
-  std::vector<uint16_t> touched(filters.size() * spb);
-  uint32_t max = 0;
-  for (uint32_t b = 0; b < params.num_buckets; ++b) {
-    size_t n = 0;
-    const size_t base = static_cast<size_t>(b) * spb;
-    for (const CuckooFilter* f : filters) {
-      for (uint32_t s = 0; s < spb; ++s) {
-        const uint16_t fp = f->table_[base + s];
-        if (fp == 0) continue;
-        const uint32_t c = ++tally[fp];
-        if (c == 1) touched[n++] = fp;
-        max = std::max(max, c);
-      }
-    }
-    for (size_t i = 0; i < n; ++i) tally[touched[i]] = 0;
-  }
-  return 2 * max;
-}
-
 MaxCountTracker::MaxCountTracker(const std::vector<const CuckooFilter*>& filters) {
   if (filters.empty()) return;
   const CuckooParams& params = filters[0]->params();

@@ -103,7 +103,6 @@ class CuckooFilter {
  private:
   // MaxCount scans table_ directly.
   friend class MaxCountTracker;
-  friend uint32_t MaxCountGamma(const std::vector<const CuckooFilter*>&);
 
   bool InsertFingerprint(uint16_t fp, uint32_t bucket);
   // Table position of `fp` in bucket b1, else in b2 (slot order), or
@@ -138,24 +137,19 @@ class CuckooFilter {
 
 // Algorithm 2 (MaxCount): upper-bounds the number of posting lists that can
 // still contain any single image, given the filters of the lists with
-// unrevealed postings. Returns gamma = 2 * max over bucket index i of the
-// highest multiplicity of one fingerprint in bucket i across all filters
-// (no bound, the uint32_t maximum, for filters of differing geometry). One
-// scan of the filters' current contents; the final-state bounds engine
-// (invindex/bounds.h) calls it once on the post-deletion filters.
-uint32_t MaxCountGamma(const std::vector<const CuckooFilter*>& filters);
-
-// Incremental version: tracks (bucket, fingerprint) multiplicities across a
-// fixed set of filters and keeps gamma current under deletions, so each
-// UpdateBounds costs O(1) instead of a full table scan. Each bucket keeps
-// its distinct fingerprints as a short run of (fingerprint, count) pairs,
-// so a tracker costs memory in proportion to the occupied slots, not to
-// the (bucket, fingerprint) key space, and construction fills nothing
-// beyond them.
+// unrevealed postings: gamma = 2 * max over bucket index i of the highest
+// multiplicity of one fingerprint in bucket i across all filters.
+//
+// Construction scans the filters' current contents once; the tracker then
+// keeps gamma current under deletions, so each check costs O(1) instead of
+// a rescan. Each bucket keeps its distinct fingerprints as a short run of
+// (fingerprint, count) pairs, so a tracker costs memory in proportion to
+// the occupied slots, not to the (bucket, fingerprint) key space, and
+// construction fills nothing beyond them.
 //
 // The filters must share one geometry (Lemma 1). A tracker given filters
 // whose params() differ refuses them: ok() is false, it tracks nothing,
-// and Gamma() bounds nothing.
+// and Gamma() bounds nothing (the uint32_t maximum).
 class MaxCountTracker {
  public:
   explicit MaxCountTracker(const std::vector<const CuckooFilter*>& filters);

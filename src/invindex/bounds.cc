@@ -27,10 +27,11 @@ IdSet::IdSet(const std::vector<ImageId>& ids) {
 }
 
 // ---------------------------------------------------------------------------
-// ListBounds
+// Bounds
 // ---------------------------------------------------------------------------
 
-ListBounds::ListBounds(std::vector<BoundsList> lists, bool use_filters)
+Bounds::Bounds(std::vector<BoundsList> lists, bool use_filters,
+               size_t max_images)
     : use_filters_(use_filters) {
   lists_.reserve(lists.size());
   for (BoundsList& l : lists) {
@@ -41,6 +42,11 @@ ListBounds::ListBounds(std::vector<BoundsList> lists, bool use_filters)
     lists_.push_back(std::move(state));
   }
   words_ = (lists_.size() + 63) / 64;
+  Rehash(max_images);
+  ids_.reserve(max_images);
+  scores_.reserve(max_images);
+  probes_.reserve(max_images);
+  bits_.reserve(max_images * words_);
   if (!use_filters_) return;
   for (size_t li = 0; li < lists_.size(); ++li) {
     const std::optional<cuckoo::CuckooFilter>& f = lists_[li].filter;
@@ -55,8 +61,21 @@ ListBounds::ListBounds(std::vector<BoundsList> lists, bool use_filters)
   }
 }
 
-Status ListBounds::CheckOrder(size_t li, double impact, double cap) const {
-  const ListState& l = lists_[li];
+void Bounds::Rehash(size_t n) {
+  size_t capacity = 4;
+  unsigned bits = 2;
+  while (capacity < 2 * n) {
+    capacity <<= 1;
+    ++bits;
+  }
+  slots_.assign(capacity, kNone);
+  mask_ = capacity - 1;
+  shift_ = 64 - bits;
+  for (uint32_t i = 0; i < ids_.size(); ++i) slots_[Slot(ids_[i])] = i;
+}
+
+Status Bounds::AddPopped(size_t li, ImageId id, double impact, double cap) {
+  ListState& l = lists_[li];
   if (l.exhausted) {
     return Status::Error("bounds: popped posting after list exhausted");
   }
@@ -64,42 +83,73 @@ Status ListBounds::CheckOrder(size_t li, double impact, double cap) const {
   if (cap > l.cap || impact > cap) {
     return Status::Error("bounds: postings not in impact order");
   }
-  return Status::Ok();
-}
-
-Status ListBounds::Record(size_t li, uint64_t* row, double* score,
-                          const cuckoo::Probe& probe, double impact,
-                          double cap, uint32_t* bucket) {
-  uint64_t& word = row[li / 64];
+  const size_t slot = Slot(id);
+  uint32_t i = slots_[slot];
+  if (i == kNone) {
+    i = static_cast<uint32_t>(ids_.size());
+    slots_[slot] = i;
+    ids_.push_back(id);
+    scores_.push_back(0.0);
+    probes_.push_back(ProbeOf(id));
+    bits_.resize(bits_.size() + words_, 0);
+    if (2 * ids_.size() > slots_.size()) Rehash(2 * ids_.size());
+  }
+  uint64_t& word = bits_[static_cast<size_t>(i) * words_ + li / 64];
   const uint64_t bit = uint64_t{1} << (li % 64);
   if ((word & bit) != 0) {
     return Status::Error("bounds: image popped twice in one list");
   }
   word |= bit;
-  ListState& l = lists_[li];
   l.cap = cap;
-  *score += l.q_impact * impact;
-  if (Filtered(li) && !l.filter->Delete(probe, bucket)) {
+  scores_[i] += l.q_impact * impact;
+  if (!Filtered(li)) return Status::Ok();
+  uint32_t bucket = 0;
+  if (!l.filter->Delete(probes_[i], &bucket)) {
     return Status::Error("bounds: popped image missing from cuckoo filter");
   }
+  if (tracker_) tracker_->OnDelete(bucket, probes_[i].fingerprint);
   return Status::Ok();
 }
 
-std::vector<const cuckoo::CuckooFilter*> ListBounds::Filters() const {
-  std::vector<const cuckoo::CuckooFilter*> filters;
-  for (size_t li = 0; li < lists_.size(); ++li) {
-    if (Filtered(li)) filters.push_back(&*lists_[li].filter);
-  }
-  return filters;
+cuckoo::Probe Bounds::ProbeOf(ImageId id) const {
+  return probe_list_ ? lists_[*probe_list_].filter->ProbeOf(id)
+                     : cuckoo::Probe{};
 }
 
-uint32_t ListBounds::RemainingLists() const {
+bool Bounds::MayHold(size_t li, const uint64_t* popped,
+                     const cuckoo::Probe& probe) const {
+  const ListState& l = lists_[li];
+  if (l.exhausted) return false;
+  if (popped != nullptr && RowHas(popped, li)) return false;
+  return !Filtered(li) || l.filter->Contains(probe);
+}
+
+double Bounds::ScoreOf(ImageId id) const {
+  const uint32_t i = Find(id);
+  return i == kNone ? 0.0 : scores_[i];
+}
+
+bool Bounds::PoppedIn(size_t li, ImageId id) const {
+  const uint32_t i = Find(id);
+  return i != kNone && RowHas(Row(i), li);
+}
+
+uint32_t Bounds::Gamma() const {
   uint32_t remaining = 0;
   for (const ListState& l : lists_) remaining += !l.exhausted;
-  return remaining;
+  if (!use_filters_) return remaining;
+  if (!tracker_) {
+    std::vector<const cuckoo::CuckooFilter*> filters;
+    for (size_t li = 0; li < lists_.size(); ++li) {
+      if (Filtered(li)) filters.push_back(&*lists_[li].filter);
+    }
+    tracker_.emplace(filters);
+  }
+  return std::min(tracker_->Gamma(), remaining);
 }
 
-double ListBounds::PiUpper(uint32_t gamma) const {
+double Bounds::PiUpper() const {
+  const uint32_t gamma = Gamma();
   if (gamma == 0) return 0.0;
   std::vector<double> contributions;
   contributions.reserve(lists_.size());
@@ -118,222 +168,36 @@ double ListBounds::PiUpper(uint32_t gamma) const {
   return sum;
 }
 
-cuckoo::Probe ListBounds::ProbeOf(ImageId id) const {
-  return probe_list_ ? lists_[*probe_list_].filter->ProbeOf(id)
-                     : cuckoo::Probe{};
-}
-
-bool ListBounds::MayHold(size_t li, const uint64_t* popped,
-                         const cuckoo::Probe& probe) const {
-  const ListState& l = lists_[li];
-  if (l.exhausted) return false;
-  if (popped != nullptr && RowHas(popped, li)) return false;
-  return !use_filters_ || !l.filter.has_value() || l.filter->Contains(probe);
-}
-
-std::vector<size_t> ListBounds::PossibleLists(
-    const uint64_t* popped, const cuckoo::Probe& probe) const {
-  std::vector<size_t> out;
+double Bounds::SUpper(ImageId id) const {
+  const uint32_t i = Find(id);
+  const uint64_t* row = i == kNone ? nullptr : Row(i);
+  const cuckoo::Probe probe = i == kNone ? ProbeOf(id) : probes_[i];
+  double bound = i == kNone ? 0.0 : scores_[i];
   for (size_t li = 0; li < lists_.size(); ++li) {
-    if (MayHold(li, popped, probe)) out.push_back(li);
-  }
-  return out;
-}
-
-double ListBounds::SUpper(double score, const uint64_t* popped,
-                          const cuckoo::Probe& probe) const {
-  double bound = score;
-  for (size_t li = 0; li < lists_.size(); ++li) {
-    if (MayHold(li, popped, probe)) bound += lists_[li].q_impact * Cap(li);
+    if (MayHold(li, row, probe)) bound += lists_[li].q_impact * Cap(li);
   }
   return bound;
 }
 
-// ---------------------------------------------------------------------------
-// BoundsEngine
-// ---------------------------------------------------------------------------
-
-BoundsEngine::BoundsEngine(std::vector<BoundsList> lists, bool use_filters)
-    : ListBounds(std::move(lists), use_filters) {
-  if (use_filters_) tracker_.emplace(Filters());
-}
-
-Status BoundsEngine::AddPopped(size_t li, ImageId id, double impact,
-                               double cap) {
-  Status s = CheckOrder(li, impact, cap);
-  if (!s.ok()) return s;
-  auto [it, inserted] = scores_.try_emplace(id);
-  PoppedImage& img = it->second;
-  if (inserted) {
-    img.row = static_cast<uint32_t>(scores_.size() - 1);
-    popped_bits_.resize(popped_bits_.size() + words_, 0);
-    img.probe = ProbeOf(id);
-  }
-  uint32_t bucket = 0;
-  s = Record(li, popped_bits_.data() + static_cast<size_t>(img.row) * words_,
-             &img.score, img.probe, impact, cap, &bucket);
-  if (s.ok() && Filtered(li)) tracker_->OnDelete(bucket, img.probe.fingerprint);
-  return s;
-}
-
-double BoundsEngine::ScoreOf(ImageId id) const {
-  auto it = scores_.find(id);
-  return it == scores_.end() ? 0.0 : it->second.score;
-}
-
-bool BoundsEngine::PoppedIn(size_t li, ImageId id) const {
-  auto it = scores_.find(id);
-  return it != scores_.end() && RowHas(PoppedRow(it->second), li);
-}
-
-uint32_t BoundsEngine::Gamma() const {
-  const uint32_t remaining = RemainingLists();
-  if (!use_filters_) return remaining;
-  return std::min(tracker_->Gamma(), remaining);
-}
-
-std::vector<size_t> BoundsEngine::PossibleLists(ImageId id) const {
-  auto it = scores_.find(id);
-  if (it == scores_.end()) {
-    return ListBounds::PossibleLists(nullptr, ProbeOf(id));
-  }
-  return ListBounds::PossibleLists(PoppedRow(it->second), it->second.probe);
-}
-
-double BoundsEngine::SUpper(ImageId id) const {
-  auto it = scores_.find(id);
-  if (it == scores_.end()) return ListBounds::SUpper(0.0, nullptr, ProbeOf(id));
-  return ListBounds::SUpper(it->second.score, PoppedRow(it->second),
-                            it->second.probe);
-}
-
-std::optional<ImageId> BoundsEngine::FirstViolator(const IdSet& claimed,
-                                                   double sk_lower) const {
-  for (const auto& [id, img] : scores_) {
-    if (claimed.contains(id)) continue;
-    if (ListBounds::SUpper(img.score, PoppedRow(img), img.probe) > sk_lower) {
-      return id;
-    }
-  }
-  return std::nullopt;
-}
-
-bool VerifyClaimedTopK(const BoundsEngine& engine,
-                       const std::vector<ImageId>& claimed, double* sk_lower) {
-  const auto& scores = engine.Scores();
-  // The claimed ids must all have been popped.
-  for (ImageId id : claimed) {
-    if (!scores.contains(id)) return false;
-  }
-  // k best by (score desc, id asc) among popped images.
-  std::vector<std::pair<double, ImageId>> ranked;
-  ranked.reserve(scores.size());
-  for (const auto& [id, img] : scores) ranked.emplace_back(img.score, id);
-  auto better = [](const std::pair<double, ImageId>& a,
-                   const std::pair<double, ImageId>& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
-  };
-  size_t k = claimed.size();
-  if (k > ranked.size()) return false;
-  std::partial_sort(ranked.begin(), ranked.begin() + k, ranked.end(), better);
-
-  std::vector<ImageId> best(k);
-  for (size_t i = 0; i < k; ++i) best[i] = ranked[i].second;
-  std::vector<ImageId> claimed_sorted = claimed;
-  std::sort(best.begin(), best.end());
-  std::sort(claimed_sorted.begin(), claimed_sorted.end());
-  if (best != claimed_sorted) return false;
-
-  *sk_lower = k == 0 ? 0.0 : ranked[k - 1].first;
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// FinalBounds
-// ---------------------------------------------------------------------------
-
-FinalBounds::FinalBounds(std::vector<BoundsList> lists, bool use_filters,
-                         size_t max_images)
-    : ListBounds(std::move(lists), use_filters) {
-  Rehash(max_images);
-  ids_.reserve(max_images);
-  scores_.reserve(max_images);
-  probes_.reserve(max_images);
-  bits_.reserve(max_images * words_);
-}
-
-void FinalBounds::Rehash(size_t n) {
-  size_t capacity = 4;
-  unsigned bits = 2;
-  while (capacity < 2 * n) {
-    capacity <<= 1;
-    ++bits;
-  }
-  slots_.assign(capacity, kNone);
-  mask_ = capacity - 1;
-  shift_ = 64 - bits;
-  for (uint32_t i = 0; i < ids_.size(); ++i) slots_[Slot(ids_[i])] = i;
-}
-
-Status FinalBounds::AddPopped(size_t li, ImageId id, double impact,
-                              double cap) {
-  Status s = CheckOrder(li, impact, cap);
-  if (!s.ok()) return s;
-  const size_t slot = Slot(id);
-  uint32_t i = slots_[slot];
-  if (i == kNone) {
-    i = static_cast<uint32_t>(ids_.size());
-    slots_[slot] = i;
-    ids_.push_back(id);
-    scores_.push_back(0.0);
-    probes_.push_back(ProbeOf(id));
-    bits_.resize(bits_.size() + words_, 0);
-    if (2 * ids_.size() > slots_.size()) Rehash(2 * ids_.size());
-  }
-  uint32_t bucket = 0;
-  return Record(li, bits_.data() + static_cast<size_t>(i) * words_,
-                &scores_[i], probes_[i], impact, cap, &bucket);
-}
-
-double FinalBounds::ScoreOf(ImageId id) const {
+std::vector<size_t> Bounds::PossibleLists(ImageId id) const {
   const uint32_t i = Find(id);
-  return i == kNone ? 0.0 : scores_[i];
+  const uint64_t* row = i == kNone ? nullptr : Row(i);
+  const cuckoo::Probe probe = i == kNone ? ProbeOf(id) : probes_[i];
+  std::vector<size_t> out;
+  for (size_t li = 0; li < lists_.size(); ++li) {
+    if (MayHold(li, row, probe)) out.push_back(li);
+  }
+  return out;
 }
 
-bool FinalBounds::PoppedIn(size_t li, ImageId id) const {
-  const uint32_t i = Find(id);
-  return i != kNone && RowHas(Row(i), li);
-}
-
-uint32_t FinalBounds::Gamma() const {
-  const uint32_t remaining = RemainingLists();
-  if (!use_filters_) return remaining;
-  return std::min(cuckoo::MaxCountGamma(Filters()), remaining);
-}
-
-double FinalBounds::SUpper(ImageId id) const {
-  const uint32_t i = Find(id);
-  if (i == kNone) return ListBounds::SUpper(0.0, nullptr, ProbeOf(id));
-  return ListBounds::SUpper(scores_[i], Row(i), probes_[i]);
-}
-
-std::vector<size_t> FinalBounds::PossibleLists(ImageId id) const {
-  const uint32_t i = Find(id);
-  if (i == kNone) return ListBounds::PossibleLists(nullptr, ProbeOf(id));
-  return ListBounds::PossibleLists(Row(i), probes_[i]);
-}
-
-FinalBounds::Verdict FinalBounds::Check(
-    const std::vector<ImageId>& claimed) const {
+bool Bounds::ClaimedTopK(const std::vector<ImageId>& claimed,
+                         double* sk_lower) const {
   // The claimed ids must all have been popped, and be exactly the k best
   // by (score desc, id asc) among the popped images.
   const size_t k = claimed.size();
-  if (k > ids_.size()) return Verdict::kNotTopK;
-  std::vector<uint32_t> claimed_idx(k);
-  for (size_t j = 0; j < k; ++j) {
-    claimed_idx[j] = Find(claimed[j]);
-    if (claimed_idx[j] == kNone) return Verdict::kNotTopK;
+  if (k > ids_.size()) return false;
+  for (ImageId id : claimed) {
+    if (Find(id) == kNone) return false;
   }
   std::vector<kern::ScoredEntry> heap;
   heap.reserve(k);
@@ -344,18 +208,17 @@ FinalBounds::Verdict FinalBounds::Check(
   for (size_t j = 0; j < k; ++j) best[j] = heap[j].id;
   std::sort(best.begin(), best.end());
   std::sort(claimed_sorted.begin(), claimed_sorted.end());
-  if (best != claimed_sorted) return Verdict::kNotTopK;
+  if (best != claimed_sorted) return false;
   // The heap's root is the worst kept entry: the k-th best.
-  const double sk_lower = k == 0 ? 0.0 : heap.front().score;
+  *sk_lower = k == 0 ? 0.0 : heap.front().score;
+  return true;
+}
 
-  if (sk_lower < PiUpper()) return Verdict::kCondition1;
-
-  // Condition 2: does any popped non-result's S^U exceed s_k^L? Only the
-  // lists with unpopped postings add a term, so they are gathered once.
-  // Every term is nonnegative, so a partial sum already above s_k^L
-  // settles the image.
-  std::vector<uint8_t> is_claimed(ids_.size(), 0);
-  for (uint32_t i : claimed_idx) is_claimed[i] = 1;
+std::optional<ImageId> Bounds::FirstViolator(const IdSet& claimed,
+                                             double sk_lower) const {
+  // Only the lists with unpopped postings add a term to S^U, so they are
+  // gathered once. Every term is nonnegative, so a partial sum already
+  // above s_k^L settles the image: the answer is S^U(I) > s_k^L exactly.
   struct Term {
     size_t li;
     double contribution;
@@ -368,17 +231,25 @@ FinalBounds::Verdict FinalBounds::Check(
                      Filtered(li) ? &*lists_[li].filter : nullptr});
   }
   for (uint32_t i = 0; i < ids_.size(); ++i) {
-    if (is_claimed[i]) continue;
+    if (claimed.contains(ids_[i])) continue;
     const uint64_t* row = Row(i);
     double bound = scores_[i];
+    if (bound > sk_lower) return ids_[i];
     for (const Term& t : terms) {
       if (RowHas(row, t.li)) continue;
       if (t.filter != nullptr && !t.filter->Contains(probes_[i])) continue;
       bound += t.contribution;
-      if (bound > sk_lower) return Verdict::kCondition2;
+      if (bound > sk_lower) return ids_[i];
     }
-    if (bound > sk_lower) return Verdict::kCondition2;
   }
+  return std::nullopt;
+}
+
+Bounds::Verdict Bounds::Check(const std::vector<ImageId>& claimed) const {
+  double sk_lower = 0;
+  if (!ClaimedTopK(claimed, &sk_lower)) return Verdict::kNotTopK;
+  if (sk_lower < PiUpper()) return Verdict::kCondition1;
+  if (FirstViolator(IdSet(claimed), sk_lower)) return Verdict::kCondition2;
   return Verdict::kHolds;
 }
 

@@ -20,8 +20,8 @@ struct SearchList {
 };
 
 // Feeds entry e of list li to an engine: each member with the entry's cap.
-template <class Engine, class E>
-void AddPopped(Engine& engine, size_t li, const E& e, double weight) {
+template <class E>
+void AddPopped(Bounds& engine, size_t li, const E& e, double weight) {
   const double cap = e.Cap(weight);
   e.ForEachMember(weight, [&](ImageId id, double impact) {
     Status s = engine.AddPopped(li, id, impact, cap);
@@ -30,11 +30,10 @@ void AddPopped(Engine& engine, size_t li, const E& e, double weight) {
 }
 
 // Builds an engine exactly as the client will: lists in cluster order,
-// pops in prefix order. `args` follow the lists and filter mode in the
-// engine's constructor.
-template <class Engine, class E, class... Args>
-Engine CanonicalEngine(const std::vector<SearchList<E>>& lists,
-                       bool use_filters, Args... args) {
+// pops in prefix order. `max_images` sizes it as in the constructor.
+template <class E>
+Bounds CanonicalEngine(const std::vector<SearchList<E>>& lists,
+                       bool use_filters, size_t max_images) {
   std::vector<BoundsList> bl;
   bl.reserve(lists.size());
   for (const SearchList<E>& sl : lists) {
@@ -45,7 +44,7 @@ Engine CanonicalEngine(const std::vector<SearchList<E>>& lists,
     if (use_filters && !exhausted) b.filter = sl.list->filter;
     bl.push_back(std::move(b));
   }
-  Engine engine(std::move(bl), use_filters, args...);
+  Bounds engine(std::move(bl), use_filters, max_images);
   for (size_t li = 0; li < lists.size(); ++li) {
     const SearchList<E>& sl = lists[li];
     for (size_t i = 0; i < sl.next_pop; ++i) {
@@ -144,7 +143,8 @@ InvSearchResult InvSearch(const MerkleInvertedIndex<E>& index,
     }
   }
   result.stats.popped_postings = result.stats.popped_initial;
-  BoundsEngine engine = CanonicalEngine<BoundsEngine>(relevant, use_filters);
+  Bounds engine =
+      CanonicalEngine(relevant, use_filters, result.stats.popped_initial);
 
   // Lazy mode: the schedule of unrevealed top-k occurrences, highest impact
   // first (each reveal pops the containing list down to the occurrence).
@@ -302,7 +302,7 @@ InvSearchResult InvSearch(const MerkleInvertedIndex<E>& index,
   while (params.lazy_topk_pops && !trivial) {
     double skl_check = 0;
     ++result.stats.condition_checks;
-    if (VerifyClaimedTopK(engine, topk_ids, &skl_check)) break;
+    if (engine.ClaimedTopK(topk_ids, &skl_check)) break;
     bool revealed = false;
     while (next_occurrence < claimed_occurrences.size()) {
       const Reveal& occ = claimed_occurrences[next_occurrence++];
@@ -325,9 +325,9 @@ InvSearchResult InvSearch(const MerkleInvertedIndex<E>& index,
   // miss, keep popping the largest remaining contribution and re-check.
   while (!trivial) {
     ++result.stats.condition_checks;
-    const FinalBounds final_state = CanonicalEngine<FinalBounds>(
-        relevant, use_filters, result.stats.popped_postings);
-    if (final_state.Check(topk_ids) == FinalBounds::Verdict::kHolds) break;
+    const Bounds final_state =
+        CanonicalEngine(relevant, use_filters, result.stats.popped_postings);
+    if (final_state.Check(topk_ids) == Bounds::Verdict::kHolds) break;
     size_t best = largest_remaining();
     if (best == relevant.size()) break;  // fully popped; conditions maximal
     pop_step(best);

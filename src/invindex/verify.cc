@@ -189,8 +189,7 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
   }
 
   // Replay every pop in canonical order.
-  FinalBounds bounds(std::move(bounds_lists), expect_filters,
-                     out->popped_postings);
+  Bounds bounds(std::move(bounds_lists), expect_filters, out->popped_postings);
   for (size_t li = 0; li < relevant.size(); ++li) {
     const double weight = relevant[li]->weight;
     for (const E& e : relevant[li]->popped) {
@@ -232,15 +231,15 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
     }
   }
   switch (bounds.Check(claimed_topk)) {
-    case FinalBounds::Verdict::kHolds:
+    case Bounds::Verdict::kHolds:
       break;
-    case FinalBounds::Verdict::kNotTopK:
+    case Bounds::Verdict::kNotTopK:
       return Status::Error(
           "inv: claimed results are not the top-k popped images");
-    case FinalBounds::Verdict::kCondition1:
+    case Bounds::Verdict::kCondition1:
       return Status::Error(
           "inv: condition 1 fails (unseen images may rank higher)");
-    case FinalBounds::Verdict::kCondition2:
+    case Bounds::Verdict::kCondition2:
       return Status::Error(
           "inv: condition 2 fails (popped image may rank higher)");
   }

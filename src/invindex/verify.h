@@ -10,12 +10,12 @@
 //   2. recomputes the query impacts p_{Q,c} from the verified BoVW vector
 //      and the w_c values in the VO, checking the reveal discipline
 //      (relevant lists have pops + filters, irrelevant ones do not);
-//   3. replays every pop once, in canonical order, into the final-state
-//      bounds engine (FinalBounds, invindex/bounds.h), deleting popped
-//      images from the shipped filters;
+//   3. replays every pop once, in canonical order, into the bounds engine
+//      (Bounds, invindex/bounds.h), deleting popped images from the
+//      shipped filters;
 //   4. checks that the claimed results are exactly the k best popped images
-//      and that both termination conditions hold, with FinalBounds::Check:
-//      the same check the SP runs before it serves the VO.
+//      and that both termination conditions hold, with Bounds::Check: the
+//      same check the SP runs before it serves the VO.
 
 #ifndef IMAGEPROOF_INVINDEX_VERIFY_H_
 #define IMAGEPROOF_INVINDEX_VERIFY_H_

@@ -1,20 +1,20 @@
-// Property tests for the bounds engines: on randomized corpora and pop
-// sequences, the engine's incremental s_k^L / pi^U / S^U values must match
-// an independent from-scratch evaluation of Eqs. (9), (11), (12) over the
+// Property tests for the bounds engine: on randomized corpora and pop
+// sequences, the engine's s_k^L / pi^U / S^U values must match an
+// independent from-scratch evaluation of Eqs. (9), (11), (12) over the
 // current revealed state — and the soundness properties of Lemma 1 must
 // hold against ground truth. A textbook reference engine (per-list popped
-// sets, filters queried by id) pins every output of both the incremental
-// and the final-state engine bit for bit.
+// sets, filters queried by id) pins every output bit for bit, whether the
+// engine is fed in the SP's interleaved pop order or in canonical order.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
 #include <set>
 #include <tuple>
-#include <type_traits>
 
 #include "common/random.h"
 #include "invindex/bounds.h"
@@ -59,15 +59,45 @@ struct RandomState {
   }
 };
 
-// Builds an engine over the state and replays its pops in canonical order.
-// A FinalBounds is sized for `max_images` distinct images (default: the
-// pop count, which bounds them).
-template <class Engine = BoundsEngine>
-Engine BuildEngine(RandomState& st, bool use_filters,
+// One pop: posting `j` of list `li`.
+using Pop = std::pair<size_t, size_t>;
+
+// The revealed prefixes as one pop sequence. Canonical order is list-major,
+// each list in prefix order (what the client replays); interleaved order
+// draws the next list at random, as the SP's search moves between lists,
+// while each list still pops in prefix order.
+std::vector<Pop> PopSequence(const RandomState& st, bool interleaved,
+                             uint64_t seed) {
+  std::vector<Pop> pops;
+  std::vector<size_t> next(st.lists.size(), 0);
+  if (!interleaved) {
+    for (size_t li = 0; li < st.lists.size(); ++li) {
+      for (size_t j = 0; j < st.lists[li].popped; ++j) pops.emplace_back(li, j);
+    }
+    return pops;
+  }
+  Rng rng(seed);
+  std::vector<size_t> open;
+  for (;;) {
+    open.clear();
+    for (size_t li = 0; li < st.lists.size(); ++li) {
+      if (next[li] < st.lists[li].popped) open.push_back(li);
+    }
+    if (open.empty()) return pops;
+    const size_t li = open[rng.NextBounded(open.size())];
+    pops.emplace_back(li, next[li]++);
+  }
+}
+
+// Builds an engine over the state and feeds it `pops` in order, asking for
+// gamma halfway through so the engine's MaxCount tracker is built mid-feed
+// and follows the rest of the deletions. The engine is sized for
+// `max_images` distinct images (default: the pop count, which bounds them).
+Bounds BuildEngine(const RandomState& st, bool use_filters,
+                   const std::vector<Pop>& pops,
                    std::optional<size_t> max_images = std::nullopt) {
   cuckoo::CuckooParams params = cuckoo::CuckooParams::ForMaxItems(64);
   std::vector<BoundsList> bl;
-  size_t pops = 0;
   for (const auto& lt : st.lists) {
     BoundsList b;
     b.cluster = lt.cluster;
@@ -80,26 +110,24 @@ Engine BuildEngine(RandomState& st, bool use_filters,
       b.filter = std::move(filter);
     }
     bl.push_back(std::move(b));
-    pops += lt.popped;
   }
-  auto make = [&] {
-    if constexpr (std::is_same_v<Engine, FinalBounds>) {
-      return FinalBounds(std::move(bl), use_filters, max_images.value_or(pops));
-    } else {
-      return BoundsEngine(std::move(bl), use_filters);
-    }
-  };
-  Engine engine = make();
+  Bounds engine(std::move(bl), use_filters, max_images.value_or(pops.size()));
+  for (size_t p = 0; p < pops.size(); ++p) {
+    if (p == pops.size() / 2) engine.Gamma();
+    const auto& [li, j] = pops[p];
+    const auto& [id, impact] = st.lists[li].postings[j];
+    EXPECT_TRUE(engine.AddPopped(li, id, impact).ok());
+  }
   for (size_t li = 0; li < st.lists.size(); ++li) {
     const auto& lt = st.lists[li];
-    for (size_t j = 0; j < lt.popped; ++j) {
-      EXPECT_TRUE(
-          engine.AddPopped(li, lt.postings[j].first, lt.postings[j].second)
-              .ok());
-    }
     if (lt.popped >= lt.postings.size()) engine.MarkExhausted(li);
   }
   return engine;
+}
+
+// The same, fed in canonical order.
+Bounds BuildEngine(const RandomState& st, bool use_filters) {
+  return BuildEngine(st, use_filters, PopSequence(st, false, 0));
 }
 
 // Reference Eq. (9): S^L from the revealed prefixes only.
@@ -144,11 +172,11 @@ TEST_P(BoundsPropertyTest, EngineMatchesReferenceAndIsSound) {
       size_t extra = rng.NextBounded(4);
       lt.popped = std::min(lt.postings.size(), lt.popped + extra);
     }
-    BoundsEngine engine = BuildEngine(st, /*use_filters=*/true);
+    Bounds engine = BuildEngine(st, /*use_filters=*/true);
 
     // S^L matches Eq. (9) exactly for every revealed image.
     auto ref_scores = ReferenceScores(st);
-    EXPECT_EQ(engine.Scores().size(), ref_scores.size());
+    EXPECT_EQ(engine.NumImages(), ref_scores.size());
     for (const auto& [id, score] : ref_scores) {
       EXPECT_NEAR(engine.ScoreOf(id), score, 1e-12) << "image " << id;
     }
@@ -187,7 +215,7 @@ TEST_P(BoundsPropertyTest, EngineMatchesReferenceAndIsSound) {
     EXPECT_LE(max_unseen_true, engine.PiUpper() + 1e-12);
 
     // The baseline (loose) bounds dominate the filter-tightened ones.
-    BoundsEngine loose = BuildEngine(st, /*use_filters=*/false);
+    Bounds loose = BuildEngine(st, /*use_filters=*/false);
     for (ImageId id : all_images) {
       EXPECT_LE(engine.SUpper(id), loose.SUpper(id) + 1e-12);
     }
@@ -199,11 +227,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BoundsPropertyTest,
                          ::testing::Range<uint64_t>(1, 21));
 
 // The engine's state evaluated the textbook way: a std::set of popped ids
-// per list, each filter queried by image id, S^U terms summed in list
-// order, MaxCount by a full rescan of the post-deletion filters.
+// per list, each filter queried by image id, S^L summed in pop order, S^U
+// terms summed in list order, MaxCount by a full rescan of the
+// post-deletion filters, condition 2 over the images in first-pop order.
 class ReferenceEngine {
  public:
-  ReferenceEngine(const RandomState& st, bool use_filters)
+  ReferenceEngine(const RandomState& st, bool use_filters,
+                  const std::vector<Pop>& pops)
       : use_filters_(use_filters) {
     cuckoo::CuckooParams params = cuckoo::CuckooParams::ForMaxItems(64);
     for (const auto& lt : st.lists) {
@@ -215,17 +245,21 @@ class ReferenceEngine {
         l.filter.emplace(params);
         for (const auto& [id, impact] : lt.postings) l.filter->Insert(id);
       }
-      for (size_t j = 0; j < lt.popped; ++j) {
-        const auto& [id, impact] = lt.postings[j];
-        l.popped.insert(id);
-        scores_[id] += lt.q_impact * impact;
-        if (l.filter) l.filter->Delete(id);
-      }
       lists_.push_back(std::move(l));
+    }
+    for (const auto& [li, j] : pops) {
+      const auto& [id, impact] = st.lists[li].postings[j];
+      List& l = lists_[li];
+      l.popped.insert(id);
+      if (!scores_.contains(id)) first_pops_.push_back(id);
+      scores_[id] += l.q_impact * impact;
+      if (l.filter) l.filter->Delete(id);
     }
   }
 
   size_t NumScored() const { return scores_.size(); }
+  // The popped images in first-pop order.
+  const std::vector<ImageId>& FirstPops() const { return first_pops_; }
   double ScoreOf(ImageId id) const {
     auto it = scores_.find(id);
     return it == scores_.end() ? 0.0 : it->second;
@@ -260,24 +294,31 @@ class ReferenceEngine {
     return ids;
   }
 
-  // FinalBounds::Check evaluated the textbook way.
-  FinalBounds::Verdict Check(const std::vector<ImageId>& claimed) const {
+  // The first popped image outside `claimed`, in first-pop order, whose
+  // S^U exceeds `sk_lower`.
+  std::optional<ImageId> FirstViolator(const std::set<ImageId>& claimed,
+                                       double sk_lower) const {
+    for (ImageId id : first_pops_) {
+      if (!claimed.contains(id) && SUpper(id) > sk_lower) return id;
+    }
+    return std::nullopt;
+  }
+
+  // Bounds::Check evaluated the textbook way.
+  Bounds::Verdict Check(const std::vector<ImageId>& claimed) const {
     const std::vector<ImageId> ranked = Ranked();
-    if (claimed.size() > ranked.size()) return FinalBounds::Verdict::kNotTopK;
+    if (claimed.size() > ranked.size()) return Bounds::Verdict::kNotTopK;
     const std::set<ImageId> best(ranked.begin(),
                                  ranked.begin() + claimed.size());
     if (best != std::set<ImageId>(claimed.begin(), claimed.end()) ||
         best.size() != claimed.size()) {
-      return FinalBounds::Verdict::kNotTopK;
+      return Bounds::Verdict::kNotTopK;
     }
     const double sk_lower =
         claimed.empty() ? 0.0 : ScoreOf(ranked[claimed.size() - 1]);
-    if (sk_lower < PiUpper()) return FinalBounds::Verdict::kCondition1;
-    for (const auto& [id, score] : scores_) {
-      if (best.contains(id)) continue;
-      if (SUpper(id) > sk_lower) return FinalBounds::Verdict::kCondition2;
-    }
-    return FinalBounds::Verdict::kHolds;
+    if (sk_lower < PiUpper()) return Bounds::Verdict::kCondition1;
+    if (FirstViolator(best, sk_lower)) return Bounds::Verdict::kCondition2;
+    return Bounds::Verdict::kHolds;
   }
 
   uint32_t Gamma() const {
@@ -335,6 +376,7 @@ class ReferenceEngine {
   bool use_filters_;
   std::vector<List> lists_;
   std::map<ImageId, double> scores_;
+  std::vector<ImageId> first_pops_;
 };
 
 // (number of lists, filters on). 64 lists fill one popped-list bitset word
@@ -356,89 +398,71 @@ TEST_P(BoundsReferenceTest, EngineIsBitIdenticalToReference) {
                                                : rng.NextBounded(4);
         lt.popped = std::min(lt.postings.size(), lt.popped + extra);
       }
-      const BoundsEngine engine = BuildEngine(st, use_filters);
-      const ReferenceEngine ref(st, use_filters);
-      SCOPED_TRACE(testing::Message() << "seed " << seed << " round " << round);
+      for (bool interleaved : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "seed " << seed << " round " << round
+                     << (interleaved ? " interleaved" : " canonical"));
+        const std::vector<Pop> pops =
+            PopSequence(st, interleaved, seed * 7 + round);
+        // Sized for every pop or (odd rounds) grown from a one-image table.
+        const Bounds engine = BuildEngine(
+            st, use_filters, pops,
+            round % 2 == 1 ? std::optional<size_t>(1) : std::nullopt);
+        const ReferenceEngine ref(st, use_filters, pops);
 
-      ASSERT_EQ(engine.Scores().size(), ref.NumScored());
-      EXPECT_EQ(engine.Gamma(), ref.Gamma());
-      EXPECT_EQ(engine.PiUpper(), ref.PiUpper());
-      std::vector<double> bounds;
-      for (ImageId id = 0; id < kImages; ++id) {
-        EXPECT_EQ(engine.ScoreOf(id), ref.ScoreOf(id)) << "image " << id;
-        EXPECT_EQ(engine.SUpper(id), ref.SUpper(id)) << "image " << id;
-        EXPECT_EQ(engine.PossibleLists(id), ref.PossibleLists(id))
-            << "image " << id;
-        std::vector<bool> engine_popped, ref_popped;
-        for (size_t li = 0; li < num_lists; ++li) {
-          engine_popped.push_back(engine.PoppedIn(li, id));
-          ref_popped.push_back(ref.PoppedIn(li, id));
+        ASSERT_EQ(engine.NumImages(), ref.NumScored());
+        EXPECT_EQ(engine.Gamma(), ref.Gamma());
+        EXPECT_EQ(engine.PiUpper(), ref.PiUpper());
+        std::vector<double> bounds;
+        for (ImageId id = 0; id < kImages; ++id) {
+          EXPECT_EQ(engine.ScoreOf(id), ref.ScoreOf(id)) << "image " << id;
+          EXPECT_EQ(engine.SUpper(id), ref.SUpper(id)) << "image " << id;
+          EXPECT_EQ(engine.PossibleLists(id), ref.PossibleLists(id))
+              << "image " << id;
+          for (size_t li = 0; li < num_lists; ++li) {
+            EXPECT_EQ(engine.PoppedIn(li, id), ref.PoppedIn(li, id))
+                << "image " << id << " list " << li;
+          }
+          bounds.push_back(ref.SUpper(id));
         }
-        EXPECT_EQ(engine_popped, ref_popped) << "image " << id;
-        bounds.push_back(ref.SUpper(id));
-      }
 
-      // Condition 2: the first violator in Scores() order, with the three
-      // best-scored images claimed and s_k^L at the median bound.
-      std::vector<std::pair<double, ImageId>> ranked;
-      for (const auto& [id, img] : engine.Scores()) {
-        ranked.emplace_back(img.score, id);
-      }
-      std::sort(ranked.rbegin(), ranked.rend());
-      std::vector<ImageId> claimed;
-      for (size_t i = 0; i < ranked.size() && i < 3; ++i) {
-        claimed.push_back(ranked[i].second);
-      }
-      const IdSet claimed_set(claimed);
-      std::nth_element(bounds.begin(), bounds.begin() + bounds.size() / 2,
-                       bounds.end());
-      const double sk_lower = bounds[bounds.size() / 2];
-      std::optional<ImageId> expected;
-      for (const auto& [id, img] : engine.Scores()) {
-        if (std::find(claimed.begin(), claimed.end(), id) != claimed.end()) {
-          continue;
-        }
-        if (ref.SUpper(id) > sk_lower) {
-          expected = id;
-          break;
-        }
-      }
-      EXPECT_EQ(engine.FirstViolator(claimed_set, sk_lower), expected);
+        // Condition 2: the first violator in first-pop order, with the
+        // three best-scored images claimed and s_k^L at the median bound.
+        const std::vector<ImageId> ranked_ids = ref.Ranked();
+        const std::vector<ImageId> best3(
+            ranked_ids.begin(),
+            ranked_ids.begin() + std::min<size_t>(3, ranked_ids.size()));
+        std::nth_element(bounds.begin(), bounds.begin() + bounds.size() / 2,
+                         bounds.end());
+        const double sk_lower = bounds[bounds.size() / 2];
+        EXPECT_EQ(engine.FirstViolator(IdSet(best3), sk_lower),
+                  ref.FirstViolator({best3.begin(), best3.end()}, sk_lower));
 
-      // The final-state engine, sized for every pop or (odd rounds) grown
-      // from a one-image table, gives the same values.
-      const FinalBounds final_state = BuildEngine<FinalBounds>(
-          st, use_filters,
-          round % 2 == 1 ? std::optional<size_t>(1) : std::nullopt);
-      ASSERT_EQ(final_state.NumImages(), ref.NumScored());
-      EXPECT_EQ(final_state.Gamma(), ref.Gamma());
-      EXPECT_EQ(final_state.PiUpper(), ref.PiUpper());
-      for (ImageId id = 0; id < kImages; ++id) {
-        EXPECT_EQ(final_state.ScoreOf(id), ref.ScoreOf(id)) << "image " << id;
-        EXPECT_EQ(final_state.SUpper(id), ref.SUpper(id)) << "image " << id;
-        EXPECT_EQ(final_state.PossibleLists(id), ref.PossibleLists(id))
-            << "image " << id;
-        for (size_t li = 0; li < num_lists; ++li) {
-          EXPECT_EQ(final_state.PoppedIn(li, id), ref.PoppedIn(li, id))
-              << "image " << id << " list " << li;
+        // The claimed-top-k check and the whole Check, for the best 1, 3
+        // and 8 images and for sets that are not the top-k (the best 3
+        // with the third swapped for the fourth, and an image never
+        // popped).
+        std::vector<std::vector<ImageId>> claims = {{}};
+        for (size_t k : {1u, 3u, 8u}) {
+          if (k > ranked_ids.size()) break;
+          claims.emplace_back(ranked_ids.begin(), ranked_ids.begin() + k);
         }
-      }
-      // Its one check, for the best 1, 3 and 8 images and for sets that
-      // are not the top-k (the best 3 with the third swapped for the
-      // fourth, and an image never popped).
-      const std::vector<ImageId> ranked_ids = ref.Ranked();
-      std::vector<std::vector<ImageId>> claims = {{}};
-      for (size_t k : {1u, 3u, 8u}) {
-        if (k > ranked_ids.size()) break;
-        claims.emplace_back(ranked_ids.begin(), ranked_ids.begin() + k);
-      }
-      if (ranked_ids.size() >= 4) {
-        claims.push_back({ranked_ids[0], ranked_ids[1], ranked_ids[3]});
-      }
-      claims.push_back({kImages + 1});
-      for (const std::vector<ImageId>& claim : claims) {
-        EXPECT_EQ(final_state.Check(claim), ref.Check(claim))
-            << "claiming " << claim.size() << " images";
+        if (ranked_ids.size() >= 4) {
+          claims.push_back({ranked_ids[0], ranked_ids[1], ranked_ids[3]});
+        }
+        claims.push_back({kImages + 1});
+        for (const std::vector<ImageId>& claim : claims) {
+          EXPECT_EQ(engine.Check(claim), ref.Check(claim))
+              << "claiming " << claim.size() << " images";
+          double sk = -1;
+          const bool top = engine.ClaimedTopK(claim, &sk);
+          EXPECT_EQ(top, ref.Check(claim) != Bounds::Verdict::kNotTopK);
+          if (top) {
+            EXPECT_EQ(sk, claim.empty()
+                              ? 0.0
+                              : ref.ScoreOf(ranked_ids[claim.size() - 1]));
+          }
+        }
       }
     }
   }
@@ -452,6 +476,63 @@ INSTANTIATE_TEST_SUITE_P(
       return std::to_string(std::get<0>(info.param)) + "lists_" +
              (std::get<1>(info.param) ? "filters" : "baseline");
     });
+
+// The SP's condition-2 loop pops for FirstViolator's image, so its choice
+// decides served VO bytes. It must follow the pops alone: renaming every
+// image by a bijection (same pops, same impacts) must pick the image at the
+// same position in the pop sequence, whatever the ids hash to.
+TEST(BoundsOrderTest, FirstViolatorIgnoresImageLabels) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const RandomState base = RandomState::Make(seed * 53, 12, 200);
+    const std::vector<std::function<ImageId(ImageId)>> relabelings = {
+        [](ImageId id) { return id; },
+        [](ImageId id) { return 1000 - id; },
+        [](ImageId id) { return id * 4099 + 17; },
+        [](ImageId id) { return (id << 40) | 5; },
+        [](ImageId id) { return id ^ 0x5555; },
+    };
+    std::optional<size_t> position;
+    for (size_t r = 0; r < relabelings.size(); ++r) {
+      RandomState st = base;
+      for (auto& lt : st.lists) {
+        for (auto& posting : lt.postings) {
+          posting.first = relabelings[r](posting.first);
+        }
+        lt.popped = std::min<size_t>(lt.postings.size(), 6);
+      }
+      // Baseline bounds: S^U then depends on the pops, not on how the ids
+      // fall into cuckoo buckets.
+      const std::vector<Pop> pops = PopSequence(st, true, seed);
+      const Bounds engine = BuildEngine(st, /*use_filters=*/false, pops);
+      const ReferenceEngine ref(st, /*use_filters=*/false, pops);
+      // Claim the first two images popped; s_k^L below most bounds, so
+      // many images violate and the order decides.
+      const std::vector<ImageId> claimed(ref.FirstPops().begin(),
+                                         ref.FirstPops().begin() + 2);
+      std::vector<double> bounds;
+      for (ImageId id : ref.FirstPops()) bounds.push_back(ref.SUpper(id));
+      std::sort(bounds.begin(), bounds.end());
+      const double sk_lower = bounds[bounds.size() / 4];
+      size_t violators = 0;
+      for (ImageId id : ref.FirstPops()) {
+        violators += std::find(claimed.begin(), claimed.end(), id) ==
+                         claimed.end() &&
+                     ref.SUpper(id) > sk_lower;
+      }
+      ASSERT_GE(violators, 2u);
+
+      const std::optional<ImageId> v =
+          engine.FirstViolator(IdSet(claimed), sk_lower);
+      ASSERT_TRUE(v.has_value());
+      const size_t at = std::find(ref.FirstPops().begin(),
+                                  ref.FirstPops().end(), *v) -
+                        ref.FirstPops().begin();
+      if (!position) position = at;
+      EXPECT_EQ(at, *position) << "relabeling " << r;
+    }
+  }
+}
 
 // Filters of differing geometry share no probe: the engine ignores them and
 // gives exactly the loose Eq. (10) bounds instead of indexing by a probe
@@ -467,44 +548,22 @@ TEST(BoundsEngineGeometryTest, MixedGeometryFallsBackToLooseBounds) {
     std::vector<BoundsList> lists(2);
     lists[0] = {0, 1.0, with_filters ? std::optional(narrow) : std::nullopt};
     lists[1] = {1, 0.5, with_filters ? std::optional(wide) : std::nullopt};
-    BoundsEngine engine(std::move(lists), with_filters);
+    Bounds engine(std::move(lists), with_filters, 2);
     EXPECT_TRUE(engine.AddPopped(0, 1, 0.9).ok());
     EXPECT_TRUE(engine.AddPopped(1, 2, 0.8).ok());
     return engine;
   };
-  const BoundsEngine mixed = make(true);
-  const BoundsEngine loose = make(false);
+  const Bounds mixed = make(true);
+  const Bounds loose = make(false);
   EXPECT_EQ(mixed.Gamma(), loose.Gamma());
   EXPECT_EQ(mixed.PiUpper(), loose.PiUpper());
   for (ImageId id = 0; id < 8; ++id) {
     EXPECT_EQ(mixed.SUpper(id), loose.SUpper(id)) << "image " << id;
     EXPECT_EQ(mixed.PossibleLists(id), loose.PossibleLists(id));
   }
-
-  // The final-state engine falls back the same way.
-  auto make_final = [&](bool with_filters) {
-    std::vector<BoundsList> lists(2);
-    lists[0] = {0, 1.0, with_filters ? std::optional(narrow) : std::nullopt};
-    lists[1] = {1, 0.5, with_filters ? std::optional(wide) : std::nullopt};
-    FinalBounds final_state(std::move(lists), with_filters, 2);
-    EXPECT_TRUE(final_state.AddPopped(0, 1, 0.9).ok());
-    EXPECT_TRUE(final_state.AddPopped(1, 2, 0.8).ok());
-    return final_state;
-  };
-  const FinalBounds final_mixed = make_final(true);
-  const FinalBounds final_loose = make_final(false);
-  EXPECT_EQ(final_mixed.Gamma(), loose.Gamma());
-  EXPECT_EQ(final_loose.Gamma(), loose.Gamma());
-  EXPECT_EQ(final_mixed.PiUpper(), loose.PiUpper());
-  EXPECT_EQ(final_loose.PiUpper(), loose.PiUpper());
-  for (ImageId id = 0; id < 8; ++id) {
-    EXPECT_EQ(final_mixed.SUpper(id), loose.SUpper(id)) << "image " << id;
-    EXPECT_EQ(final_loose.SUpper(id), loose.SUpper(id)) << "image " << id;
-    EXPECT_EQ(final_mixed.PossibleLists(id), loose.PossibleLists(id));
-  }
   for (const std::vector<ImageId>& claim :
        std::vector<std::vector<ImageId>>{{}, {1}, {2}, {1, 2}}) {
-    EXPECT_EQ(final_mixed.Check(claim), final_loose.Check(claim));
+    EXPECT_EQ(mixed.Check(claim), loose.Check(claim));
   }
 }
 

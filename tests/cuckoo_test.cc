@@ -221,12 +221,12 @@ TEST(MaxCountTest, BoundsTrueFrequency) {
   }
   std::vector<const CuckooFilter*> ptrs;
   for (const auto& f : filters) ptrs.push_back(&f);
-  uint32_t gamma = MaxCountGamma(ptrs);
+  uint32_t gamma = MaxCountTracker(ptrs).Gamma();
   EXPECT_GE(gamma, true_max);  // Lemma 1
 }
 
 TEST(MaxCountTest, EmptyFilterSet) {
-  EXPECT_EQ(MaxCountGamma({}), 0u);
+  EXPECT_EQ(MaxCountTracker({}).Gamma(), 0u);
 }
 
 TEST(MaxCountTest, TrackerMatchesRescanUnderDeletions) {
@@ -239,8 +239,9 @@ TEST(MaxCountTest, TrackerMatchesRescanUnderDeletions) {
   }
   std::vector<const CuckooFilter*> ptrs;
   for (const auto& f : filters) ptrs.push_back(&f);
+  // A tracker built from the current filters is a rescan.
   MaxCountTracker tracker(ptrs);
-  EXPECT_EQ(tracker.Gamma(), MaxCountGamma(ptrs));
+  EXPECT_EQ(tracker.Gamma(), MaxCountTracker(ptrs).Gamma());
 
   Rng rng(13);
   for (int step = 0; step < 200; ++step) {
@@ -250,7 +251,8 @@ TEST(MaxCountTest, TrackerMatchesRescanUnderDeletions) {
     if (filters[f].Delete(item, &bucket)) {
       tracker.OnDelete(bucket, filters[f].Fingerprint(item));
     }
-    ASSERT_EQ(tracker.Gamma(), MaxCountGamma(ptrs)) << "step " << step;
+    ASSERT_EQ(tracker.Gamma(), MaxCountTracker(ptrs).Gamma())
+        << "step " << step;
   }
 }
 
@@ -311,7 +313,6 @@ TEST(MaxCountTest, MixedGeometryRefused) {
     EXPECT_FALSE(tracker.ok());
     EXPECT_EQ(tracker.Gamma(), std::numeric_limits<uint32_t>::max());
     tracker.OnDelete(3, 0xFFFF);  // tracks nothing; must not index anything
-    EXPECT_EQ(MaxCountGamma(ptrs), std::numeric_limits<uint32_t>::max());
   }
   // Parameters beyond the geometry count too: a differing seed changes every
   // probe.

@@ -235,41 +235,41 @@ core::Config SchemeConfig(const std::string& scheme) {
 TEST(GoldenVoTest, ServedVoBytesPinnedForEverySchemeAndEncoding) {
   const GoldenVoCase kCases[] = {
       {"Baseline", false, false,
-       "e44a64a2e4ec9a67093050d30c8a494a8d854ec075add025f9c8ff7c8ca7c39d",
-       "d6b2526ced8eec608ab77eeaa00ebd97297943b968be53b96dd151d0db8d6499"},
+       "bbf54fbb1e70453796396fc6f51991cff8a1f879edee96171c03f3093c8fc55c",
+       "ef3696b1ed969dbdfc419ebf95e654cc88279c296cb2898ccb08b371587c2242"},
       {"Baseline", false, true,
-       "c86ea167a7294293cd013a33fa41d5b2a0cb9e43e67f29591d4e8754bed4203e",
-       "08269e65b80dacd4b3fa12bab0add29aaa562cf467b48836b91b7cffd6abb2e3"},
+       "660f83a30258d17a9817707bd669cf4823ef955d18956411aa071b37ae7aab6e",
+       "fdf775c5917ca8c7a9162064461b4eccb5d3dae3e52d176dfa391e476468d42a"},
       {"Baseline", true, false,
-       "aef9b10e4c1f6976383c6822660eb2feed2a6dbe65856bc23b4dd6115c8afeb2",
-       "49f3957bbcf53b1569ceb2eaa1cf76595f7c06f9fc155e4e26afe8a91c8d4f5c"},
+       "ac52b1e11ff90954264bb3f4676d430903c8a3da96b83d697ef4d371d58cd159",
+       "e1d9898fa2ec9a2779d8d4cd64eb19e378d16a96827bbd64c0ccf32df6a8f4f0"},
       {"Baseline", true, true,
-       "e0d8be20fb8122179070d0a7fffc38ec6a3c78cd0a255d0ed3cf1d5d7220693d",
-       "d9ff442d3fe7cfc8eb4c0385a6df65f9310de6641e02ece895a1f095fb5a214f"},
+       "5c29a72ef12d07743e847d5840c11ce2301fc2fcde87f17a3e8b3e1eedded5b9",
+       "91d1b9773f7bc71d18ef54c076a4a3bd265faa881192046d331267faa3b7f7a6"},
       {"ImageProof", false, false,
-       "e453db722e2a49f0eefd6802caa83961d2d02c25d8789086c3725d82592cf69d",
-       "aca2c7f871590a2c33c9ef9d8cc7b8ab2c7f16ccd0fdc493ad6f9aa67d645080"},
+       "3f3b77de7dfe438130fefe194ce315a0b8e75d4c5a6e4e50dd5503476b0f8c7e",
+       "75a44e97104e2400beffa8cd99f8ecc0b6f9b464e5394b51b0bc76917ff14d70"},
       {"ImageProof", false, true,
-       "e453db722e2a49f0eefd6802caa83961d2d02c25d8789086c3725d82592cf69d",
-       "aca2c7f871590a2c33c9ef9d8cc7b8ab2c7f16ccd0fdc493ad6f9aa67d645080"},
+       "3f3b77de7dfe438130fefe194ce315a0b8e75d4c5a6e4e50dd5503476b0f8c7e",
+       "75a44e97104e2400beffa8cd99f8ecc0b6f9b464e5394b51b0bc76917ff14d70"},
       {"ImageProof", true, false,
-       "8828e515eee43e88ea6ec2ce4a067270426b4445f784d595b6a5a3dfc4239270",
-       "a4cca69f177136fedc478f57aa530c23a8b84553f5ef2848d9a4a77f307baa10"},
+       "a2c85f5c3ecc772f147c86ca3555d697c7e53940d98d36f0b40e32b7b7c05daf",
+       "011f8fa3c773dbac444682446794e3c303fb0d8c3e946dcc52c830c36f7f47b9"},
       {"ImageProof", true, true,
-       "8828e515eee43e88ea6ec2ce4a067270426b4445f784d595b6a5a3dfc4239270",
-       "a4cca69f177136fedc478f57aa530c23a8b84553f5ef2848d9a4a77f307baa10"},
+       "a2c85f5c3ecc772f147c86ca3555d697c7e53940d98d36f0b40e32b7b7c05daf",
+       "011f8fa3c773dbac444682446794e3c303fb0d8c3e946dcc52c830c36f7f47b9"},
       {"OptimizedBovw", false, false,
-       "e453db722e2a49f0eefd6802caa83961d2d02c25d8789086c3725d82592cf69d",
-       "7664de005dbcea66761e96a2d02e8859b9572df0fe4dcaa989c638b6633192e4"},
+       "3f3b77de7dfe438130fefe194ce315a0b8e75d4c5a6e4e50dd5503476b0f8c7e",
+       "45cb8374a7d6c5018063b8b37a952404f39097eb03bc0ef322252348cf8d5a20"},
       {"OptimizedBovw", false, true,
-       "e453db722e2a49f0eefd6802caa83961d2d02c25d8789086c3725d82592cf69d",
-       "7664de005dbcea66761e96a2d02e8859b9572df0fe4dcaa989c638b6633192e4"},
+       "3f3b77de7dfe438130fefe194ce315a0b8e75d4c5a6e4e50dd5503476b0f8c7e",
+       "45cb8374a7d6c5018063b8b37a952404f39097eb03bc0ef322252348cf8d5a20"},
       {"OptimizedBovw", true, false,
-       "8828e515eee43e88ea6ec2ce4a067270426b4445f784d595b6a5a3dfc4239270",
-       "db4f6ac7237413a44ce7898d61878231673a03b3a6e62bc2e74347bc62ed58e9"},
+       "a2c85f5c3ecc772f147c86ca3555d697c7e53940d98d36f0b40e32b7b7c05daf",
+       "9dd01eb24c466d2a1f702c811211e8319f93dc74c7511520fd2273be02eac5b4"},
       {"OptimizedBovw", true, true,
-       "8828e515eee43e88ea6ec2ce4a067270426b4445f784d595b6a5a3dfc4239270",
-       "db4f6ac7237413a44ce7898d61878231673a03b3a6e62bc2e74347bc62ed58e9"},
+       "a2c85f5c3ecc772f147c86ca3555d697c7e53940d98d36f0b40e32b7b7c05daf",
+       "9dd01eb24c466d2a1f702c811211e8319f93dc74c7511520fd2273be02eac5b4"},
       {"OptB", false, false,
        "4226ce898cf93b68ea2fabc14ceb18ac86e1524982ae97e6397a918b38a183b3",
        "03c0c47b4ea9eb2c26190b7c7f2355c77765bfbae2628a420ee41d669f8728be"},
@@ -295,14 +295,14 @@ TEST(GoldenVoTest, ServedVoBytesPinnedForEverySchemeAndEncoding) {
        "6123c445b15b2d3cc20d09e344219f0a534767bff67214551081d50870274864",
        "467ac8f5fc23bb49cc517661029427c3006d6f1593f91c003d172bcf295d002c"},
       {"ImageProof+fp4", false, false,
-       "f9fe89f6ac2b4feff9b58984ee97b16e193b0e31308bdae48d7e7d13b8c9dd24",
-       "f19adcb2d2687c8c85811e7811b61fa8a306f097dbd71502fc486b669613286a"},
+       "e2aad018731e7691d35768b732c95e5123e3c2860ed32e701f2995f4b53ad751",
+       "647823a49d0bce9be3e6211efafe5f5202faf4cafb2dd6fa7ab5a376479bc1bf"},
       {"ImageProof+fp4", false, true,
-       "1dd1c897cd3f6a12702bfe0da201ea991ae6c4961b90e7d7798b32b4007718a3",
-       "fce5aa268ae4b9ed13605c7fa87847020174bc07450c5f641776f2bd92bcf7cb"},
+       "fe9d0ef966893101de095e158b948a00a67cb34bb1350a07a1779586138c4db9",
+       "b2ee034095eb00f00258890b53216efc45a7d725b729a27393dbd1fdf7c8f0a0"},
       {"ImageProof+fp4", true, true,
-       "f1b71a47dabb241790f785d1f8c76b1f56a902f0a6de3d293b122c1c5df8b81d",
-       "c61273fd2845900c3532171a335544eace5e99234c1126b82a52e51ac94407b8"},
+       "f89bc36f3ab7e796849b5429ee17e4ad88ff61d44ce892f957e8b34d71067668",
+       "b0ebabc9e72c785ff1853f630c7153a1e40faca14cc7f126051d8cbefa01acd6"},
       {"OptB+fp2", false, false,
        "3084036a4ed4a7d06745eeae18197b94234a74c5a9a8d0323878b61943fa8eb0",
        "a4dea59b331367d9fd8bec30a7cd7a6ff771a45620d5cd2cc90164fce23f4fd6"},
@@ -364,7 +364,7 @@ TEST(GoldenVoTest, LazyTopkVoBytesPinned) {
     vos.PutBlob(r.vo);
   }
   EXPECT_EQ(Sha3Hex(vos.bytes()),
-            "6952929c1d56c2bb662081eca03f7de85044091163b1f1e6f793cb3106d160ef");
+            "c2d8e48055a087bc40627486269f7f09578901fed43d34f7c3b7a6fadd4e69ec");
 }
 
 std::string WrittenPackageSha3(const core::Config& config) {

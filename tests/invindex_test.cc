@@ -506,14 +506,14 @@ TEST(InvRejectionTest, EachGuardGivesItsMessage) {
 }
 
 // ---------------------------------------------------------------------------
-// BoundsEngine unit behavior
+// Bounds engine unit behavior
 // ---------------------------------------------------------------------------
 
 TEST(BoundsEngineTest, OrderingViolationsRejected) {
   std::vector<BoundsList> lists(1);
   lists[0].cluster = 0;
   lists[0].q_impact = 1.0;
-  BoundsEngine engine(std::move(lists), /*use_filters=*/false);
+  Bounds engine(std::move(lists), /*use_filters=*/false, 4);
   EXPECT_TRUE(engine.AddPopped(0, 5, 0.9).ok());
   EXPECT_FALSE(engine.AddPopped(0, 6, 0.95).ok()) << "impact increased";
   EXPECT_TRUE(engine.AddPopped(0, 7, 0.9).ok()) << "tie ok";
@@ -528,7 +528,7 @@ TEST(BoundsEngineTest, CapsAndScores) {
   std::vector<BoundsList> lists(2);
   lists[0] = {0, 2.0, std::nullopt};
   lists[1] = {1, 1.0, std::nullopt};
-  BoundsEngine engine(std::move(lists), false);
+  Bounds engine(std::move(lists), false, 4);
   EXPECT_TRUE(std::isinf(engine.Cap(0)));
   ASSERT_TRUE(engine.AddPopped(0, 1, 0.5).ok());
   ASSERT_TRUE(engine.AddPopped(1, 1, 0.4).ok());
@@ -559,7 +559,7 @@ TEST(BoundsEngineTest, FiltersTightenSUpper) {
   std::vector<BoundsList> lists(2);
   lists[0] = {0, 1.0, f0};
   lists[1] = {1, 1.0, f1};
-  BoundsEngine engine(std::move(lists), true);
+  Bounds engine(std::move(lists), true, 4);
   ASSERT_TRUE(engine.AddPopped(0, 1, 0.9).ok());
   ASSERT_TRUE(engine.AddPopped(1, 1, 0.8).ok());
   // Image 2 remains only in list 0 per its filter.
@@ -581,7 +581,7 @@ TEST(BoundsEngineTest, GammaShrinksAsImagesPop) {
     bl.filter = std::move(f);
     lists.push_back(std::move(bl));
   }
-  BoundsEngine engine(std::move(lists), true);
+  Bounds engine(std::move(lists), true, 4);
   uint32_t before = engine.Gamma();
   EXPECT_GE(before, 5u);
   for (int i = 0; i < 5; ++i) {
@@ -591,21 +591,22 @@ TEST(BoundsEngineTest, GammaShrinksAsImagesPop) {
   EXPECT_DOUBLE_EQ(engine.PiUpper(), 0.0);
 }
 
-TEST(VerifyClaimedTopKTest, Basics) {
+TEST(BoundsEngineTest, ClaimedTopKIsTheKBestPopped) {
   std::vector<BoundsList> lists(1);
   lists[0] = {0, 1.0, std::nullopt};
-  BoundsEngine engine(std::move(lists), false);
+  Bounds engine(std::move(lists), false, 4);
   ASSERT_TRUE(engine.AddPopped(0, 10, 0.9).ok());
   ASSERT_TRUE(engine.AddPopped(0, 20, 0.8).ok());
   ASSERT_TRUE(engine.AddPopped(0, 30, 0.7).ok());
   double skl;
-  EXPECT_TRUE(VerifyClaimedTopK(engine, {10, 20}, &skl));
+  EXPECT_TRUE(engine.ClaimedTopK({10, 20}, &skl));
   EXPECT_DOUBLE_EQ(skl, 0.8);
-  EXPECT_FALSE(VerifyClaimedTopK(engine, {10, 30}, &skl)) << "not the best 2";
-  EXPECT_FALSE(VerifyClaimedTopK(engine, {10, 99}, &skl)) << "unknown id";
-  EXPECT_FALSE(VerifyClaimedTopK(engine, {10, 20, 30, 40}, &skl))
+  EXPECT_FALSE(engine.ClaimedTopK({10, 30}, &skl)) << "not the best 2";
+  EXPECT_FALSE(engine.ClaimedTopK({10, 99}, &skl)) << "unknown id";
+  EXPECT_FALSE(engine.ClaimedTopK({10, 20, 30, 40}, &skl))
       << "more than popped";
-  EXPECT_TRUE(VerifyClaimedTopK(engine, {}, &skl));
+  EXPECT_TRUE(engine.ClaimedTopK({}, &skl));
+  EXPECT_EQ(skl, 0.0);
 }
 
 // ---------------------------------------------------------------------------
