@@ -206,7 +206,8 @@ class Bounds {
   size_t words_ = 0;  // bitset words per popped image: ceil(lists / 64)
   std::optional<size_t> probe_list_;  // a list whose filter derives probes
   // Follows the filters from the first Gamma() on; a cache of their
-  // contents, so building it does not change the engine's state.
+  // contents, so building it does not change the engine's state. Built in
+  // place by a const call: an engine belongs to one thread.
   mutable std::optional<cuckoo::MaxCountTracker> tracker_;
 
   std::vector<uint32_t> slots_;  // dense index or kNone
