@@ -89,12 +89,14 @@ std::vector<Pop> PopSequence(const RandomState& st, bool interleaved,
   }
 }
 
-// Builds an engine over the state and feeds it `pops` in order, asking for
-// gamma halfway through so the engine's MaxCount tracker is built mid-feed
-// and follows the rest of the deletions. The engine is sized for
+// Builds an engine over the state and feeds it `pops` in order. With
+// `gamma_midway` it asks for gamma halfway through, as the SP's search
+// does between pops, so the engine's MaxCount tracker is built mid-feed
+// and follows the rest of the deletions; otherwise the tracker is built
+// from the final filters, as on the client. The engine is sized for
 // `max_images` distinct images (default: the pop count, which bounds them).
 Bounds BuildEngine(const RandomState& st, bool use_filters,
-                   const std::vector<Pop>& pops,
+                   const std::vector<Pop>& pops, bool gamma_midway,
                    std::optional<size_t> max_images = std::nullopt) {
   cuckoo::CuckooParams params = cuckoo::CuckooParams::ForMaxItems(64);
   std::vector<BoundsList> bl;
@@ -113,7 +115,7 @@ Bounds BuildEngine(const RandomState& st, bool use_filters,
   }
   Bounds engine(std::move(bl), use_filters, max_images.value_or(pops.size()));
   for (size_t p = 0; p < pops.size(); ++p) {
-    if (p == pops.size() / 2) engine.Gamma();
+    if (gamma_midway && p == pops.size() / 2) engine.Gamma();
     const auto& [li, j] = pops[p];
     const auto& [id, impact] = st.lists[li].postings[j];
     EXPECT_TRUE(engine.AddPopped(li, id, impact).ok());
@@ -127,7 +129,7 @@ Bounds BuildEngine(const RandomState& st, bool use_filters,
 
 // The same, fed in canonical order.
 Bounds BuildEngine(const RandomState& st, bool use_filters) {
-  return BuildEngine(st, use_filters, PopSequence(st, false, 0));
+  return BuildEngine(st, use_filters, PopSequence(st, false, 0), false);
 }
 
 // Reference Eq. (9): S^L from the revealed prefixes only.
@@ -404,9 +406,10 @@ TEST_P(BoundsReferenceTest, EngineIsBitIdenticalToReference) {
                      << (interleaved ? " interleaved" : " canonical"));
         const std::vector<Pop> pops =
             PopSequence(st, interleaved, seed * 7 + round);
-        // Sized for every pop or (odd rounds) grown from a one-image table.
+        // Sized for every pop or (odd rounds) grown from a one-image table;
+        // gamma asked mid-feed in the SP's interleaved order.
         const Bounds engine = BuildEngine(
-            st, use_filters, pops,
+            st, use_filters, pops, interleaved,
             round % 2 == 1 ? std::optional<size_t>(1) : std::nullopt);
         const ReferenceEngine ref(st, use_filters, pops);
 
@@ -504,7 +507,8 @@ TEST(BoundsOrderTest, FirstViolatorIgnoresImageLabels) {
       // Baseline bounds: S^U then depends on the pops, not on how the ids
       // fall into cuckoo buckets.
       const std::vector<Pop> pops = PopSequence(st, true, seed);
-      const Bounds engine = BuildEngine(st, /*use_filters=*/false, pops);
+      const Bounds engine =
+          BuildEngine(st, /*use_filters=*/false, pops, true);
       const ReferenceEngine ref(st, /*use_filters=*/false, pops);
       // Claim the first two images popped; s_k^L below most bounds, so
       // many images violate and the order decides.
