@@ -68,8 +68,11 @@ void BM_MrkdDecoration(benchmark::State& state) {
     Bytes b{static_cast<uint8_t>(i)};
     list_digests[i] = crypto::Sha3(b);
   }
+  std::vector<crypto::Digest> commitments;
+  mrkd::ClusterCommitments(mrkd::RevealMode::kFullVector, points,
+                           &commitments);
   for (auto _ : state) {
-    mrkd::MrkdTree mt(&tree, mrkd::RevealMode::kFullVector, list_digests);
+    mrkd::MrkdTree mt(&tree, commitments, list_digests);
     benchmark::DoNotOptimize(mt.root_digest());
   }
   state.SetItemsProcessed(state.iterations() * points.size());

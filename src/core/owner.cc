@@ -21,6 +21,17 @@ crypto::Digest ImageDigest(ImageId id, const Bytes& data) {
 
 }  // namespace
 
+void SpPackage::DecorateForest() {
+  mrkd::ClusterCommitments(config.reveal_mode, codebook, &cluster_commitments);
+  for (const auto& tree : forest->trees()) {
+    mrkd_trees.push_back(std::make_unique<mrkd::MrkdTree>(
+        tree.get(), cluster_commitments, list_digests));
+  }
+  dim_trees = config.reveal_mode == mrkd::RevealMode::kDimMerkle
+                  ? std::make_unique<mrkd::DimTreeMemo>(codebook.size())
+                  : nullptr;
+}
+
 crypto::Digest SpPackage::RootDigest() const {
   crypto::DigestBuilder b;
   for (const auto& tree : mrkd_trees) b.AddDigest(tree->root_digest());
@@ -93,7 +104,7 @@ size_t SpPackage::AdsBytes() const {
   for (const auto& tree : mrkd_trees) {
     n += tree->tree().nodes().size() * crypto::kDigestSize;
   }
-  n += codebook.size() * crypto::kDigestSize;
+  n += cluster_commitments.size() * crypto::kDigestSize;
   // Inverted-index digests and filters.
   if (inv_index) {
     inv_index->Visit([&n](const auto& index) {
@@ -164,10 +175,7 @@ OwnerOutput BuildDeployment(
 
   // Randomized k-d forest and the MRKD decorations.
   pkg.forest = std::make_unique<ann::RkdForest>(pkg.codebook, config.forest);
-  for (const auto& tree : pkg.forest->trees()) {
-    pkg.mrkd_trees.push_back(std::make_unique<mrkd::MrkdTree>(
-        tree.get(), config.reveal_mode, pkg.list_digests));
-  }
+  pkg.DecorateForest();
 
   // Public parameters: signed ADS digest.
   out.public_params.config = config;

@@ -63,7 +63,15 @@ struct SpPackage {
   std::unordered_map<ImageId, Bytes> image_signatures;
 
   std::unique_ptr<ann::RkdForest> forest;
+  // The MRKD proof material, all derived by DecorateForest: one commitment
+  // per codebook cluster, the n_t MRKD-trees over the forest (they borrow
+  // the commitments and list_digests) and, under kDimMerkle, the clusters'
+  // coordinate-block Merkle trees, built on first reveal (null under
+  // kFullVector). None of it changes on an update (core/update.h), so it
+  // lives as long as the package.
+  std::vector<crypto::Digest> cluster_commitments;
   std::vector<std::unique_ptr<mrkd::MrkdTree>> mrkd_trees;
+  std::unique_ptr<mrkd::DimTreeMemo> dim_trees;
   // Posting or frequency-group entries, per config.freq_grouped.
   std::unique_ptr<invindex::InvertedIndex> inv_index;
   std::vector<crypto::Digest> list_digests;
@@ -90,6 +98,10 @@ struct SpPackage {
   // clone-vs-base update validation). Any integrity failure reads as "not
   // equal".
   bool ImagesEqual(const SpPackage& other) const;
+
+  // Derives the MRKD proof material above from config, codebook, forest
+  // and list_digests. Build, clone and store open all end here.
+  void DecorateForest();
 
   // h(root_1 | ... | root_{n_t}).
   crypto::Digest RootDigest() const;

@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "common/fault.h"
-#include "core/proof_memo.h"
 #include "crypto/rsa.h"
 #include "obs/registry.h"
 #include "storage/epoch_janitor.h"
@@ -129,7 +128,6 @@ EngineResponse QueryEngine::Serve(
   ServeOptions serve;
   serve.compress_vo = options.compress_vo;
   serve.settle_exact_topk = options.settle_exact_topk;
-  serve.memo = snap->memo.get();
   out.status =
       sp.Query(features, k, par, control, serve, &out.response, scratch);
   latency_timer.Stop();
@@ -355,12 +353,6 @@ Status QueryEngine::Publish(std::shared_ptr<Snapshot> next, const char* what,
             .c_str());
   }
 
-  // A fresh, empty memo for the new epoch: memoized proof bytes never cross
-  // a snapshot swap (the old memo dies with the old snapshot's last
-  // in-flight query). Built against the final published package — for
-  // disk-backed epochs that is the reopened mapping, not the clone.
-  next->memo = std::make_shared<const ProofMemo>(*next->package);
-
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   if (persist) {
     epoch_params_[next->version] = next->params;
@@ -502,9 +494,9 @@ EngineStats QueryEngine::Stats() const {
     s.cache_evictions = cs.evictions;
     s.cache_entries = cs.entries;
   }
-  if (snap->memo) {
-    s.memo_hits = snap->memo->TotalHits();
-    s.memo_builds = snap->memo->TotalBuilds();
+  if (const mrkd::DimTreeMemo* m = snap->package->dim_trees.get()) {
+    s.memo_hits = m->hits();
+    s.memo_builds = m->builds();
   }
   s.vo_bytes_compressed = vo_bytes_compressed_.Value();
   s.vo_bytes_raw = vo_bytes_raw_.Value();
@@ -552,9 +544,10 @@ std::string QueryEngine::MetricsSnapshot() const {
     w.Key("evictions").U64(cs.evictions);
     w.Key("entries").U64(cs.entries);
     w.EndObject();
-    std::shared_ptr<const Snapshot> snap = CurrentSnapshot();
-    uint64_t mh = snap->memo ? snap->memo->TotalHits() : 0;
-    uint64_t mb = snap->memo ? snap->memo->TotalBuilds() : 0;
+    const mrkd::DimTreeMemo* memo =
+        CurrentSnapshot()->package->dim_trees.get();
+    uint64_t mh = memo ? memo->hits() : 0;
+    uint64_t mb = memo ? memo->builds() : 0;
     w.Key("proof_memo").BeginObject();
     w.Key("hits").U64(mh);
     w.Key("builds").U64(mb);

@@ -141,11 +141,6 @@ struct Snapshot {
   std::shared_ptr<const SpPackage> package;
   PublicParams params;
   uint64_t version = 0;  // 0 = the snapshot the engine was constructed with
-  // Lazily-filled memo of derived MRKD proof bytes (core/proof_memo.h),
-  // shared by every query served under this snapshot. Owned by the
-  // snapshot, so memoized bytes die with the package state they were
-  // derived from — the atomic swap IS the invalidation.
-  std::shared_ptr<const ProofMemo> memo;
 };
 
 // A query response plus the snapshot it was served under, plus the serving
@@ -186,9 +181,10 @@ struct EngineStats {
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
   uint64_t cache_entries = 0;
-  // Proof memo of the CURRENT snapshot (prior epochs' memos die with their
-  // snapshots). hits/(hits+builds) is the share of leaf/dim-tree proof
-  // serializations answered from memoized bytes.
+  // Dim-tree memo of the CURRENT snapshot's package (SpPackage::dim_trees;
+  // prior epochs' memos die with their packages). hits/(hits+builds) is the
+  // share of partial reveals whose coordinate-block tree was already built.
+  // Both read 0 under kFullVector, which has no such trees.
   uint64_t memo_hits = 0;
   uint64_t memo_builds = 0;
   // Cumulative inv/fg VO section bytes served with and without group-varint
@@ -333,8 +329,8 @@ class QueryEngine {
   // The one publish routine. With `write` and a persist_dir, first writes
   // `next->package` as epoch next->version, reopens it verified under
   // next->params, flips CURRENT, clears a stale quarantine marker and
-  // serves the reopened mapping. Then attaches a fresh ProofMemo, records
-  // the epoch's params and swaps snapshot_. On a failed step nothing is
+  // serves the reopened mapping. Then records the epoch's params and swaps
+  // snapshot_. On a failed step nothing is
   // published; `what` prefixes the error message.
   Status Publish(std::shared_ptr<Snapshot> next, const char* what, bool write);
 

@@ -6,7 +6,6 @@
 
 #include "common/parallel.h"
 #include "common/stopwatch.h"
-#include "core/proof_memo.h"
 #include "obs/metrics.h"
 #include "obs/registry.h"
 
@@ -141,14 +140,10 @@ Status ServiceProvider::Query(const std::vector<std::vector<float>>& features,
         // exclusive at any thread count.
         mrkd::MrkdSearchScratch* lane =
             scratch ? &scratch->tree_lanes[t] : nullptr;
-        const mrkd::LeafProofMemo* leaf_memo =
-            serve.memo ? serve.memo->tree_leaves(t) : nullptr;
         tree_outputs[t] =
             config.share_nodes
-                ? mrkd::MrkdSearchShared(tree, queries, thresholds_sq, lane,
-                                         leaf_memo)
-                : mrkd::MrkdSearchUnshared(tree, queries, thresholds_sq, lane,
-                                           leaf_memo);
+                ? mrkd::MrkdSearchShared(tree, queries, thresholds_sq, lane)
+                : mrkd::MrkdSearchUnshared(tree, queries, thresholds_sq, lane);
       },
       threads, /*grain=*/1);
   std::vector<std::set<mrkd::ClusterId>> candidates(nq);
@@ -221,8 +216,7 @@ Status ServiceProvider::Query(const std::vector<std::vector<float>>& features,
     }
     reveals.push_back(mrkd::BuildReveal(config.reveal_mode, c, codebook.row(c),
                                         dims, full, qs, bounds,
-                                        serve.memo ? serve.memo->dim_trees()
-                                                   : nullptr));
+                                        pkg_->dim_trees.get()));
   }
   ByteWriter reveal_writer;
   mrkd::SerializeReveals(reveals, reveal_writer);

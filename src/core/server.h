@@ -95,7 +95,7 @@ class QueryControl {
 };
 
 // Cross-cutting serving knobs threaded down from the engine. Both default
-// to off/null, which reproduces the historical serving path byte for byte.
+// to off, which reproduces the historical serving path byte for byte.
 struct ServeOptions {
   // Compress the inverted-index / frequency-group VO section with
   // group-varint coding (InvSearchParams::compress_vo). Changes VO bytes —
@@ -106,9 +106,6 @@ struct ServeOptions {
   // Changes VO bytes — required by sharded serving, where the composite
   // merge is only sound over exact per-shard scores.
   bool settle_exact_topk = false;
-  // Per-snapshot proof memo (core/proof_memo.h) for sharing derived MRKD
-  // proof bytes across concurrent queries. Never changes VO bytes.
-  const class ProofMemo* memo = nullptr;
 };
 
 class ServiceProvider {
@@ -116,8 +113,9 @@ class ServiceProvider {
   // Borrows the package; the owner output must outlive the SP.
   //
   // Thread safety: Query is const over immutable package state and uses
-  // only per-call locals, so one ServiceProvider may serve any number of
-  // concurrent callers — this is what core/query_engine.h builds on. The
+  // only per-call locals (the package's lock-free dim-tree memo aside), so
+  // one ServiceProvider may serve any number of concurrent callers — this
+  // is what core/query_engine.h builds on. The
   // package must not be mutated (core/update.h) while queries are in
   // flight; the engine guarantees that with copy-on-write snapshots.
   explicit ServiceProvider(const SpPackage* package) : pkg_(package) {}
@@ -136,8 +134,8 @@ class ServiceProvider {
                QueryResponse* out, QueryScratch* scratch = nullptr) const;
 
   // Full-control variant: adds the engine's serving knobs (VO compression,
-  // per-snapshot proof memo). The overloads above delegate here with
-  // default ServeOptions.
+  // exact top-k settling). The overloads above delegate here with default
+  // ServeOptions.
   Status Query(const std::vector<std::vector<float>>& features, size_t k,
                const QueryParallelism& par, const QueryControl& control,
                const ServeOptions& serve, QueryResponse* out,

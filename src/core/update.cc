@@ -84,10 +84,7 @@ Result<std::unique_ptr<SpPackage>> ClonePackage(const SpPackage& base) {
   }
   pkg->forest = std::make_unique<ann::RkdForest>(
       pkg->codebook, pkg->config.forest, std::move(trees));
-  for (const auto& tree : pkg->forest->trees()) {
-    pkg->mrkd_trees.push_back(std::make_unique<mrkd::MrkdTree>(
-        tree.get(), pkg->config.reveal_mode, pkg->list_digests));
-  }
+  pkg->DecorateForest();
   return pkg;
 }
 

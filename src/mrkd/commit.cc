@@ -4,8 +4,6 @@
 
 #include "common/parallel.h"
 #include "crypto/hasher.h"
-#include "merkle/merkle_tree.h"
-#include "mrkd/memo.h"
 
 namespace imageproof::mrkd {
 
@@ -53,8 +51,30 @@ void PutCommitmentPreimage(ByteWriter& w, RevealMode mode, ClusterId id,
 
 }  // namespace
 
-std::vector<Bytes> CoordBlockLeaves(const float* coords, size_t dims) {
-  return BlockLeaves(coords, dims);
+DimTreeMemo::DimTreeMemo(size_t num_clusters) : slots_(num_clusters) {}
+
+DimTreeMemo::~DimTreeMemo() {
+  for (auto& slot : slots_) delete slot.load(std::memory_order_relaxed);
+}
+
+const merkle::MerkleTree& DimTreeMemo::Get(ClusterId id, const float* coords,
+                                           size_t dims) const {
+  std::atomic<const merkle::MerkleTree*>& slot = slots_[id];
+  if (const merkle::MerkleTree* t = slot.load(std::memory_order_acquire)) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return *t;
+  }
+  builds_.fetch_add(1, std::memory_order_relaxed);
+  // Build-then-CAS. Acquire/release pair, so the winner's fully built tree
+  // is visible to every adopter.
+  auto* built = new merkle::MerkleTree(BlockLeaves(coords, dims));
+  const merkle::MerkleTree* expected = nullptr;
+  if (slot.compare_exchange_strong(expected, built, std::memory_order_release,
+                                   std::memory_order_acquire)) {
+    return *built;
+  }
+  delete built;
+  return *expected;
 }
 
 Digest ClusterCommitment(RevealMode mode, ClusterId id, const float* coords,
@@ -99,7 +119,7 @@ ClusterReveal BuildReveal(RevealMode mode, ClusterId id, const float* coords,
                           size_t dims, bool full_reveal,
                           const std::vector<const float*>& queries,
                           const std::vector<double>& bounds,
-                          const DimTreeMemo* memo) {
+                          const DimTreeMemo* dim_trees) {
   ClusterReveal reveal;
   reveal.id = id;
   if (mode == RevealMode::kFullVector || full_reveal || queries.empty()) {
@@ -164,12 +184,7 @@ ClusterReveal BuildReveal(RevealMode mode, ClusterId id, const float* coords,
       reveal.dim_values.push_back(coords[d]);
     }
   }
-  if (memo) {
-    reveal.proof = memo->Get(id, coords, dims).ProveSubset(chosen_blocks);
-  } else {
-    merkle::MerkleTree tree(BlockLeaves(coords, dims));
-    reveal.proof = tree.ProveSubset(chosen_blocks);
-  }
+  reveal.proof = dim_trees->Get(id, coords, dims).ProveSubset(chosen_blocks);
   return reveal;
 }
 

@@ -27,6 +27,7 @@
 #ifndef IMAGEPROOF_MRKD_COMMIT_H_
 #define IMAGEPROOF_MRKD_COMMIT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -36,6 +37,7 @@
 #include "common/bytes.h"
 #include "common/status.h"
 #include "crypto/digest.h"
+#include "merkle/merkle_tree.h"
 
 namespace imageproof::mrkd {
 
@@ -50,12 +52,38 @@ enum class RevealMode : uint8_t {
 // Dimensions per Merkle leaf in kDimMerkle mode.
 inline constexpr size_t kDimBlock = 8;
 
-class DimTreeMemo;  // memo.h — per-snapshot cache of coordinate-block trees
+// Lazily built coordinate-block Merkle trees of a frozen codebook, one slot
+// per cluster: the trees the SP holds under Optimization A. A package in
+// kDimMerkle mode owns one (core::SpPackage::dim_trees), so the first
+// partial reveal of a cluster builds its tree and every later reveal, by
+// the same query or a concurrent one, only runs ProveSubset over it.
+//
+// Slots are std::atomic pointers filled by build-then-CAS: racing builders
+// compute identical trees from the same frozen coordinates, exactly one
+// publishes, and the losers delete their copy and adopt the winner.
+// Readers are wait-free after the first fill; no locks.
+class DimTreeMemo {
+ public:
+  explicit DimTreeMemo(size_t num_clusters);
+  ~DimTreeMemo();
+  DimTreeMemo(const DimTreeMemo&) = delete;
+  DimTreeMemo& operator=(const DimTreeMemo&) = delete;
 
-// The kDimMerkle Merkle leaf payloads for one cluster's coordinates, one
-// per kDimBlock-dimension block (exported for DimTreeMemo, which builds
-// the same trees BuildReveal would and must stay byte-identical).
-std::vector<Bytes> CoordBlockLeaves(const float* coords, size_t dims);
+  // The tree of cluster `id`, whose coordinates are `coords` (the same
+  // ones on every call). Builds and publishes on first use.
+  const merkle::MerkleTree& Get(ClusterId id, const float* coords,
+                                size_t dims) const;
+
+  // Relaxed counters for the engine's stats, not for control flow: calls
+  // answered from a published tree, and trees built here.
+  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  uint64_t builds() const { return builds_.load(std::memory_order_relaxed); }
+
+ private:
+  mutable std::vector<std::atomic<const merkle::MerkleTree*>> slots_;
+  mutable std::atomic<uint64_t> hits_{0};
+  mutable std::atomic<uint64_t> builds_{0};
+};
 
 // Commitment of one cluster (digest embedded in the leaf digest).
 Digest ClusterCommitment(RevealMode mode, ClusterId id, const float* coords,
@@ -93,15 +121,14 @@ double PartialDistanceSq(const float* query,
 //   `bounds[q]`), PartialDistanceSq(q) > bounds[q]. Falls back to a full
 //   reveal if the partial bound cannot strictly exceed every bound or if
 //   the partial encoding would not be smaller.
-// `memo` (optional) supplies the per-snapshot coordinate-block Merkle tree
-// cache (memo.h): concurrent queries revealing the same cluster then share
-// one tree build instead of re-deriving it. Output is byte-identical with
-// or without it.
+// `dim_trees` supplies the partial reveal's coordinate-block tree: it is
+// the package's memo in kDimMerkle mode and may be null in kFullVector mode,
+// which never reveals partially.
 ClusterReveal BuildReveal(RevealMode mode, ClusterId id, const float* coords,
                           size_t dims, bool full_reveal,
                           const std::vector<const float*>& queries,
                           const std::vector<double>& bounds,
-                          const DimTreeMemo* memo = nullptr);
+                          const DimTreeMemo* dim_trees);
 
 // Client side: recomputes the cluster commitment from a reveal. Fails if a
 // partial reveal is malformed (bad indices / proof). On success the caller

@@ -5,10 +5,12 @@
 
 namespace imageproof::mrkd {
 
-MrkdTree::MrkdTree(const ann::RkdTree* tree, RevealMode mode,
+MrkdTree::MrkdTree(const ann::RkdTree* tree,
+                   const std::vector<Digest>& cluster_commitments,
                    const std::vector<Digest>& list_digests)
-    : tree_(tree), mode_(mode), list_digests_(&list_digests) {
-  ClusterCommitments(mode_, tree_->points(), &cluster_commitments_);
+    : tree_(tree),
+      cluster_commitments_(&cluster_commitments),
+      list_digests_(&list_digests) {
   node_digests_.resize(tree_->nodes().size());
   BuildNodeDigests();
   BuildParentsAndLeafMap();
@@ -37,7 +39,7 @@ void MrkdTree::PutNodePreimage(Bytes* buf, int node) const {
   if (n.IsLeaf()) {
     for (int32_t i = n.begin; i < n.end; ++i) {
       ClusterId c = static_cast<ClusterId>(tree_->point_indices()[i]);
-      w.AddDigest(cluster_commitments_[c]);
+      w.AddDigest((*cluster_commitments_)[c]);
       w.AddDigest((*list_digests_)[c]);
     }
   } else {

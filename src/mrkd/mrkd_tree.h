@@ -11,7 +11,7 @@
 // Thread safety: every const accessor is safe to call concurrently; the
 // search code (mrkd/search.h) reads only through them. The single mutator
 // is RefreshListDigest (plus the shared `list_digests` vector it reads,
-// owned by SpPackage), used by the incremental-update path; it must never
+// owned by SpPackage like the commitments), used by the incremental-update path; it must never
 // run concurrently with searches over the same tree. Concurrent serving
 // therefore applies updates to a cloned package and swaps snapshots
 // (core/query_engine.h) instead of mutating a live one.
@@ -30,18 +30,20 @@ namespace imageproof::mrkd {
 
 class MrkdTree {
  public:
-  // `tree` is borrowed and must outlive the MrkdTree. `list_digests[c]` is
-  // the digest h_{Gamma_c} of cluster c's Merkle inverted list.
-  MrkdTree(const ann::RkdTree* tree, RevealMode mode,
+  // `tree` and both vectors are borrowed and must outlive the MrkdTree.
+  // `cluster_commitments[c]` is cluster c's commitment (ClusterCommitments
+  // over the tree's codebook) and `list_digests[c]` the digest h_{Gamma_c}
+  // of its Merkle inverted list.
+  MrkdTree(const ann::RkdTree* tree,
+           const std::vector<Digest>& cluster_commitments,
            const std::vector<Digest>& list_digests);
 
   const ann::RkdTree& tree() const { return *tree_; }
-  RevealMode mode() const { return mode_; }
   const Digest& root_digest() const { return node_digests_[tree_->root()]; }
   const Digest& node_digest(int node) const { return node_digests_[node]; }
   const Digest& list_digest(ClusterId c) const { return (*list_digests_)[c]; }
   const Digest& cluster_commitment(ClusterId c) const {
-    return cluster_commitments_[c];
+    return (*cluster_commitments_)[c];
   }
 
   // Digest contribution of a splitting hyperplane, l_N | h_left | h_right,
@@ -72,9 +74,8 @@ class MrkdTree {
   void BuildParentsAndLeafMap();
 
   const ann::RkdTree* tree_;
-  RevealMode mode_;
+  const std::vector<Digest>* cluster_commitments_;
   const std::vector<Digest>* list_digests_;
-  std::vector<Digest> cluster_commitments_;
   std::vector<Digest> node_digests_;
   std::vector<int32_t> parents_;       // parent node index, -1 for the root
   std::vector<int32_t> leaf_of_;       // cluster -> leaf node index

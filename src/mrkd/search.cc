@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "mrkd/memo.h"
-
 namespace imageproof::mrkd {
 
 namespace {
@@ -19,7 +17,6 @@ struct SearchContext {
   MrkdSearchScratch* scratch;
   ByteWriter* writer;
   TreeSearchOutput* out;
-  const LeafProofMemo* leaf_memo = nullptr;
 
   MrkdSearchScratch::Frame& FrameAt(size_t depth) {
     while (depth >= scratch->frames.size()) scratch->frames.emplace_back();
@@ -45,16 +42,6 @@ void SearchRec(SearchContext& ctx, int node_index, size_t depth,
   if (active.size() >= 2) ++ctx.out->stats.shared_nodes;
 
   if (node.IsLeaf()) {
-    if (ctx.leaf_memo) {
-      // Byte-identical token run, serialized once per (snapshot, node) and
-      // shared across every concurrent search (mrkd/memo.h).
-      ctx.writer->PutBytes(ctx.leaf_memo->Get(*ctx.mrkd, node_index));
-      for (int32_t i = node.begin; i < node.end; ++i) {
-        ClusterId c = static_cast<ClusterId>(tree.point_indices()[i]);
-        for (uint32_t q : active) ctx.out->candidates[q].push_back(c);
-      }
-      return;
-    }
     ctx.writer->PutU8(kTokenLeaf);
     ctx.writer->PutVarint(static_cast<uint64_t>(node.end - node.begin));
     for (int32_t i = node.begin; i < node.end; ++i) {
@@ -148,8 +135,7 @@ TreeSearchOutput RunSearch(const MrkdTree& tree,
                            const std::vector<double>& thresholds_sq,
                            const std::vector<uint32_t>& initial_active,
                            MrkdSearchScratch& scratch,
-                           TreeSearchOutput* accumulate,
-                           const LeafProofMemo* leaf_memo) {
+                           TreeSearchOutput* accumulate) {
   TreeSearchOutput local;
   TreeSearchOutput& out = accumulate ? *accumulate : local;
   if (out.candidates.size() != queries.size()) {
@@ -161,7 +147,6 @@ TreeSearchOutput RunSearch(const MrkdTree& tree,
   ctx.queries = &queries;
   ctx.thresholds_sq = &thresholds_sq;
   ctx.scratch = &scratch;
-  ctx.leaf_memo = leaf_memo;
   PrepareOffsets(scratch, queries.size(), tree.tree().points().dims());
   ByteWriter writer;
   ctx.writer = &writer;
@@ -182,31 +167,27 @@ TreeSearchOutput RunSearch(const MrkdTree& tree,
 TreeSearchOutput MrkdSearchShared(const MrkdTree& tree,
                                   const std::vector<const float*>& queries,
                                   const std::vector<double>& thresholds_sq,
-                                  MrkdSearchScratch* scratch,
-                                  const LeafProofMemo* leaf_memo) {
+                                  MrkdSearchScratch* scratch) {
   MrkdSearchScratch local;
   MrkdSearchScratch& s = scratch ? *scratch : local;
   s.initial_active.resize(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     s.initial_active[i] = static_cast<uint32_t>(i);
   }
-  return RunSearch(tree, queries, thresholds_sq, s.initial_active, s, nullptr,
-                   leaf_memo);
+  return RunSearch(tree, queries, thresholds_sq, s.initial_active, s, nullptr);
 }
 
 TreeSearchOutput MrkdSearchUnshared(const MrkdTree& tree,
                                     const std::vector<const float*>& queries,
                                     const std::vector<double>& thresholds_sq,
-                                    MrkdSearchScratch* scratch,
-                                    const LeafProofMemo* leaf_memo) {
+                                    MrkdSearchScratch* scratch) {
   MrkdSearchScratch local;
   MrkdSearchScratch& s = scratch ? *scratch : local;
   TreeSearchOutput out;
   out.candidates.resize(queries.size());
   for (uint32_t q = 0; q < queries.size(); ++q) {
     s.initial_active.assign(1, q);
-    RunSearch(tree, queries, thresholds_sq, s.initial_active, s, &out,
-              leaf_memo);
+    RunSearch(tree, queries, thresholds_sq, s.initial_active, s, &out);
   }
   return out;
 }

@@ -85,26 +85,20 @@ struct MrkdSearchScratch {
   std::vector<double> initial_mindist;
 };
 
-class LeafProofMemo;  // memo.h — per-snapshot leaf token byte cache
-
 // Shared-node MRKDSearch (the paper's scheme). `thresholds_sq` are squared
 // distances, one per query. `scratch` (optional) is reused across calls;
-// `leaf_memo` (optional) serves memoized leaf token bytes shared across
-// concurrent searches of the same frozen tree. Output is byte-identical
-// with or without either.
+// output is byte-identical with or without it.
 TreeSearchOutput MrkdSearchShared(const MrkdTree& tree,
                                   const std::vector<const float*>& queries,
                                   const std::vector<double>& thresholds_sq,
-                                  MrkdSearchScratch* scratch = nullptr,
-                                  const LeafProofMemo* leaf_memo = nullptr);
+                                  MrkdSearchScratch* scratch = nullptr);
 
 // Baseline variant without node sharing: one independent traversal (and VO
 // stream) per query, concatenated. Candidate semantics are identical.
 TreeSearchOutput MrkdSearchUnshared(const MrkdTree& tree,
                                     const std::vector<const float*>& queries,
                                     const std::vector<double>& thresholds_sq,
-                                    MrkdSearchScratch* scratch = nullptr,
-                                    const LeafProofMemo* leaf_memo = nullptr);
+                                    MrkdSearchScratch* scratch = nullptr);
 
 }  // namespace imageproof::mrkd
 

@@ -556,10 +556,7 @@ Result<std::unique_ptr<core::SpPackage>> PackageStore::Open(
     pkg->forest = std::make_unique<ann::RkdForest>(
         pkg->codebook, pkg->config.forest, std::move(trees));
   }
-  for (const auto& tree : pkg->forest->trees()) {
-    pkg->mrkd_trees.push_back(std::make_unique<mrkd::MrkdTree>(
-        tree.get(), pkg->config.reveal_mode, pkg->list_digests));
-  }
+  pkg->DecorateForest();
 
   // Image payload source over the mapping.
   auto mapped = std::make_shared<MappedPackage>();

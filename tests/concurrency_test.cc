@@ -191,8 +191,8 @@ struct EngineFixture {
   core::OwnerOutput owner;
   std::shared_ptr<const core::SpPackage> package;
 
-  explicit EngineFixture(uint64_t seed = 5) {
-    core::Config config = core::Config::ImageProof();
+  explicit EngineFixture(uint64_t seed = 5,
+                         core::Config config = core::Config::ImageProof()) {
     config.rsa_bits = 512;
     workload::CorpusParams cp;
     cp.num_images = 250;
@@ -292,12 +292,13 @@ TEST(QueryEngineStressTest, UpdatesVersusQueries) {
 // Readers hammer a small pool of repeated queries — so the result cache
 // takes hits, racing inserts of the same key, and epoch turnover from the
 // writers — while mixing compressed and raw framing (distinct cache keys)
-// and hitting each snapshot's proof memo from several workers at once.
-// Every response must still verify against the snapshot it was served
-// under. Run under -DIMAGEPROOF_TSAN=ON this is the data-race harness for
-// the cache + memo fast paths.
+// and, on a dim-Merkle package, building and reading each package's
+// coordinate-block tree memo from several workers at once. Every response
+// must still verify against the snapshot it was served under. Run under
+// -DIMAGEPROOF_TSAN=ON this is the data-race harness for the cache + memo
+// fast paths.
 TEST(QueryEngineStressTest, CacheAndCompressionUnderUpdates) {
-  EngineFixture fx;
+  EngineFixture fx(5, core::Config::OptimizedBovw());
   core::EngineOptions opts;
   opts.num_workers = 4;
   opts.queue_capacity = 64;
@@ -355,9 +356,9 @@ TEST(QueryEngineStressTest, CacheAndCompressionUnderUpdates) {
   EXPECT_EQ(stats.in_flight, 0u);
   if (obs::kMetricsEnabled) {
     EXPECT_GT(stats.cache_hits + stats.cache_misses, 0u);
-    // Memo counters are per-snapshot (old epochs' memos died with their
-    // snapshots), so force one cold serve against the final epoch before
-    // checking them.
+    // Memo counters belong to the serving package (old epochs' memos died
+    // with their packages), so force one cold serve against the final
+    // epoch before checking them.
     auto fresh =
         workload::GenerateQueryFeatures(fx.package->codebook, 10, 0.3, 650);
     ASSERT_TRUE(engine.Submit(fresh, 5).get().ok());

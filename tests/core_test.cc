@@ -320,6 +320,23 @@ TEST(VerifyHashCountTest, MatchesPinnedCount) {
   }
 }
 
+// Decoration derives the cluster commitments once for the whole forest and
+// the n_t MRKD-trees borrow them: a full-vector commitment is one hash, so
+// decorating costs one hash per cluster plus one per tree node.
+TEST(DecorateForestTest, HashesEachCommitmentOnce) {
+  Deployment d(Config::ImageProof(), 100, 64, 8, /*seed=*/23);
+  SpPackage& pkg = *d.owner.package;
+  ASSERT_EQ(pkg.forest->trees().size(), 8u);
+  const crypto::Digest root = pkg.RootDigest();
+  size_t nodes = 0;
+  for (const auto& tree : pkg.forest->trees()) nodes += tree->nodes().size();
+  pkg.mrkd_trees.clear();
+  const uint64_t before = crypto::HashInvocations();
+  pkg.DecorateForest();
+  EXPECT_EQ(crypto::HashInvocations() - before, pkg.codebook.size() + nodes);
+  EXPECT_EQ(pkg.RootDigest(), root);
+}
+
 TEST(DeploymentTest, EmptyQueryYieldsNoResults) {
   Deployment d(Config::ImageProof(), 100, 64, 8, 15);
   QueryResponse resp = d.sp->Query({}, 5);

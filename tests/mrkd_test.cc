@@ -22,6 +22,7 @@ constexpr size_t kDims = 8;
 
 struct Fixture {
   ann::PointSet clusters;
+  std::vector<Digest> commitments;
   std::vector<Digest> list_digests;
   std::unique_ptr<ann::RkdTree> tree;
   std::unique_ptr<MrkdTree> mrkd;
@@ -45,7 +46,8 @@ struct Fixture {
       list_digests[i] = crypto::Sha3(payload);
     }
     tree = std::make_unique<ann::RkdTree>(clusters, 2, seed + 1);
-    mrkd = std::make_unique<MrkdTree>(tree.get(), mode, list_digests);
+    ClusterCommitments(mode, clusters, &commitments);
+    mrkd = std::make_unique<MrkdTree>(tree.get(), commitments, list_digests);
     for (size_t i = 0; i < num_queries; ++i) {
       std::vector<float> q(kDims);
       for (auto& v : q) v = static_cast<float>(rng.NextGaussian());
@@ -74,13 +76,15 @@ TEST(MrkdTreeTest, RootDependsOnListDigests) {
   Fixture f(50, 0, RevealMode::kFullVector, 5);
   auto tampered_digests = f.list_digests;
   tampered_digests[7].bytes[0] ^= 1;
-  MrkdTree other(f.tree.get(), RevealMode::kFullVector, tampered_digests);
+  MrkdTree other(f.tree.get(), f.commitments, tampered_digests);
   EXPECT_NE(f.mrkd->root_digest(), other.root_digest());
 }
 
 TEST(MrkdTreeTest, RootDependsOnRevealMode) {
   Fixture f(30, 0, RevealMode::kFullVector, 7);
-  MrkdTree dm(f.tree.get(), RevealMode::kDimMerkle, f.list_digests);
+  std::vector<Digest> dim_commitments;
+  ClusterCommitments(RevealMode::kDimMerkle, f.clusters, &dim_commitments);
+  MrkdTree dm(f.tree.get(), dim_commitments, f.list_digests);
   EXPECT_NE(f.mrkd->root_digest(), dm.root_digest());
 }
 
@@ -226,7 +230,7 @@ struct Forest {
     for (uint64_t t = 0; t < 8; ++t) {
       trees.push_back(std::make_unique<ann::RkdTree>(f.clusters, 2, 100 + t));
       mrkds.push_back(std::make_unique<MrkdTree>(
-          trees.back().get(), RevealMode::kFullVector, f.list_digests));
+          trees.back().get(), f.commitments, f.list_digests));
       const MrkdTree& m = *mrkds.back();
       if (shared) {
         vos.push_back(MrkdSearchShared(m, f.queries, f.thresholds_sq).vo);
@@ -363,7 +367,7 @@ TEST(MrkdRefreshTest, MatchesFullRebuild) {
   for (ClusterId c : {3u, 42u, 97u}) {
     new_digests[c].bytes[5] ^= 0xAA;
   }
-  MrkdTree incremental(f.tree.get(), RevealMode::kFullVector, f.list_digests);
+  MrkdTree incremental(f.tree.get(), f.commitments, f.list_digests);
   // The tree borrows the digest vector; mutate it in place then refresh.
   f.list_digests = new_digests;
   size_t rehashed = 0;
@@ -372,7 +376,7 @@ TEST(MrkdRefreshTest, MatchesFullRebuild) {
     EXPECT_GT(n, 0u);
     rehashed += n;
   }
-  MrkdTree rebuilt(f.tree.get(), RevealMode::kFullVector, new_digests);
+  MrkdTree rebuilt(f.tree.get(), f.commitments, new_digests);
   EXPECT_EQ(incremental.root_digest(), rebuilt.root_digest());
   // Path refresh touches far fewer nodes than the whole tree.
   EXPECT_LT(rehashed, f.tree->nodes().size());
@@ -380,7 +384,7 @@ TEST(MrkdRefreshTest, MatchesFullRebuild) {
 
 TEST(MrkdRefreshTest, UnknownClusterIsNoop) {
   Fixture f(20, 0, RevealMode::kFullVector, 71);
-  MrkdTree tree(f.tree.get(), RevealMode::kFullVector, f.list_digests);
+  MrkdTree tree(f.tree.get(), f.commitments, f.list_digests);
   Digest before = tree.root_digest();
   EXPECT_EQ(tree.RefreshListDigest(9999), 0u);
   EXPECT_EQ(tree.root_digest(), before);
@@ -393,7 +397,8 @@ TEST(MrkdRefreshTest, UnknownClusterIsNoop) {
 TEST(RevealTest, FullRevealRoundTrip) {
   Fixture f(10, 0, RevealMode::kFullVector, 43);
   ClusterReveal rev = BuildReveal(RevealMode::kFullVector, 3,
-                                  f.clusters.row(3), kDims, false, {}, {});
+                                  f.clusters.row(3), kDims, false, {}, {},
+                                  nullptr);
   EXPECT_TRUE(rev.full);
   Digest commitment;
   ASSERT_TRUE(VerifyReveal(RevealMode::kFullVector, kDims, rev, &commitment).ok());
@@ -410,8 +415,10 @@ TEST(RevealTest, PartialRevealVerifiesAgainstDimMerkleCommitment) {
     query[d] = static_cast<float>(rng.NextGaussian() + 3.0);
   }
   double bound = 1.0;  // far below the true squared distance (~dims * 9)
+  DimTreeMemo dim_trees(3);
   ClusterReveal rev = BuildReveal(RevealMode::kDimMerkle, 2, cluster.data(),
-                                  dims, false, {query.data()}, {bound});
+                                  dims, false, {query.data()}, {bound},
+                                  &dim_trees);
   ASSERT_FALSE(rev.full) << "partial reveal expected for a distant cluster";
   EXPECT_LT(rev.dim_indices.size(), dims);
   EXPECT_EQ(rev.dim_indices.size() % kDimBlock, 0u) << "block-aligned";
@@ -430,9 +437,10 @@ TEST(RevealTest, PartialRevealFallsBackToFullWhenBoundUnreachable) {
   // so BuildReveal must return the full vector.
   std::vector<float> q(f.clusters.row(1), f.clusters.row(1) + kDims);
   double full_dist = ann::SquaredL2(q.data(), f.clusters.row(4), kDims);
+  DimTreeMemo dim_trees(f.clusters.size());
   ClusterReveal rev =
       BuildReveal(RevealMode::kDimMerkle, 4, f.clusters.row(4), kDims, false,
-                  {q.data()}, {full_dist * 2});
+                  {q.data()}, {full_dist * 2}, &dim_trees);
   EXPECT_TRUE(rev.full);
 }
 
@@ -441,8 +449,9 @@ TEST(RevealTest, TamperedPartialValueRejected) {
   Rng rng(59);
   std::vector<float> cluster(dims), q(dims, 10.0f);
   for (auto& v : cluster) v = static_cast<float>(rng.NextGaussian());
+  DimTreeMemo dim_trees(7);
   ClusterReveal rev = BuildReveal(RevealMode::kDimMerkle, 6, cluster.data(),
-                                  dims, false, {q.data()}, {1.0});
+                                  dims, false, {q.data()}, {1.0}, &dim_trees);
   ASSERT_FALSE(rev.full);
   Digest original = ClusterCommitment(RevealMode::kDimMerkle, 6,
                                       cluster.data(), dims);
@@ -460,6 +469,7 @@ std::vector<ClusterReveal> MixedSection(
   const size_t dims = 64;
   Rng rng(seed);
   std::vector<ClusterReveal> reveals;
+  DimTreeMemo dim_trees(count);
   coords->assign(count, std::vector<float>(dims));
   for (size_t i = 0; i < count; ++i) {
     for (auto& v : (*coords)[i]) v = static_cast<float>(rng.NextGaussian());
@@ -469,7 +479,8 @@ std::vector<ClusterReveal> MixedSection(
     reveals.push_back(BuildReveal(RevealMode::kDimMerkle,
                                   static_cast<ClusterId>(i),
                                   (*coords)[i].data(), dims, full, {q.data()},
-                                  {0.5 + 40.0 * rng.NextDouble()}));
+                                  {0.5 + 40.0 * rng.NextDouble()},
+                                  &dim_trees));
   }
   return reveals;
 }
@@ -550,10 +561,11 @@ TEST(RevealTest, SerializationRoundTrip) {
   for (auto& v : c0) v = static_cast<float>(rng.NextGaussian());
   for (auto& v : c1) v = static_cast<float>(rng.NextGaussian());
   std::vector<ClusterReveal> reveals;
-  reveals.push_back(
-      BuildReveal(RevealMode::kDimMerkle, 0, c0.data(), dims, true, {}, {}));
+  DimTreeMemo dim_trees(2);
+  reveals.push_back(BuildReveal(RevealMode::kDimMerkle, 0, c0.data(), dims,
+                                true, {}, {}, &dim_trees));
   reveals.push_back(BuildReveal(RevealMode::kDimMerkle, 1, c1.data(), dims,
-                                false, {q.data()}, {0.5}));
+                                false, {q.data()}, {0.5}, &dim_trees));
   ASSERT_FALSE(reveals[1].full);
   ByteWriter w;
   SerializeReveals(reveals, w);

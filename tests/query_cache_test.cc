@@ -37,7 +37,7 @@ struct CacheFixture {
   std::vector<std::vector<std::vector<float>>> queries;
 
   explicit CacheFixture(uint64_t seed = 11) {
-    // OptimizedBoth so hits cover the dim-Merkle reveal memo and the
+    // OptimizedBoth so hits cover the package's dim-tree memo and the
     // frequency-group VO (the compressed encoding's richest shape).
     core::Config config = core::Config::OptimizedBoth();
     config.rsa_bits = 512;
@@ -233,7 +233,9 @@ TEST(QueryCacheEngineTest, ColdMemoizedCachedAndCompressedAllVerify) {
   opts.num_workers = 2;
   opts.cache_capacity = 64;
   core::QueryEngine engine(fx.package, fx.owner.public_params, opts);
-  core::ServiceProvider cold_sp(fx.package.get());  // no memo, no cache
+  // No cache, but the package's dim-tree memo, which it shares with the
+  // engine.
+  core::ServiceProvider cold_sp(fx.package.get());
   core::Client client(fx.owner.public_params);
   core::SubmitOptions compressed;
   compressed.compress_vo = true;

@@ -621,16 +621,16 @@ TEST_F(EngineAdversaryTest, TamperMatrixRejected) {
 }
 
 TEST_F(EngineAdversaryTest, MemoizedProofsByteIdenticalAndTamperEvident) {
-  // honest_ was served through the engine, i.e. with the per-snapshot proof
-  // memo feeding MRKD leaf runs and (in dim-Merkle mode) coordinate-block
-  // trees. The memo must be invisible: a memoless serial serve produces the
-  // same bytes, and the memo'd proof sections stay as tamper-evident as
-  // cold ones.
+  // honest_ was served through the engine, with its worker scratch and
+  // intra-query threads. This package commits full vectors, so it has no
+  // dim-tree memo (query_cache_test serves a dim-Merkle one, whose memo
+  // the engine and direct serves share). A direct serial serve must produce
+  // the same bytes, and the engine's proof sections stay tamper-evident.
   core::ServiceProvider cold_sp(package_.get());
   Bytes cold = cold_sp.Query(features_, 5).vo.Serialize();
   EXPECT_EQ(honest_.response.vo.Serialize(), cold);
 
-  // Flip one byte in each memo-fed proof section; every mutant must be
+  // Flip one byte in each MRKD proof section; every mutant must be
   // rejected (parse failure or digest mismatch — never acceptance).
   for (size_t t = 0; t < honest_.response.vo.tree_vos.size(); ++t) {
     core::QueryVO tampered = honest_.response.vo;
