@@ -18,7 +18,6 @@ Result<NetClient> NetClient::Connect(const std::string& host, uint16_t port,
 }
 
 Result<FrameHeader> NetClient::RoundTrip(FrameType type, const Bytes& payload,
-                                         size_t* reply_frame_bytes,
                                          uint8_t flags, uint16_t version) {
   Bytes frame = EncodeFrame(type, payload, flags, version);
   Status st = SendAll(sock_.fd(), frame.data(), frame.size());
@@ -32,9 +31,6 @@ Result<FrameHeader> NetClient::RoundTrip(FrameType type, const Bytes& payload,
     // path performs no allocation per request.
     switch (TryExtractFrame(&read_buf_, &header, &reply_buf_, &err)) {
       case ExtractResult::kFrame:
-        if (reply_frame_bytes != nullptr) {
-          *reply_frame_bytes = kFrameHeaderBytes + reply_buf_.size();
-        }
         return header;
       case ExtractResult::kCorrupt:
         return err;
@@ -78,30 +74,32 @@ Status NetClient::UnexpectedOrError(const FrameHeader& header,
   return Status::Ok();
 }
 
-Result<NetQueryResult> NetClient::Query(
+Status NetClient::QueryRoundTrip(
     const std::vector<std::vector<float>>& features, size_t k,
-    uint32_t deadline_ms) {
+    uint32_t deadline_ms, bool composite) {
   QueryRequest req;
   req.deadline_ms = deadline_ms;
   req.k = k;
   req.features = features;
-
-  size_t frame_bytes = 0;
-  auto reply = RoundTrip(FrameType::kQuery, EncodeQueryRequest(req),
-                         &frame_bytes,
-                         compress_vo_ ? kFrameFlagCompressVo : 0);
+  uint8_t flags = compress_vo_ ? kFrameFlagCompressVo : 0;
+  if (composite) flags |= kFrameFlagComposite;
+  auto reply = RoundTrip(FrameType::kQuery, EncodeQueryRequest(req), flags,
+                         composite ? kWireVersionComposite : kWireVersion);
   if (!reply.ok()) return reply.status();
-  const FrameHeader& header = reply.value();
+  return UnexpectedOrError(reply.value(), reply_buf_,
+                           composite ? FrameType::kCompositeResponse
+                                     : FrameType::kResponse);
+}
 
-  Status st = UnexpectedOrError(header, reply_buf_, FrameType::kResponse);
-  if (!st.ok()) return st;
-
-  ResponseFrame resp;
-  st = DecodeResponse(reply_buf_, &resp);
-  if (!st.ok()) return st;
+Result<NetQueryResult> NetClient::Query(
+    const std::vector<std::vector<float>>& features, size_t k,
+    uint32_t deadline_ms) {
+  Result<ResponseFrame> resp = QueryForRelay(features, k, deadline_ms);
+  if (!resp.ok()) return resp.status();
+  const size_t frame_bytes = kFrameHeaderBytes + reply_buf_.size();
 
   core::QueryVO vo;
-  st = core::QueryVO::Deserialize(resp.vo_bytes, &vo);
+  Status st = core::QueryVO::Deserialize(resp->vo_bytes, &vo);
   if (!st.ok()) return st;
 
   // Verify under the trusted params, substituting only the wire-delivered
@@ -109,15 +107,15 @@ Result<NetQueryResult> NetClient::Query(
   // the owner public key the client already holds, so it cannot be forged —
   // a server lying here fails verification, not the client.
   core::PublicParams params = params_;
-  params.root_signature = resp.root_signature;
+  params.root_signature = resp->root_signature;
   core::Client verifier(std::move(params));
   auto verified = verifier.Verify(features, k, vo);
   if (!verified.ok()) return verified.status();
 
   NetQueryResult out;
   out.verified = std::move(verified.value());
-  out.snapshot_version = resp.snapshot_version;
-  out.vo_bytes = std::move(resp.vo_bytes);
+  out.snapshot_version = resp->snapshot_version;
+  out.vo_bytes = std::move(resp->vo_bytes);
   out.response_frame_bytes = frame_bytes;
   return out;
 }
@@ -125,14 +123,7 @@ Result<NetQueryResult> NetClient::Query(
 Result<ResponseFrame> NetClient::QueryForRelay(
     const std::vector<std::vector<float>>& features, size_t k,
     uint32_t deadline_ms) {
-  QueryRequest req;
-  req.deadline_ms = deadline_ms;
-  req.k = k;
-  req.features = features;
-  auto reply = RoundTrip(FrameType::kQuery, EncodeQueryRequest(req), nullptr,
-                         compress_vo_ ? kFrameFlagCompressVo : 0);
-  if (!reply.ok()) return reply.status();
-  Status st = UnexpectedOrError(reply.value(), reply_buf_, FrameType::kResponse);
+  Status st = QueryRoundTrip(features, k, deadline_ms, /*composite=*/false);
   if (!st.ok()) return st;
   ResponseFrame resp;
   st = DecodeResponse(reply_buf_, &resp);
@@ -143,17 +134,7 @@ Result<ResponseFrame> NetClient::QueryForRelay(
 Result<Bytes> NetClient::QueryComposite(
     const std::vector<std::vector<float>>& features, size_t k,
     uint32_t deadline_ms) {
-  QueryRequest req;
-  req.deadline_ms = deadline_ms;
-  req.k = k;
-  req.features = features;
-  uint8_t flags = kFrameFlagComposite;
-  if (compress_vo_) flags |= kFrameFlagCompressVo;
-  auto reply = RoundTrip(FrameType::kQuery, EncodeQueryRequest(req), nullptr,
-                         flags, kWireVersionComposite);
-  if (!reply.ok()) return reply.status();
-  Status st = UnexpectedOrError(reply.value(), reply_buf_,
-                                FrameType::kCompositeResponse);
+  Status st = QueryRoundTrip(features, k, deadline_ms, /*composite=*/true);
   if (!st.ok()) return st;
   return reply_buf_;
 }
@@ -165,7 +146,7 @@ Result<UpdateAck> NetClient::Insert(uint64_t id, const bovw::BovwVector& bovw,
   req.bovw = bovw;
   req.image_data = image_data;
   auto reply =
-      RoundTrip(FrameType::kInsert, EncodeInsertRequest(req), nullptr);
+      RoundTrip(FrameType::kInsert, EncodeInsertRequest(req));
   if (!reply.ok()) return reply.status();
   Status st =
       UnexpectedOrError(reply.value(), reply_buf_, FrameType::kUpdateAck);
@@ -180,7 +161,7 @@ Result<UpdateAck> NetClient::Delete(uint64_t id) {
   DeleteRequest req;
   req.id = id;
   auto reply =
-      RoundTrip(FrameType::kDelete, EncodeDeleteRequest(req), nullptr);
+      RoundTrip(FrameType::kDelete, EncodeDeleteRequest(req));
   if (!reply.ok()) return reply.status();
   Status st =
       UnexpectedOrError(reply.value(), reply_buf_, FrameType::kUpdateAck);
@@ -192,7 +173,7 @@ Result<UpdateAck> NetClient::Delete(uint64_t id) {
 }
 
 Result<StatusReply> NetClient::ServerStatus() {
-  auto reply = RoundTrip(FrameType::kStatusRequest, Bytes{}, nullptr);
+  auto reply = RoundTrip(FrameType::kStatusRequest, Bytes{});
   if (!reply.ok()) return reply.status();
   Status st =
       UnexpectedOrError(reply.value(), reply_buf_, FrameType::kStatusReply);

@@ -93,12 +93,17 @@ class NetClient {
   // Sends one frame and blocks for exactly one frame back, leaving the
   // reply payload in reply_buf_ (reused across calls — the steady-state
   // receive path reallocates nothing, so closed-loop benches measure the
-  // wire, not the allocator). Frame size of the reply is reported through
-  // *reply_frame_bytes (may be null). `flags` goes out in the request
-  // frame header.
+  // wire, not the allocator). `flags` goes out in the request frame
+  // header.
   Result<FrameHeader> RoundTrip(FrameType type, const Bytes& payload,
-                                size_t* reply_frame_bytes, uint8_t flags = 0,
+                                uint8_t flags = 0,
                                 uint16_t version = kWireVersion);
+  // The query round trip behind Query, QueryForRelay and QueryComposite:
+  // sends `features` and `k` as a query frame (composite or not, compressed
+  // per compress_vo_) and checks the reply is the matching response frame,
+  // whose payload stays in reply_buf_.
+  Status QueryRoundTrip(const std::vector<std::vector<float>>& features,
+                        size_t k, uint32_t deadline_ms, bool composite);
   // Folds an inbound kError frame into a Status; non-error frames of the
   // wrong type are a protocol violation (kCorrupted).
   static Status UnexpectedOrError(const FrameHeader& header,

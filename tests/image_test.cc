@@ -70,8 +70,8 @@ TEST(PgmTest, EncodeDecodeRoundTrip) {
 
 TEST(PgmTest, DecodeHandlesComments) {
   std::string text = "P5\n# a comment line\n2 2\n255\n";
+  text += {10, 20, 30, 40};  // the 2x2 pixels
   Bytes data(text.begin(), text.end());
-  data.insert(data.end(), {10, 20, 30, 40});
   Image img;
   ASSERT_TRUE(DecodePgm(data, &img).ok());
   EXPECT_EQ(img.width(), 2);
