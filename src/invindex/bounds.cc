@@ -230,7 +230,10 @@ std::optional<ImageId> Bounds::FirstViolator(const IdSet& claimed,
     terms.push_back({li, lists_[li].q_impact * Cap(li),
                      Filtered(li) ? &*lists_[li].filter : nullptr});
   }
-  for (uint32_t i = 0; i < ids_.size(); ++i) {
+  // Last pop first. Like first-pop order it depends on the pops alone;
+  // measured on both perfbench workloads, it pops fewer postings before
+  // the conditions hold.
+  for (uint32_t i = static_cast<uint32_t>(ids_.size()); i-- > 0;) {
     if (claimed.contains(ids_[i])) continue;
     const uint64_t* row = Row(i);
     double bound = scores_[i];

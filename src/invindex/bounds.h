@@ -149,8 +149,9 @@ class Bounds {
   bool ClaimedTopK(const std::vector<ImageId>& claimed,
                    double* sk_lower) const;
 
-  // Condition 2 sweep: the first popped image outside `claimed`, in
-  // first-pop order, whose S^U exceeds `sk_lower`; nullopt if none does.
+  // Condition 2 sweep: the latest-first-popped image outside `claimed`
+  // whose S^U exceeds `sk_lower` (images walked in reverse first-pop
+  // order); nullopt if none does.
   // The SP's condition-2 loop pops for this image, so the order is part of
   // the served VO bytes.
   std::optional<ImageId> FirstViolator(const IdSet& claimed,

@@ -296,12 +296,12 @@ class ReferenceEngine {
     return ids;
   }
 
-  // The first popped image outside `claimed`, in first-pop order, whose
-  // S^U exceeds `sk_lower`.
+  // The image outside `claimed` whose S^U exceeds `sk_lower` and whose
+  // first pop came last.
   std::optional<ImageId> FirstViolator(const std::set<ImageId>& claimed,
                                        double sk_lower) const {
-    for (ImageId id : first_pops_) {
-      if (!claimed.contains(id) && SUpper(id) > sk_lower) return id;
+    for (auto it = first_pops_.rbegin(); it != first_pops_.rend(); ++it) {
+      if (!claimed.contains(*it) && SUpper(*it) > sk_lower) return *it;
     }
     return std::nullopt;
   }

@@ -235,83 +235,83 @@ core::Config SchemeConfig(const std::string& scheme) {
 TEST(GoldenVoTest, ServedVoBytesPinnedForEverySchemeAndEncoding) {
   const GoldenVoCase kCases[] = {
       {"Baseline", false, false,
-       "bbf54fbb1e70453796396fc6f51991cff8a1f879edee96171c03f3093c8fc55c",
-       "ef3696b1ed969dbdfc419ebf95e654cc88279c296cb2898ccb08b371587c2242"},
+       "aaf0e8e25b04579a566840c6247a196403496a4e2b456063ae889b136b4f8314",
+       "67d9356df9919da6433d0ca97879bf0da632d216b6bd516c78441b325abb6efd"},
       {"Baseline", false, true,
-       "660f83a30258d17a9817707bd669cf4823ef955d18956411aa071b37ae7aab6e",
-       "fdf775c5917ca8c7a9162064461b4eccb5d3dae3e52d176dfa391e476468d42a"},
+       "9181144eb97e7df9a3134f7c1b15603b8c4ea847a3f51f7100c8449e89297d15",
+       "bbfe5936d3cdf67c5a48cd9b1753326f3036d5da343dcec88f81d28851e92525"},
       {"Baseline", true, false,
-       "ac52b1e11ff90954264bb3f4676d430903c8a3da96b83d697ef4d371d58cd159",
-       "e1d9898fa2ec9a2779d8d4cd64eb19e378d16a96827bbd64c0ccf32df6a8f4f0"},
+       "b69139b9fe2c14826f142696ccc84b3b6230508bad6f4e843beb16688fcfb9b7",
+       "ee8cdec8e710129d43cde954ebfade61266c4fc2d2f27a1185127f8cfe878193"},
       {"Baseline", true, true,
-       "5c29a72ef12d07743e847d5840c11ce2301fc2fcde87f17a3e8b3e1eedded5b9",
-       "91d1b9773f7bc71d18ef54c076a4a3bd265faa881192046d331267faa3b7f7a6"},
+       "9d4280f661a3eafe6be6a72bd1da9feef12fea296f40f45c638385ac69c36bc4",
+       "8782dc76d5ab3527eae754880e4fffebffdff23f5fbcc936f1c0a3fbe0486390"},
       {"ImageProof", false, false,
-       "3f3b77de7dfe438130fefe194ce315a0b8e75d4c5a6e4e50dd5503476b0f8c7e",
-       "75a44e97104e2400beffa8cd99f8ecc0b6f9b464e5394b51b0bc76917ff14d70"},
+       "e453db722e2a49f0eefd6802caa83961d2d02c25d8789086c3725d82592cf69d",
+       "aca2c7f871590a2c33c9ef9d8cc7b8ab2c7f16ccd0fdc493ad6f9aa67d645080"},
       {"ImageProof", false, true,
-       "3f3b77de7dfe438130fefe194ce315a0b8e75d4c5a6e4e50dd5503476b0f8c7e",
-       "75a44e97104e2400beffa8cd99f8ecc0b6f9b464e5394b51b0bc76917ff14d70"},
+       "e453db722e2a49f0eefd6802caa83961d2d02c25d8789086c3725d82592cf69d",
+       "aca2c7f871590a2c33c9ef9d8cc7b8ab2c7f16ccd0fdc493ad6f9aa67d645080"},
       {"ImageProof", true, false,
-       "a2c85f5c3ecc772f147c86ca3555d697c7e53940d98d36f0b40e32b7b7c05daf",
-       "011f8fa3c773dbac444682446794e3c303fb0d8c3e946dcc52c830c36f7f47b9"},
+       "8828e515eee43e88ea6ec2ce4a067270426b4445f784d595b6a5a3dfc4239270",
+       "a4cca69f177136fedc478f57aa530c23a8b84553f5ef2848d9a4a77f307baa10"},
       {"ImageProof", true, true,
-       "a2c85f5c3ecc772f147c86ca3555d697c7e53940d98d36f0b40e32b7b7c05daf",
-       "011f8fa3c773dbac444682446794e3c303fb0d8c3e946dcc52c830c36f7f47b9"},
+       "8828e515eee43e88ea6ec2ce4a067270426b4445f784d595b6a5a3dfc4239270",
+       "a4cca69f177136fedc478f57aa530c23a8b84553f5ef2848d9a4a77f307baa10"},
       {"OptimizedBovw", false, false,
-       "3f3b77de7dfe438130fefe194ce315a0b8e75d4c5a6e4e50dd5503476b0f8c7e",
-       "45cb8374a7d6c5018063b8b37a952404f39097eb03bc0ef322252348cf8d5a20"},
+       "e453db722e2a49f0eefd6802caa83961d2d02c25d8789086c3725d82592cf69d",
+       "7664de005dbcea66761e96a2d02e8859b9572df0fe4dcaa989c638b6633192e4"},
       {"OptimizedBovw", false, true,
-       "3f3b77de7dfe438130fefe194ce315a0b8e75d4c5a6e4e50dd5503476b0f8c7e",
-       "45cb8374a7d6c5018063b8b37a952404f39097eb03bc0ef322252348cf8d5a20"},
+       "e453db722e2a49f0eefd6802caa83961d2d02c25d8789086c3725d82592cf69d",
+       "7664de005dbcea66761e96a2d02e8859b9572df0fe4dcaa989c638b6633192e4"},
       {"OptimizedBovw", true, false,
-       "a2c85f5c3ecc772f147c86ca3555d697c7e53940d98d36f0b40e32b7b7c05daf",
-       "9dd01eb24c466d2a1f702c811211e8319f93dc74c7511520fd2273be02eac5b4"},
+       "8828e515eee43e88ea6ec2ce4a067270426b4445f784d595b6a5a3dfc4239270",
+       "db4f6ac7237413a44ce7898d61878231673a03b3a6e62bc2e74347bc62ed58e9"},
       {"OptimizedBovw", true, true,
-       "a2c85f5c3ecc772f147c86ca3555d697c7e53940d98d36f0b40e32b7b7c05daf",
-       "9dd01eb24c466d2a1f702c811211e8319f93dc74c7511520fd2273be02eac5b4"},
+       "8828e515eee43e88ea6ec2ce4a067270426b4445f784d595b6a5a3dfc4239270",
+       "db4f6ac7237413a44ce7898d61878231673a03b3a6e62bc2e74347bc62ed58e9"},
       {"OptB", false, false,
-       "4226ce898cf93b68ea2fabc14ceb18ac86e1524982ae97e6397a918b38a183b3",
-       "03c0c47b4ea9eb2c26190b7c7f2355c77765bfbae2628a420ee41d669f8728be"},
+       "93be6c72a45b41439e6bdc4612cc70ba631e49392577e2ef700466be3fc21820",
+       "c0846eb966d8ed2abd5fe23135f0b676b1f8268e1f6b2320d8214f8f12e07bd4"},
       {"OptB", false, true,
-       "4226ce898cf93b68ea2fabc14ceb18ac86e1524982ae97e6397a918b38a183b3",
-       "03c0c47b4ea9eb2c26190b7c7f2355c77765bfbae2628a420ee41d669f8728be"},
+       "93be6c72a45b41439e6bdc4612cc70ba631e49392577e2ef700466be3fc21820",
+       "c0846eb966d8ed2abd5fe23135f0b676b1f8268e1f6b2320d8214f8f12e07bd4"},
       {"OptB", true, false,
-       "6123c445b15b2d3cc20d09e344219f0a534767bff67214551081d50870274864",
-       "99aac65ddf92aa317e1dfa3aaa8192574ef82d5c7a18efb251f109d06302309b"},
+       "cdbd6a1966933ebe33a8fd666910bab93dce664eda1e7fd871e1f4cc95d08c08",
+       "228b2641a70a8c5d4b3fe51abbe38c609111f00d43997eb7c66400bab488a530"},
       {"OptB", true, true,
-       "6123c445b15b2d3cc20d09e344219f0a534767bff67214551081d50870274864",
-       "99aac65ddf92aa317e1dfa3aaa8192574ef82d5c7a18efb251f109d06302309b"},
+       "cdbd6a1966933ebe33a8fd666910bab93dce664eda1e7fd871e1f4cc95d08c08",
+       "228b2641a70a8c5d4b3fe51abbe38c609111f00d43997eb7c66400bab488a530"},
       {"OptimizedBoth", false, false,
-       "4226ce898cf93b68ea2fabc14ceb18ac86e1524982ae97e6397a918b38a183b3",
-       "07f17e274afa7afde3c4c001c111a2d6f912cc5cfa8bfdf4d1490676d3a3817f"},
+       "93be6c72a45b41439e6bdc4612cc70ba631e49392577e2ef700466be3fc21820",
+       "3e1110882d020e3ba1b6b1113cae2eb6c4d0c81ca0b99687e382a04cdc669828"},
       {"OptimizedBoth", false, true,
-       "4226ce898cf93b68ea2fabc14ceb18ac86e1524982ae97e6397a918b38a183b3",
-       "07f17e274afa7afde3c4c001c111a2d6f912cc5cfa8bfdf4d1490676d3a3817f"},
+       "93be6c72a45b41439e6bdc4612cc70ba631e49392577e2ef700466be3fc21820",
+       "3e1110882d020e3ba1b6b1113cae2eb6c4d0c81ca0b99687e382a04cdc669828"},
       {"OptimizedBoth", true, false,
-       "6123c445b15b2d3cc20d09e344219f0a534767bff67214551081d50870274864",
-       "467ac8f5fc23bb49cc517661029427c3006d6f1593f91c003d172bcf295d002c"},
+       "cdbd6a1966933ebe33a8fd666910bab93dce664eda1e7fd871e1f4cc95d08c08",
+       "267f0a9e29dd11b54918923153a7793f9262ab193a409160c25289ddb785ee40"},
       {"OptimizedBoth", true, true,
-       "6123c445b15b2d3cc20d09e344219f0a534767bff67214551081d50870274864",
-       "467ac8f5fc23bb49cc517661029427c3006d6f1593f91c003d172bcf295d002c"},
+       "cdbd6a1966933ebe33a8fd666910bab93dce664eda1e7fd871e1f4cc95d08c08",
+       "267f0a9e29dd11b54918923153a7793f9262ab193a409160c25289ddb785ee40"},
       {"ImageProof+fp4", false, false,
-       "e2aad018731e7691d35768b732c95e5123e3c2860ed32e701f2995f4b53ad751",
-       "647823a49d0bce9be3e6211efafe5f5202faf4cafb2dd6fa7ab5a376479bc1bf"},
+       "2e0d202810602a253ba2f54aaadfba2667e263a8f604b3ee06eebfd9dd68e746",
+       "4484e3920ed2f1b483f94ba8fe8caf13a6bee58db4fd0fbb71f26e8331a2564f"},
       {"ImageProof+fp4", false, true,
-       "fe9d0ef966893101de095e158b948a00a67cb34bb1350a07a1779586138c4db9",
-       "b2ee034095eb00f00258890b53216efc45a7d725b729a27393dbd1fdf7c8f0a0"},
+       "e164b1155ec8790eae32cc09d06b738cccb5ce6382e2ff667a445db3675f6ab7",
+       "444367abaf05bd63acdf55fe6ef03e0630fc56d3494aea8a8a809e52f934a08f"},
       {"ImageProof+fp4", true, true,
-       "f89bc36f3ab7e796849b5429ee17e4ad88ff61d44ce892f957e8b34d71067668",
-       "b0ebabc9e72c785ff1853f630c7153a1e40faca14cc7f126051d8cbefa01acd6"},
+       "2631fe53d68f9a6276d3977821fda7e825a83d9a8a52c3479c9b7a7d10539593",
+       "5c4828d556ef3461255578e72d6765d2b95979d2f090739d8901193e3c70e708"},
       {"OptB+fp2", false, false,
-       "3084036a4ed4a7d06745eeae18197b94234a74c5a9a8d0323878b61943fa8eb0",
-       "a4dea59b331367d9fd8bec30a7cd7a6ff771a45620d5cd2cc90164fce23f4fd6"},
+       "4989b2f5d6371182d5648636aad47ddd45e087639ad13dd9c449d0e6e5c8ae38",
+       "fdf69a5ffb81751b7ffecd6d77bd39a6bef704b01fd72f4704bf868e934cc4bb"},
       {"OptB+fp2", false, true,
-       "45e24fecbdb8bfc31a7e43c182f51eeb3b418236092183cbfc1f0c1b54b75be8",
-       "a5c7f9951a98d2e5540bfe394e8a9bdd9c191312035ed0770557f5fd6e170d58"},
+       "7f6d534e895f0cb0c7cf501b013ab53506c87ec9111894d276528ed27618fba0",
+       "2d706fa15b7b525ffe912576e5a2b110c87357999a63e6072fb77a14f043f397"},
       {"OptB+fp2", true, true,
-       "ed14b8feea909be889896a73a08655f9b4cf832905e2ae075390e3e3467d7eea",
-       "2ac041d95d3875118bc30e27de88c8f27e61a74b4bca355d4c0eb40479000b6d"},
+       "9dc0b4d9159f76d63800fde066663f6d8a3b25c51ea880f7aae7382e4bd08e23",
+       "a12ab229af0ee3851266f67dd05cabe44d12c863e2ce9aeeedb8049d17cc9e1d"},
   };
   const size_t k = 5;
   std::string actual;
@@ -364,7 +364,7 @@ TEST(GoldenVoTest, LazyTopkVoBytesPinned) {
     vos.PutBlob(r.vo);
   }
   EXPECT_EQ(Sha3Hex(vos.bytes()),
-            "c2d8e48055a087bc40627486269f7f09578901fed43d34f7c3b7a6fadd4e69ec");
+            "8bbdc2625276d2a9e45c4e82252e6a38d7f3e95a6264cc53b9d4ab9882e92496");
 }
 
 std::string WrittenPackageSha3(const core::Config& config) {
