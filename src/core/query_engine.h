@@ -330,8 +330,8 @@ class QueryEngine {
   // `next->package` as epoch next->version, reopens it verified under
   // next->params, flips CURRENT, clears a stale quarantine marker and
   // serves the reopened mapping. Then records the epoch's params and swaps
-  // snapshot_. On a failed step nothing is
-  // published; `what` prefixes the error message.
+  // snapshot_. On a failed step nothing is published; `what` prefixes the
+  // error message.
   Status Publish(std::shared_ptr<Snapshot> next, const char* what, bool write);
 
   EngineOptions options_;

@@ -11,10 +11,10 @@
 // Thread safety: every const accessor is safe to call concurrently; the
 // search code (mrkd/search.h) reads only through them. The single mutator
 // is RefreshListDigest (plus the shared `list_digests` vector it reads,
-// owned by SpPackage like the commitments), used by the incremental-update path; it must never
-// run concurrently with searches over the same tree. Concurrent serving
-// therefore applies updates to a cloned package and swaps snapshots
-// (core/query_engine.h) instead of mutating a live one.
+// owned by SpPackage like the commitments), used by the incremental-update
+// path; it must never run concurrently with searches over the same tree.
+// Concurrent serving therefore applies updates to a cloned package and
+// swaps snapshots (core/query_engine.h) instead of mutating a live one.
 
 #ifndef IMAGEPROOF_MRKD_MRKD_TREE_H_
 #define IMAGEPROOF_MRKD_MRKD_TREE_H_
