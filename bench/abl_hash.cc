@@ -26,8 +26,11 @@
 // perfbench's remote-uniform workload (ImageProof, 10-feature queries,
 // k = 10, full-vector reveals) and one like remote-zipf-hot
 // (OptimizedBoth: Dim-Merkle partial reveals and frequency-grouped
-// entries, 8-feature queries, k = 32). Run it with IMAGEPROOF_NO_AVX2=1 to
-// time the portable lane path.
+// entries, 8-feature queries, k = 32). Each row also splits a verify into
+// the client's stage timers (obs registry, mean µs per verify): the five
+// caller-thread stages, which sum to the verify, and the inverted VO's
+// parse step on its helper thread, which overlaps steps 1-3. Run it with
+// IMAGEPROOF_NO_AVX2=1 to time the portable lane path.
 
 #include <algorithm>
 #include <bit>
@@ -44,6 +47,7 @@
 #include "crypto/sha3.h"
 #include "invindex/chain.h"
 #include "merkle/merkle_tree.h"
+#include "obs/registry.h"
 #include "workload/synthetic.h"
 
 using namespace imageproof;
@@ -145,6 +149,7 @@ void VerifyRow(const char* label, const std::string& key,
   std::vector<double> round_us;
   uint64_t hashes = 0;
   bool accepted = true;
+  obs::Registry::Global().Reset();
   for (int round = 0; round < rounds; ++round) {
     const uint64_t before = crypto::HashInvocations();
     Stopwatch t;
@@ -161,6 +166,19 @@ void VerifyRow(const char* label, const std::string& key,
   std::printf("%-28s %14s %11.0f us %9s\n", label, "", median_us, "");
   std::printf("%-28s %14s %14llu\n", "  hashes/verify", "",
               static_cast<unsigned long long>(hashes));
+  for (const char* stage :
+       {"reveal_verify_us", "mrkd_replay_us", "bovw_check_us",
+        "inv_prepare_us", "inv_verify_us", "sig_verify_us"}) {
+    const obs::HistogramSnapshot h =
+        obs::Registry::Global()
+            .GetHistogram(std::string("client.stage.") + stage)
+            .Snapshot();
+    const double mean = h.count == 0 ? 0.0
+                                     : static_cast<double>(h.sum) /
+                                           static_cast<double>(h.count);
+    std::printf("  %-26s %14s %11.0f us\n", stage, "", mean);
+    report.AddValue(key + "_" + stage, mean);
+  }
   report.AddValue(key + "_queries", static_cast<double>(responses.size()));
   report.AddValue(key + "_us", median_us);
   report.AddValue(key + "_hashes", static_cast<double>(hashes));

@@ -71,10 +71,12 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 if [[ "$MODE" == "--tsan" ]]; then
   # The concurrency, determinism, adversary, obs, parallel-Merkle, and
   # network-serving suites are the ones that exercise threads; running the
-  # whole suite under TSan adds time but no extra thread coverage.
+  # whole suite under TSan adds time but no extra thread coverage. Every
+  # Client::Verify starts a parse-step thread, so net_frame_test's bit-flip
+  # scan, which verifies thousands of hostile frames, is in the set too.
   # --no-tests=error: an empty selection is a broken regex, not a pass.
   ctest --test-dir "$BUILD_DIR" --output-on-failure --no-tests=error \
-    -R 'concurrency_test|golden_test|security_test|obs_test|merkle_test|kernels_test|net_test|query_cache_test|shard_test'
+    -R 'concurrency_test|golden_test|security_test|obs_test|merkle_test|kernels_test|net_test|net_frame_test|query_cache_test|shard_test'
 else
   ctest --test-dir "$BUILD_DIR" --output-on-failure --no-tests=error
 fi

@@ -1,8 +1,11 @@
 #include "core/client.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <exception>
+#include <latch>
+#include <numeric>
+#include <thread>
+#include <utility>
 
 #include "common/stopwatch.h"
 #include "crypto/hasher.h"
@@ -34,6 +37,7 @@ struct ClientMetrics {
   obs::Histogram& mrkd_replay_us;
   obs::Histogram& bovw_check_us;
   obs::Histogram& inv_verify_us;
+  obs::Histogram& inv_prepare_us;
   obs::Histogram& sig_verify_us;
   obs::Histogram& vo_reveal_bytes;
   obs::Histogram& vo_tree_bytes;
@@ -50,6 +54,7 @@ struct ClientMetrics {
                            r.GetHistogram("client.stage.mrkd_replay_us"),
                            r.GetHistogram("client.stage.bovw_check_us"),
                            r.GetHistogram("client.stage.inv_verify_us"),
+                           r.GetHistogram("client.stage.inv_prepare_us"),
                            r.GetHistogram("client.stage.sig_verify_us"),
                            r.GetHistogram("client.vo.reveal_bytes"),
                            r.GetHistogram("client.vo.tree_bytes"),
@@ -91,6 +96,44 @@ Result<VerifiedResults> Client::VerifyImpl(
   const Config& config = params_.config;
   const size_t dims = params_.dims;
   const size_t nq = features.size();
+  ClientMetrics& met = ClientMetrics::Get();
+
+  // ---- Step 4, parse step: on a helper thread, beside steps 1-3 ----
+  // Parsing the inverted-index VO and reconstructing its list digests need
+  // nothing from steps 1-3 (invindex/verify.h). The helper reads only
+  // vo.inv_vo. It writes parsed_inv, parse_status and parse_exception
+  // before it counts down lists_parsed, and then only inv_digests,
+  // digest_exception and parse_ms, which the caller reads after the join.
+  // The thread is declared after all of them, so every return path joins
+  // it before they go.
+  invindex::AnyParsedInvVo parsed_inv;
+  Status parse_status;
+  std::exception_ptr parse_exception;  // rethrown on the caller
+  std::latch lists_parsed(1);
+  std::vector<std::pair<mrkd::ClusterId, crypto::Digest>> inv_digests;
+  std::exception_ptr digest_exception;
+  double parse_ms = 0;
+  std::jthread parse_thread([&] {
+    obs::ScopedTimer prepare_timer(met.inv_prepare_us);
+    Stopwatch parse_timer;
+    try {
+      parse_status = invindex::ParseInvVo(
+          config.freq_grouped ? invindex::EntryKind::kGroup
+                              : invindex::EntryKind::kPosting,
+          vo.inv_vo, config.with_filters, &parsed_inv);
+    } catch (...) {
+      parse_exception = std::current_exception();
+    }
+    lists_parsed.count_down();
+    if (parse_status.ok() && !parse_exception) {
+      try {
+        invindex::DigestInvVo(parsed_inv, &inv_digests);
+      } catch (...) {
+        digest_exception = std::current_exception();
+      }
+    }
+    parse_ms = parse_timer.ElapsedMillis();
+  });
   Stopwatch bovw_timer;
 
   for (const auto& f : features) {
@@ -108,7 +151,6 @@ Result<VerifiedResults> Client::VerifyImpl(
   }
 
   // ---- Step 1: candidate reveals -> commitments + distance evidence ----
-  ClientMetrics& met = ClientMetrics::Get();
   obs::ScopedTimer reveal_timer(met.reveal_verify_us);
   std::vector<mrkd::ClusterReveal> reveals;
   {
@@ -119,18 +161,27 @@ Result<VerifiedResults> Client::VerifyImpl(
       return Result<VerifiedResults>::Error("client: trailing reveal bytes");
     }
   }
-  std::map<mrkd::ClusterId, crypto::Digest> commitments;
-  std::map<mrkd::ClusterId, const mrkd::ClusterReveal*> reveal_of;
+  mrkd::CommitmentTable commitments;
+  std::vector<std::pair<mrkd::ClusterId, const mrkd::ClusterReveal*>>
+      reveal_of;  // sorted by cluster id, like commitments
   {
     std::vector<crypto::Digest> digests;
     Status s = mrkd::VerifyReveals(config.reveal_mode, dims, reveals, &digests);
     if (!s.ok()) return s;
-    for (size_t i = 0; i < reveals.size(); ++i) {
-      if (!commitments.emplace(reveals[i].id, digests[i]).second) {
+    std::vector<size_t> order(reveals.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return reveals[a].id < reveals[b].id;
+    });
+    commitments.reserve(reveals.size());
+    reveal_of.reserve(reveals.size());
+    for (size_t i : order) {
+      if (!commitments.empty() && commitments.back().first == reveals[i].id) {
         return Result<VerifiedResults>::Error(
             "client: duplicate cluster reveal");
       }
-      reveal_of[reveals[i].id] = &reveals[i];
+      commitments.emplace_back(reveals[i].id, digests[i]);
+      reveal_of.emplace_back(reveals[i].id, &reveals[i]);
     }
   }
 
@@ -144,8 +195,10 @@ Result<VerifiedResults> Client::VerifyImpl(
   if (vo.tree_vos.size() != static_cast<size_t>(config.forest.num_trees)) {
     return Result<VerifiedResults>::Error("client: wrong number of tree VOs");
   }
-  std::vector<std::set<mrkd::ClusterId>> candidates(nq);
-  std::map<mrkd::ClusterId, crypto::Digest> list_digests;
+  // Per feature, every tree's candidates; sorted and de-duplicated below.
+  std::vector<std::vector<mrkd::ClusterId>> candidates(nq);
+  // The union of the trees' leaf digests, sorted by cluster id.
+  std::vector<std::pair<mrkd::ClusterId, crypto::Digest>> list_digests, merged;
   mrkd::ForestReplay replay(dims, commitments, queries, vo.thresholds_sq,
                             config.share_nodes);
   for (const Bytes& tree_vo : vo.tree_vos) {
@@ -157,15 +210,26 @@ Result<VerifiedResults> Client::VerifyImpl(
       return Result<VerifiedResults>::Error("client: trailing tree VO bytes");
     }
     for (size_t i = 0; i < nq; ++i) {
-      candidates[i].insert(tv.candidates[i].begin(), tv.candidates[i].end());
+      candidates[i].insert(candidates[i].end(), tv.candidates[i].begin(),
+                           tv.candidates[i].end());
     }
+    merged.clear();
+    auto prev = list_digests.begin();
     for (const auto& [c, d] : tv.list_digests) {
-      auto [it, inserted] = list_digests.emplace(c, d);
-      if (!inserted && it->second != d) {
-        return Result<VerifiedResults>::Error(
-            "client: conflicting list digests across trees");
+      while (prev != list_digests.end() && prev->first < c) {
+        merged.push_back(*prev++);
       }
+      if (prev != list_digests.end() && prev->first == c) {
+        if (prev->second != d) {
+          return Result<VerifiedResults>::Error(
+              "client: conflicting list digests across trees");
+        }
+        ++prev;
+      }
+      merged.emplace_back(c, d);
     }
+    merged.insert(merged.end(), prev, list_digests.end());
+    list_digests.swap(merged);
   }
   std::vector<crypto::Digest> tree_roots;
   if (Status s = replay.Finish(&tree_roots); !s.ok()) return s;
@@ -183,8 +247,12 @@ Result<VerifiedResults> Client::VerifyImpl(
   // ---- Step 3: BoVW encoding ----
   obs::ScopedTimer bovw_check_timer(met.bovw_check_us);
   std::vector<bovw::ClusterId> assignment(nq);
+  std::vector<const mrkd::ClusterReveal*> candidate_reveals;
   for (size_t i = 0; i < nq; ++i) {
-    if (candidates[i].empty()) {
+    std::vector<mrkd::ClusterId>& cands = candidates[i];
+    std::sort(cands.begin(), cands.end());
+    cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
+    if (cands.empty()) {
       return Result<VerifiedResults>::Error(
           "client: no candidate cluster for a feature vector");
     }
@@ -192,14 +260,17 @@ Result<VerifiedResults> Client::VerifyImpl(
     bool have_full = false;
     double best = 0;
     mrkd::ClusterId best_c = 0;
-    for (mrkd::ClusterId c : candidates[i]) {
-      auto it = reveal_of.find(c);
-      if (it == reveal_of.end()) {
+    candidate_reveals.clear();
+    for (mrkd::ClusterId c : cands) {
+      const mrkd::ClusterReveal* const* found = mrkd::FindCluster(reveal_of, c);
+      if (found == nullptr) {
         return Result<VerifiedResults>::Error(
             "client: candidate missing from reveal section");
       }
-      if (!it->second->full) continue;
-      double d = ann::SquaredL2(queries[i], it->second->coords.data(), dims);
+      const mrkd::ClusterReveal* rev = *found;
+      candidate_reveals.push_back(rev);
+      if (!rev->full) continue;
+      double d = ann::SquaredL2(queries[i], rev->coords.data(), dims);
       if (!have_full || d < best || (d == best && c < best_c)) {
         best = d;
         best_c = c;
@@ -215,8 +286,7 @@ Result<VerifiedResults> Client::VerifyImpl(
           "client: assigned cluster outside the search threshold");
     }
     // Every partially revealed candidate must be provably farther.
-    for (mrkd::ClusterId c : candidates[i]) {
-      const mrkd::ClusterReveal* rev = reveal_of[c];
+    for (const mrkd::ClusterReveal* rev : candidate_reveals) {
       if (rev->full) continue;
       double lb = mrkd::PartialDistanceSq(queries[i], rev->dim_indices,
                                           rev->dim_values);
@@ -231,34 +301,41 @@ Result<VerifiedResults> Client::VerifyImpl(
   bovw_check_timer.Stop();
   out.client_bovw_ms = bovw_timer.ElapsedMillis();
 
-  // ---- Step 4: inverted-index VO ----
-  Stopwatch inv_timer;
+  // ---- Step 4, B_Q step: once the lists are parsed ----
+  // It runs while the helper may still be reconstructing the digests; the
+  // cross-check against the MRKD leaves waits for the join.
   obs::ScopedTimer inv_verify_timer(met.inv_verify_us);
+  lists_parsed.wait();
+  Stopwatch check_timer;  // the caller's share; parse_ms is the helper's
+  if (parse_exception) std::rethrow_exception(parse_exception);
+  if (!parse_status.ok()) return parse_status;
   std::vector<ImageId> claimed;
   claimed.reserve(vo.results.size());
   for (const ResultImage& ri : vo.results) claimed.push_back(ri.id);
 
   invindex::InvVerifyResult inv;
-  Status s = invindex::VerifyInvVo(
-      config.freq_grouped ? invindex::EntryKind::kGroup
-                          : invindex::EntryKind::kPosting,
-      vo.inv_vo, query_bovw, claimed, k, config.with_filters, &inv);
+  Status s = invindex::CheckInvVo(&parsed_inv, query_bovw, claimed, k, &inv);
   if (!s.ok()) return s;
+  const double check_ms = check_timer.ElapsedMillis();
 
+  parse_thread.join();
+  Stopwatch inv_timer;
+  if (digest_exception) std::rethrow_exception(digest_exception);
   // Cross-check the reconstructed list digests against the MRKD-anchored
   // ones. Every support cluster is an assigned cluster, hence a candidate,
   // hence present in some revealed leaf.
-  for (const auto& [c, digest] : inv.list_digests) {
-    auto it = list_digests.find(c);
-    if (it == list_digests.end()) {
+  for (const auto& [c, digest] : inv_digests) {
+    const crypto::Digest* anchored = mrkd::FindCluster(list_digests, c);
+    if (anchored == nullptr) {
       return Result<VerifiedResults>::Error(
           "client: support cluster not authenticated by any MRKD leaf");
     }
-    if (it->second != digest) {
+    if (*anchored != digest) {
       return Result<VerifiedResults>::Error(
           "client: inverted-list digest mismatch (tampered posting data)");
     }
   }
+  parsed_inv = {};  // free the parsed lists inside this stage
 
   inv_verify_timer.Stop();
 
@@ -284,7 +361,7 @@ Result<VerifiedResults> Client::VerifyImpl(
       }
     }
   }
-  out.client_inv_ms = inv_timer.ElapsedMillis();
+  out.client_inv_ms = parse_ms + check_ms + inv_timer.ElapsedMillis();
   return out;
 }
 

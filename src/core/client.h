@@ -12,7 +12,13 @@
 //      the MRKD leaves authenticate), posting chains, termination
 //      conditions, and that the claimed results are the top-k;
 //   5. each result image's Eq. (15) signature.
-// Any failure yields a Status naming the violated check.
+// Any failure yields a Status naming the violated check. Step 4's parse
+// step (invindex::ParseInvVo, then DigestInvVo) needs nothing from steps
+// 1-3, so Verify runs it on a helper thread while it runs steps 1-3. Once
+// the lists are parsed, the caller runs the checks that need the BoVW
+// vector while the helper may still be reconstructing list digests; the
+// digest cross-check follows the join. Errors keep the order above: a
+// step 1-3 error first, then a parse-step error, then the rest of step 4.
 
 #ifndef IMAGEPROOF_CORE_CLIENT_H_
 #define IMAGEPROOF_CORE_CLIENT_H_
@@ -38,8 +44,12 @@ struct VerifiedResults {
   // bound (InvVerifyResult::topk_exact) — the precondition for merging
   // results across shards.
   bool topk_scores_exact = false;
-  double client_bovw_ms = 0;  // time in steps 1-3
-  double client_inv_ms = 0;   // time in steps 4-5
+  // The paper's per-step client CPU (Figs. 9-14). client_bovw_ms is the
+  // time in steps 1-3. client_inv_ms is the time in steps 4-5: the parse
+  // step's time on its helper thread plus the caller's own step 4-5 work,
+  // without its waits for the helper, so it stays the step's own cost.
+  double client_bovw_ms = 0;
+  double client_inv_ms = 0;
 };
 
 class Client {

@@ -1,8 +1,7 @@
 #include "core/server.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <utility>
 
 #include "common/parallel.h"
 #include "common/stopwatch.h"
@@ -146,15 +145,21 @@ Status ServiceProvider::Query(const std::vector<std::vector<float>>& features,
                 : mrkd::MrkdSearchUnshared(tree, queries, thresholds_sq, lane);
       },
       threads, /*grain=*/1);
-  std::vector<std::set<mrkd::ClusterId>> candidates(nq);
+  // Per feature, the union of every tree's candidates, ascending.
+  std::vector<std::vector<mrkd::ClusterId>> candidates(nq);
   for (mrkd::TreeSearchOutput& out : tree_outputs) {
     for (size_t i = 0; i < nq; ++i) {
-      candidates[i].insert(out.candidates[i].begin(), out.candidates[i].end());
+      candidates[i].insert(candidates[i].end(), out.candidates[i].begin(),
+                           out.candidates[i].end());
     }
     resp.stats.mrkd.traversed_nodes += out.stats.traversed_nodes;
     resp.stats.mrkd.shared_nodes += out.stats.shared_nodes;
     resp.stats.mrkd.pruned_subtrees += out.stats.pruned_subtrees;
     resp.vo.tree_vos.push_back(std::move(out.vo));
+  }
+  for (std::vector<mrkd::ClusterId>& cands : candidates) {
+    std::sort(cands.begin(), cands.end());
+    cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
   }
 
   mrkd_timer.Stop();
@@ -187,32 +192,37 @@ Status ServiceProvider::Query(const std::vector<std::vector<float>>& features,
       },
       threads, /*grain=*/1);
 
-  // Which queries must each candidate be excluded for, and which clusters
-  // must be revealed fully (someone's assigned cluster).
-  std::map<mrkd::ClusterId, std::vector<size_t>> exclusion_queries;
-  std::set<mrkd::ClusterId> full_clusters;
+  // Which queries must each candidate be excluded for, as (cluster, query)
+  // pairs, and which clusters must be revealed fully (someone's assigned
+  // cluster); all sorted.
+  std::vector<std::pair<mrkd::ClusterId, size_t>> exclusions;
+  std::vector<mrkd::ClusterId> full_clusters(assignment);
+  std::vector<mrkd::ClusterId> all_candidates;
   for (size_t i = 0; i < nq; ++i) {
-    full_clusters.insert(assignment[i]);
     for (mrkd::ClusterId c : candidates[i]) {
-      if (c != assignment[i]) exclusion_queries[c].push_back(i);
+      if (c != assignment[i]) exclusions.emplace_back(c, i);
     }
+    all_candidates.insert(all_candidates.end(), candidates[i].begin(),
+                          candidates[i].end());
   }
-  std::set<mrkd::ClusterId> all_candidates;
-  for (size_t i = 0; i < nq; ++i) {
-    all_candidates.insert(candidates[i].begin(), candidates[i].end());
+  std::sort(exclusions.begin(), exclusions.end());
+  for (std::vector<mrkd::ClusterId>* ids : {&full_clusters, &all_candidates}) {
+    std::sort(ids->begin(), ids->end());
+    ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
   }
 
   std::vector<mrkd::ClusterReveal> reveals;
   reveals.reserve(all_candidates.size());
+  auto excl = exclusions.begin();
   for (mrkd::ClusterId c : all_candidates) {
-    bool full = full_clusters.contains(c);
+    bool full = std::binary_search(full_clusters.begin(), full_clusters.end(),
+                                   c);
     std::vector<const float*> qs;
     std::vector<double> bounds;
-    if (!full) {
-      for (size_t qi : exclusion_queries[c]) {
-        qs.push_back(queries[qi]);
-        bounds.push_back(assigned_dist[qi]);
-      }
+    for (; excl != exclusions.end() && excl->first == c; ++excl) {
+      if (full) continue;
+      qs.push_back(queries[excl->second]);
+      bounds.push_back(assigned_dist[excl->second]);
     }
     reveals.push_back(mrkd::BuildReveal(config.reveal_mode, c, codebook.row(c),
                                         dims, full, qs, bounds,

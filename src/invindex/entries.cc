@@ -413,31 +413,25 @@ Status Group::GetVo(ByteReader& r, uint64_t n, bool compressed,
         }
       }
     }
-    // Restore the canonical digest order (norm asc, id asc). The members
-    // arrived id-ascending, so sorting on (integer norm key, arrival index)
-    // gives exactly that order, ties included. The key is the u32 squared
-    // norm when the norms rode as such (sqrt is strictly increasing on
-    // them), else the IEEE-754 bits of the positive norm, which order as
-    // the norms do.
-    if (!ascending) {
+    // Restore the canonical digest order (norm asc, id asc). When the ids
+    // arrived ascending and the norms rode as u32 squares, one sort of
+    // (squared norm << 32 | arrival index) words gives exactly that order,
+    // ties included: sqrt is strictly increasing on the squares. Otherwise
+    // the members themselves are sorted.
+    if (!ascending || !squared) {
       std::sort(g.members.begin(), g.members.end(), MemberBefore);
       continue;
     }
-    std::vector<VoScratch::Key>& keys = scratch->keys;
+    std::vector<uint64_t>& keys = scratch->keys;
     keys.resize(num_members);
     for (uint64_t m = 0; m < num_members; ++m) {
-      const uint64_t key =
-          squared ? norms[m] : std::bit_cast<uint64_t>(g.members[m].norm);
-      keys[m] = {key, static_cast<uint32_t>(m)};
+      keys[m] = (uint64_t{norms[m]} << 32) | m;  // m < 2^32: input-bounded
     }
-    std::sort(keys.begin(), keys.end(),
-              [](const VoScratch::Key& a, const VoScratch::Key& b) {
-                return a.norm != b.norm ? a.norm < b.norm : a.index < b.index;
-              });
+    std::sort(keys.begin(), keys.end());
     std::vector<Member>& arrived = scratch->by_id;
     arrived.assign(g.members.begin(), g.members.end());
     for (uint64_t m = 0; m < num_members; ++m) {
-      g.members[m] = arrived[keys[m].index];
+      g.members[m] = arrived[static_cast<uint32_t>(keys[m])];
     }
   }
   return Status::Ok();

@@ -165,14 +165,9 @@ struct Group {
                                       double weight);
 
   struct VoScratch {
-    // A decoded member's integer norm key and its arrival index.
-    struct Key {
-      uint64_t norm;
-      uint32_t index;
-    };
     std::vector<Member> by_id;
     std::vector<uint32_t> gaps, norms;
-    std::vector<Key> keys;
+    std::vector<uint64_t> keys;  // (squared norm, arrival index) pairs
   };
   static void PutVo(ByteWriter& w, std::span<const Group> popped,
                     bool compressed, VoScratch* scratch);

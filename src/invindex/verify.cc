@@ -10,20 +10,8 @@ namespace imageproof::invindex {
 namespace {
 
 template <class E>
-struct ParsedList {
-  ClusterId cluster = 0;
-  double weight = 0.0;
-  std::vector<E> popped;
-  bool has_remaining = false;
-  bool filter_included = false;
-  Digest first_remaining = Digest::Zero();
-  Bytes filter_bytes;
-  Digest theta_digest = Digest::Zero();
-};
-
-template <class E>
 Status ParseLists(const Bytes& vo, bool expect_filters,
-                  std::vector<ParsedList<E>>* out) {
+                  std::vector<ParsedInvList<E>>* out) {
   ByteReader r(vo);
   uint8_t vo_flags = 0;
   Status s = r.GetU8(&vo_flags);
@@ -43,7 +31,7 @@ Status ParseLists(const Bytes& vo, bool expect_filters,
   out->reserve(num_lists);
   typename E::VoScratch scratch;  // reused across lists
   for (uint64_t i = 0; i < num_lists; ++i) {
-    ParsedList<E> pl;
+    ParsedInvList<E> pl;
     uint64_t cid;
     if (!(s = r.GetVarint(&cid)).ok()) return s;
     pl.cluster = static_cast<ClusterId>(cid);
@@ -74,7 +62,7 @@ Status ParseLists(const Bytes& vo, bool expect_filters,
       if (pl.filter_included) {
         if (!(s = r.GetBlob(&pl.filter_bytes)).ok()) return s;
       } else {
-        if (!(s = crypto::GetDigest(r, &pl.theta_digest)).ok()) return s;
+        if (!(s = crypto::GetDigest(r, &pl.theta)).ok()) return s;
       }
     }
     out->push_back(std::move(pl));
@@ -86,13 +74,74 @@ Status ParseLists(const Bytes& vo, bool expect_filters,
 }  // namespace
 
 template <class E>
-Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
-                   const std::vector<ImageId>& claimed_topk,
-                   size_t requested_k, bool expect_filters,
-                   InvVerifyResult* out) {
-  std::vector<ParsedList<E>> lists;
+Status ParseInvVo(const Bytes& vo, bool expect_filters, ParsedInvVo<E>* out) {
+  out->expect_filters = expect_filters;
+  out->popped_postings = 0;
+  out->filter_error_list = ParsedInvVo<E>::kNoList;
+  out->filter_error = Status::Ok();
+  std::vector<ParsedInvList<E>>& lists = out->lists;
   Status s = ParseLists(vo, expect_filters, &lists);
   if (!s.ok()) return s;
+  for (const ParsedInvList<E>& pl : lists) {
+    for (const E& e : pl.popped) out->popped_postings += e.NumMembers();
+  }
+
+  // Decode the shipped filters and take their h(Theta). Lemma 1: every
+  // filter of one index shares one geometry. The bounds engine derives one
+  // probe per image for all filters and MaxCount keys every filter by the
+  // same buckets, so shipped filters must agree before either sees them.
+  std::optional<cuckoo::CuckooParams> filter_params;
+  for (size_t i = 0; i < lists.size(); ++i) {
+    ParsedInvList<E>& pl = lists[i];
+    if (!pl.filter_included) continue;
+    auto f = cuckoo::CuckooFilter::Deserialize(pl.filter_bytes);
+    if (f.ok() && !filter_params) filter_params = f->params();
+    if (!f.ok() || f->params() != *filter_params) {
+      out->filter_error_list = i;
+      out->filter_error =
+          f.ok() ? Status::Error("inv: filter geometry differs across lists")
+                 : f.status();
+      return Status::Ok();
+    }
+    pl.theta = f->StateDigest();
+    pl.filter = std::move(*f);
+  }
+  return Status::Ok();
+}
+
+template <class E>
+void DigestInvVo(const ParsedInvVo<E>& parsed,
+                 std::vector<std::pair<ClusterId, Digest>>* out) {
+  out->clear();
+  if (parsed.filter_error_list != ParsedInvVo<E>::kNoList) return;
+  // A list's chain head folds its popped prefix onto the first-remaining
+  // digest; the lists are walked together on the Keccak lanes.
+  const std::vector<ParsedInvList<E>>& lists = parsed.lists;
+  std::vector<ChainSpan<E>> chains(lists.size());
+  std::vector<Digest> heads(lists.size());
+  for (size_t i = 0; i < lists.size(); ++i) {
+    const ParsedInvList<E>& pl = lists[i];
+    chains[i] = {pl.popped.data(), pl.popped.size(),
+                 pl.has_remaining ? pl.first_remaining : Digest::Zero()};
+    heads[i] = chains[i].tail;
+  }
+  WalkChains(chains.data(), chains.size(),
+             [&](size_t k, size_t j, const Digest& d) {
+               if (j == 0) heads[k] = d;
+             });
+  out->reserve(lists.size());
+  for (size_t i = 0; i < lists.size(); ++i) {
+    out->emplace_back(lists[i].cluster,
+                      ListDigest(lists[i].weight, lists[i].theta, heads[i]));
+  }
+}
+
+template <class E>
+Status CheckInvVo(ParsedInvVo<E>* parsed, const bovw::BovwVector& query_bovw,
+                  const std::vector<ImageId>& claimed_topk,
+                  size_t requested_k, InvVerifyResult* out) {
+  std::vector<ParsedInvList<E>>& lists = parsed->lists;
+  const bool expect_filters = parsed->expect_filters;
 
   // The VO must cover exactly the query's BoVW support, in order.
   if (lists.size() != query_bovw.entries.size()) {
@@ -106,35 +155,11 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
 
   const double norm = query_bovw.L2Norm();
   std::vector<BoundsList> bounds_lists;
-  std::vector<const ParsedList<E>*> relevant;  // aligned with bounds_lists
-  std::vector<Digest> thetas(lists.size());  // h(Theta) per list
-  // Lemma 1: every filter of one index shares one geometry. The bounds
-  // engine derives one probe per image for all filters and MaxCount keys
-  // every filter by the same buckets, so shipped filters must agree before
-  // either sees them.
-  std::optional<cuckoo::CuckooParams> filter_params;
-
+  std::vector<const ParsedInvList<E>*> relevant;  // aligned with bounds_lists
   for (size_t i = 0; i < lists.size(); ++i) {
-    const ParsedList<E>& pl = lists[i];
+    ParsedInvList<E>& pl = lists[i];
     if (pl.weight < 0) return Status::Error("inv: negative weight");
-    Digest& theta = thetas[i];
-    std::optional<cuckoo::CuckooFilter> filter;
-    if (expect_filters) {
-      if (pl.filter_included) {
-        auto f = cuckoo::CuckooFilter::Deserialize(pl.filter_bytes);
-        if (!f.ok()) return f.status();
-        if (!filter_params) filter_params = f->params();
-        if (f->params() != *filter_params) {
-          return Status::Error("inv: filter geometry differs across lists");
-        }
-        theta = f->StateDigest();
-        filter = std::move(*f);
-      } else {
-        theta = pl.theta_digest;
-      }
-    }
-    out->weights[pl.cluster] = pl.weight;
-    for (const E& e : pl.popped) out->popped_postings += e.NumMembers();
+    if (i == parsed->filter_error_list) return parsed->filter_error;
 
     uint32_t freq = query_bovw.FrequencyOf(pl.cluster);
     double q_impact = bovw::ImpactValue(pl.weight, freq, norm);
@@ -163,32 +188,15 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
     BoundsList bl;
     bl.cluster = pl.cluster;
     bl.q_impact = q_impact;
-    bl.filter = std::move(filter);
+    bl.filter = std::move(pl.filter);
     bounds_lists.push_back(std::move(bl));
     relevant.push_back(&pl);
   }
 
-  // Reconstruct every h_Gamma. A list's chain head folds its popped prefix
-  // onto the first-remaining digest; the lists are walked together on the
-  // Keccak lanes.
-  std::vector<ChainSpan<E>> chains(lists.size());
-  std::vector<Digest> heads(lists.size());
-  for (size_t i = 0; i < lists.size(); ++i) {
-    const ParsedList<E>& pl = lists[i];
-    chains[i] = {pl.popped.data(), pl.popped.size(),
-                 pl.has_remaining ? pl.first_remaining : Digest::Zero()};
-    heads[i] = chains[i].tail;
-  }
-  WalkChains(chains.data(), chains.size(),
-             [&](size_t k, size_t j, const Digest& d) {
-               if (j == 0) heads[k] = d;
-             });
-  for (size_t i = 0; i < lists.size(); ++i) {
-    out->list_digests[lists[i].cluster] =
-        ListDigest(lists[i].weight, thetas[i], heads[i]);
-  }
+  out->popped_postings = parsed->popped_postings;
 
   // Replay every pop in canonical order.
+  Status s;
   Bounds bounds(std::move(bounds_lists), expect_filters, out->popped_postings);
   for (size_t li = 0; li < relevant.size(); ++li) {
     const double weight = relevant[li]->weight;
@@ -264,12 +272,61 @@ Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
   return Status::Ok();
 }
 
+template <class E>
+Status VerifyInvVo(const Bytes& vo, const bovw::BovwVector& query_bovw,
+                   const std::vector<ImageId>& claimed_topk,
+                   size_t requested_k, bool expect_filters,
+                   InvVerifyResult* out) {
+  ParsedInvVo<E> parsed;
+  Status s = ParseInvVo(vo, expect_filters, &parsed);
+  if (!s.ok()) return s;
+  DigestInvVo(parsed, &out->list_digests);
+  return CheckInvVo(&parsed, query_bovw, claimed_topk, requested_k, out);
+}
+
+template Status ParseInvVo<Posting>(const Bytes&, bool,
+                                    ParsedInvVo<Posting>*);
+template Status ParseInvVo<Group>(const Bytes&, bool, ParsedInvVo<Group>*);
+template void DigestInvVo<Posting>(
+    const ParsedInvVo<Posting>&, std::vector<std::pair<ClusterId, Digest>>*);
+template void DigestInvVo<Group>(const ParsedInvVo<Group>&,
+                                 std::vector<std::pair<ClusterId, Digest>>*);
+template Status CheckInvVo<Posting>(ParsedInvVo<Posting>*,
+                                    const bovw::BovwVector&,
+                                    const std::vector<ImageId>&, size_t,
+                                    InvVerifyResult*);
+template Status CheckInvVo<Group>(ParsedInvVo<Group>*, const bovw::BovwVector&,
+                                  const std::vector<ImageId>&, size_t,
+                                  InvVerifyResult*);
 template Status VerifyInvVo<Posting>(const Bytes&, const bovw::BovwVector&,
                                      const std::vector<ImageId>&, size_t,
                                      bool, InvVerifyResult*);
 template Status VerifyInvVo<Group>(const Bytes&, const bovw::BovwVector&,
                                    const std::vector<ImageId>&, size_t, bool,
                                    InvVerifyResult*);
+
+Status ParseInvVo(EntryKind kind, const Bytes& vo, bool expect_filters,
+                  AnyParsedInvVo* out) {
+  if (kind == EntryKind::kGroup) {
+    return ParseInvVo(vo, expect_filters, &out->emplace<ParsedInvVo<Group>>());
+  }
+  return ParseInvVo(vo, expect_filters, &out->emplace<ParsedInvVo<Posting>>());
+}
+
+void DigestInvVo(const AnyParsedInvVo& parsed,
+                 std::vector<std::pair<ClusterId, Digest>>* out) {
+  std::visit([&](const auto& p) { DigestInvVo(p, out); }, parsed);
+}
+
+Status CheckInvVo(AnyParsedInvVo* parsed, const bovw::BovwVector& query_bovw,
+                  const std::vector<ImageId>& claimed_topk,
+                  size_t requested_k, InvVerifyResult* out) {
+  return std::visit(
+      [&](auto& p) {
+        return CheckInvVo(&p, query_bovw, claimed_topk, requested_k, out);
+      },
+      *parsed);
+}
 
 Status VerifyInvVo(EntryKind kind, const Bytes& vo,
                    const bovw::BovwVector& query_bovw,

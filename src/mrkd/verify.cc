@@ -9,8 +9,7 @@
 
 namespace imageproof::mrkd {
 
-ForestReplay::ForestReplay(size_t dims,
-                           const std::map<ClusterId, Digest>& commitments,
+ForestReplay::ForestReplay(size_t dims, const CommitmentTable& commitments,
                            const std::vector<const float*>& queries,
                            const std::vector<double>& thresholds_sq,
                            bool shared)
@@ -56,13 +55,13 @@ Status ForestReplay::ReplayRec(const std::vector<uint32_t>& active,
       uint64_t cid;
       if (!(s = reader_->GetVarint(&cid)).ok()) return s;
       ClusterId c = static_cast<ClusterId>(cid);
-      auto it = commitments_->find(c);
-      if (it == commitments_->end()) {
+      const Digest* commitment = FindCluster(*commitments_, c);
+      if (commitment == nullptr) {
         return Status::Error("mrkd: leaf cluster missing from reveal section");
       }
       Digest list_digest;
       if (!(s = crypto::GetDigest(*reader_, &list_digest)).ok()) return s;
-      w.AddDigest(it->second);
+      w.AddDigest(*commitment);
       w.AddDigest(list_digest);
       auto [pos, inserted] = out->list_digests.emplace(c, list_digest);
       if (!inserted && pos->second != list_digest) {
@@ -244,7 +243,7 @@ Status ForestReplay::Finish(std::vector<Digest>* roots) {
 }
 
 Status VerifyTreeVo(ByteReader& r, size_t dims,
-                    const std::map<ClusterId, Digest>& commitments,
+                    const CommitmentTable& commitments,
                     const std::vector<const float*>& queries,
                     const std::vector<double>& thresholds_sq, bool shared,
                     TreeVerifyOutput* out) {

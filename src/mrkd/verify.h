@@ -11,7 +11,9 @@
 #ifndef IMAGEPROOF_MRKD_VERIFY_H_
 #define IMAGEPROOF_MRKD_VERIFY_H_
 
+#include <algorithm>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -19,6 +21,21 @@
 #include "mrkd/commit.h"
 
 namespace imageproof::mrkd {
+
+// Cluster id -> commitment recomputed from the reveal section, sorted by
+// id, ids unique.
+using CommitmentTable = std::vector<std::pair<ClusterId, Digest>>;
+
+// Cluster c's value in a table sorted by cluster id with unique ids, or
+// nullptr.
+template <class T>
+const T* FindCluster(const std::vector<std::pair<ClusterId, T>>& table,
+                     ClusterId c) {
+  auto it = std::lower_bound(table.begin(), table.end(), c,
+                             [](const std::pair<ClusterId, T>& e,
+                                ClusterId id) { return e.first < id; });
+  return it != table.end() && it->first == c ? &it->second : nullptr;
+}
 
 struct TreeVerifyOutput {
   Digest root = Digest::Zero();  // reconstructed root digest
@@ -43,13 +60,12 @@ struct TreeVerifyOutput {
 // recursion's. The arena is scratch of one verification.
 class ForestReplay {
  public:
-  // `commitments`    cluster id -> commitment recomputed from the reveal
-  //                  section (every leaf entry must be present).
+  // `commitments`    every leaf entry's cluster must be present.
   // `queries`/`thresholds_sq` define activity exactly as on the SP.
   // `shared`         false replays one independent stream per query (the
   //                  Baseline layout).
   // All are borrowed for the replay's lifetime.
-  ForestReplay(size_t dims, const std::map<ClusterId, Digest>& commitments,
+  ForestReplay(size_t dims, const CommitmentTable& commitments,
                const std::vector<const float*>& queries,
                const std::vector<double>& thresholds_sq, bool shared);
 
@@ -79,7 +95,7 @@ class ForestReplay {
                       TreeVerifyOutput* out);
 
   size_t dims_;
-  const std::map<ClusterId, Digest>* commitments_;
+  const CommitmentTable* commitments_;
   const std::vector<const float*>* queries_;
   const std::vector<double>* thresholds_sq_;
   bool shared_;
@@ -96,7 +112,7 @@ class ForestReplay {
 
 // One tree on its own: ForestReplay with a single AddTree, root filled in.
 Status VerifyTreeVo(ByteReader& r, size_t dims,
-                    const std::map<ClusterId, Digest>& commitments,
+                    const CommitmentTable& commitments,
                     const std::vector<const float*>& queries,
                     const std::vector<double>& thresholds_sq, bool shared,
                     TreeVerifyOutput* out);

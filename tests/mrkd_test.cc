@@ -57,10 +57,10 @@ struct Fixture {
     for (const auto& q : query_storage) queries.push_back(q.data());
   }
 
-  std::map<ClusterId, Digest> AllCommitments() const {
-    std::map<ClusterId, Digest> out;
+  CommitmentTable AllCommitments() const {
+    CommitmentTable out;
     for (size_t c = 0; c < clusters.size(); ++c) {
-      out[static_cast<ClusterId>(c)] = mrkd->cluster_commitment(c);
+      out.emplace_back(static_cast<ClusterId>(c), mrkd->cluster_commitment(c));
     }
     return out;
   }
@@ -192,7 +192,8 @@ TEST(MrkdVerifyTest, MissingCommitmentRejected) {
   auto commitments = f.AllCommitments();
   // Remove one commitment that is needed.
   ASSERT_FALSE(out.candidates[0].empty());
-  commitments.erase(out.candidates[0][0]);
+  const ClusterId needed = out.candidates[0][0];
+  std::erase_if(commitments, [&](const auto& e) { return e.first == needed; });
   ByteReader r(out.vo);
   TreeVerifyOutput v;
   Status s = VerifyTreeVo(r, kDims, commitments, f.queries, f.thresholds_sq,
@@ -243,7 +244,7 @@ struct Forest {
 
 Status ReplayForest(const Fixture& f, const std::vector<Bytes>& vos,
                     bool shared, std::vector<Digest>* roots) {
-  const std::map<ClusterId, Digest> commitments = f.AllCommitments();
+  const CommitmentTable commitments = f.AllCommitments();
   ForestReplay replay(kDims, commitments, f.queries, f.thresholds_sq, shared);
   for (const Bytes& vo : vos) {
     ByteReader r(vo);

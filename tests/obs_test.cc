@@ -274,9 +274,21 @@ TEST(ObsDeterminismTest, MetricRecordingDoesNotPerturbQueryOutput) {
   // And the instrumented path still verifies.
   core::Client client(owner.public_params);
   EXPECT_TRUE(client.Verify(features, 5, second.vo).ok());
+  obs::Registry& reg = obs::Registry::Global();
   if (obs::kMetricsEnabled) {
     // The reset isolated the second query: exactly one query since Reset().
-    EXPECT_EQ(obs::Registry::Global().GetCounter("sp.queries").Value(), 1u);
+    EXPECT_EQ(reg.GetCounter("sp.queries").Value(), 1u);
+    // One verify runs the inverted VO's parse step once, on its helper
+    // thread, and every caller-thread stage once.
+    EXPECT_EQ(reg.GetCounter("client.verifies").Value(), 1u);
+    for (const char* name :
+         {"client.stage.inv_prepare_us", "client.stage.reveal_verify_us",
+          "client.stage.mrkd_replay_us", "client.stage.bovw_check_us",
+          "client.stage.inv_verify_us", "client.stage.sig_verify_us"}) {
+      EXPECT_EQ(reg.GetHistogram(name).Count(), 1u) << name;
+    }
+  } else {
+    EXPECT_EQ(reg.GetHistogram("client.stage.inv_prepare_us").Count(), 0u);
   }
 }
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <unordered_map>
 
@@ -757,6 +758,247 @@ TEST_F(EngineAdversaryTest, StaleSignatureRejected) {
   // Each verifies under its own snapshot.
   EXPECT_TRUE(new_client.Verify(features_, 5, fresh.response.vo).ok());
   EXPECT_TRUE(stale_client.Verify(features_, 5, honest_.response.vo).ok());
+}
+
+// ---------------------------------------------------------------------------
+// The client verifies the inverted-index VO's parse step on a helper thread
+// while it replays the BoVW proof. The split must not show: errors keep
+// their order, and an early failure joins the helper cleanly.
+// ---------------------------------------------------------------------------
+
+// The query's BoVW vector as the client derives it: each feature's exact
+// nearest cluster, ties to the lower id.
+bovw::BovwVector ExactQueryBovw(const ann::PointSet& codebook,
+                                const std::vector<std::vector<float>>& fs) {
+  std::vector<bovw::ClusterId> assignment;
+  for (const std::vector<float>& f : fs) {
+    bovw::ClusterId best_c = 0;
+    double best = 0;
+    for (size_t c = 0; c < codebook.size(); ++c) {
+      double d = ann::SquaredL2(f.data(), codebook.row(c), codebook.dims());
+      if (c == 0 || d < best) {
+        best = d;
+        best_c = static_cast<bovw::ClusterId>(c);
+      }
+    }
+    assignment.push_back(best_c);
+  }
+  return bovw::CountAssignments(assignment);
+}
+
+TEST_F(EngineAdversaryTest, ReplayErrorOutranksInvertedFault) {
+  core::Client client(honest_.snapshot->params);
+  core::QueryVO tree_fault = honest_.response.vo;
+  tree_fault.tree_vos[0][0] = 0x7F;  // the root's token kind
+  core::QueryVO inv_fault = honest_.response.vo;
+  inv_fault.inv_vo.resize(inv_fault.inv_vo.size() - 7);
+  core::QueryVO both = tree_fault;
+  both.inv_vo = inv_fault.inv_vo;
+
+  auto replay = client.Verify(features_, 5, tree_fault);
+  auto inv = client.Verify(features_, 5, inv_fault);
+  ASSERT_FALSE(replay.ok());
+  ASSERT_FALSE(inv.ok());
+  EXPECT_NE(replay.status().message(), inv.status().message());
+  EXPECT_EQ(replay.status().message(), "mrkd: unknown VO token");
+  auto verified = client.Verify(features_, 5, both);
+  ASSERT_FALSE(verified.ok());
+  EXPECT_EQ(verified.status().message(), replay.status().message());
+}
+
+TEST_F(EngineAdversaryTest, InvertedOnlyFaultsGiveTheInvVerifierMessage) {
+  const bovw::BovwVector query = ExactQueryBovw(package_->codebook, features_);
+  auto claimed_of = [](const core::QueryVO& vo) {
+    std::vector<bovw::ImageId> ids;
+    for (const core::ResultImage& ri : vo.results) ids.push_back(ri.id);
+    return ids;
+  };
+  auto inv_message = [&](const core::QueryVO& vo) {
+    invindex::InvVerifyResult out;
+    return invindex::VerifyInvVo(invindex::EntryKind::kPosting, vo.inv_vo,
+                                 query, claimed_of(vo), 5, true, &out)
+        .message();
+  };
+  ASSERT_EQ(inv_message(honest_.response.vo), "");
+
+  // Each mutation edits the inverted VO or the claimed ids only; steps 1-3
+  // of Client::Verify see the honest VO.
+  struct Fault {
+    const char* message;  // the guard message it must trip
+    std::function<bool(std::vector<List>&, core::QueryVO*)> mutate;
+  };
+  auto first_popped = [](std::vector<List>& lists, size_t n) -> List* {
+    for (List& l : lists) {
+      if (l.popped.size() >= n && (l.flags & 1)) return &l;
+    }
+    return nullptr;
+  };
+  // The conditions trip on a list's popped prefix cut short, which raises
+  // its cap; the first cut whose VO trips `message` is the fault.
+  auto truncation_giving = [&](const std::string& message) {
+    return [&, message](std::vector<List>& lists, core::QueryVO* vo) {
+      for (size_t j = 0; j < lists.size(); ++j) {
+        for (size_t m = 1; m < lists[j].popped.size(); ++m) {
+          std::vector<List> cut = lists;
+          cut[j].popped.resize(m);
+          core::QueryVO probe = *vo;
+          probe.inv_vo = Reserialize(cut);
+          if (inv_message(probe) == message) {
+            lists = std::move(cut);
+            return true;
+          }
+        }
+      }
+      return false;
+    };
+  };
+  std::vector<Fault> faults = {
+      {"bounds: image popped twice in one list",
+       [&](std::vector<List>& lists, core::QueryVO*) {
+         List* l = first_popped(lists, 1);
+         if (l == nullptr) return false;
+         l->popped.insert(l->popped.begin() + 1, l->popped[0]);
+         return true;
+       }},
+      {"bounds: postings not in impact order",
+       [&](std::vector<List>& lists, core::QueryVO*) {
+         for (List& l : lists) {
+           if (l.popped.size() >= 2 &&
+               l.popped[0].impact > l.popped[1].impact) {
+             std::swap(l.popped[0], l.popped[1]);
+             return true;
+           }
+         }
+         return false;
+       }},
+      {"bounds: negative impact",
+       [&](std::vector<List>& lists, core::QueryVO*) {
+         List* l = first_popped(lists, 1);
+         if (l == nullptr) return false;
+         l->popped[0].impact = -l->popped[0].impact;
+         return true;
+       }},
+      {"bounds: popped image missing from cuckoo filter",
+       [&](std::vector<List>& lists, core::QueryVO*) {
+         for (List& l : lists) {
+           if (l.popped.empty() || !(l.flags & 2)) continue;
+           auto f = cuckoo::CuckooFilter::Deserialize(l.filter);
+           if (!f.ok()) return false;
+           l.filter = cuckoo::CuckooFilter(f->params()).Serialize();
+           return true;
+         }
+         return false;
+       }},
+      {"bytes: truncated input reading u32",
+       [&](std::vector<List>& lists, core::QueryVO*) {
+         for (List& l : lists) {
+           if (!(l.flags & 2)) continue;
+           l.filter.resize(3);
+           return true;
+         }
+         return false;
+       }},
+      {"inv: filter geometry differs across lists",
+       [&](std::vector<List>& lists, core::QueryVO*) {
+         for (List& l : lists) {
+           if (!(l.flags & 2)) continue;
+           auto f = cuckoo::CuckooFilter::Deserialize(l.filter);
+           if (!f.ok()) return false;
+           cuckoo::CuckooParams other = f->params();
+           other.num_buckets *= 2;
+           l.filter = cuckoo::CuckooFilter(other).Serialize();
+           return true;
+         }
+         return false;
+       }},
+      {"bytes: truncated input reading blob",
+       [&](std::vector<List>&, core::QueryVO* vo) {
+         vo->inv_vo.resize(vo->inv_vo.size() - 7);
+         return true;
+       }},
+      {"inv: short result set with unpopped entries",
+       [&](std::vector<List>&, core::QueryVO* vo) {
+         if (vo->results.empty()) return false;
+         vo->results.pop_back();
+         return true;
+       }},
+      {"inv: short result set hides popped images",
+       [&](std::vector<List>& lists, core::QueryVO* vo) {
+         if (vo->results.empty()) return false;
+         for (List& l : lists) {
+           l.flags = 0;  // every list drained, no filter shipped
+           l.theta = crypto::Digest::Zero();
+         }
+         vo->results.pop_back();
+         return true;
+       }},
+      {"inv: claimed results are not the top-k popped images",
+       [&](std::vector<List>& lists, core::QueryVO* vo) {
+         const std::vector<bovw::ImageId> claimed = claimed_of(*vo);
+         for (const List& l : lists) {
+           for (const Entry& e : l.popped) {
+             if (std::find(claimed.begin(), claimed.end(), e.id) ==
+                 claimed.end()) {
+               vo->results.back().id = e.id;
+               return true;
+             }
+           }
+         }
+         return false;
+       }},
+      {"inv: condition 1 fails (unseen images may rank higher)",
+       truncation_giving(
+           "inv: condition 1 fails (unseen images may rank higher)")},
+      {"inv: condition 2 fails (popped image may rank higher)",
+       truncation_giving(
+           "inv: condition 2 fails (popped image may rank higher)")},
+  };
+
+  core::Client client(honest_.snapshot->params);
+  for (const Fault& fault : faults) {
+    SCOPED_TRACE(fault.message);
+    core::QueryVO vo = honest_.response.vo;
+    std::vector<List> lists = ParseVo(vo.inv_vo);
+    ASSERT_FALSE(lists.empty());
+    ASSERT_TRUE(fault.mutate(lists, &vo)) << "no target for the fault";
+    if (vo.inv_vo == honest_.response.vo.inv_vo) {
+      vo.inv_vo = Reserialize(lists);
+    }
+    EXPECT_EQ(inv_message(vo), fault.message);
+    auto verified = client.Verify(features_, 5, vo);
+    ASSERT_FALSE(verified.ok());
+    EXPECT_EQ(verified.status().message(), fault.message);
+  }
+}
+
+// Verifies that fail in steps 1-3 return while the helper thread may still
+// be parsing the inverted VO. Each must join it (ASan and TSan check the
+// helper never outlives the locals it writes or races the caller on the
+// VO).
+TEST_F(EngineAdversaryTest, EarlyFailuresJoinTheParseThread) {
+  core::Client client(honest_.snapshot->params);
+  core::QueryVO bad_thresholds = honest_.response.vo;
+  bad_thresholds.thresholds_sq.pop_back();
+  core::QueryVO bad_reveals = honest_.response.vo;
+  bad_reveals.reveal_section.resize(bad_reveals.reveal_section.size() / 2);
+  core::QueryVO bad_tree = honest_.response.vo;
+  bad_tree.tree_vos.back().resize(bad_tree.tree_vos.back().size() / 2);
+  const core::QueryVO* vos[] = {&bad_thresholds, &bad_reveals, &bad_tree};
+  std::string messages[3];
+  for (int i = 0; i < 3; ++i) {
+    auto verified = client.Verify(features_, 5, *vos[i]);
+    ASSERT_FALSE(verified.ok());
+    messages[i] = verified.status().message();
+  }
+  int mismatched = 0;
+  for (int n = 0; n < 1000; ++n) {
+    auto verified = client.Verify(features_, 5, *vos[n % 3]);
+    if (verified.ok() || verified.status().message() != messages[n % 3]) {
+      ++mismatched;
+    }
+  }
+  EXPECT_EQ(mismatched, 0);
+  EXPECT_TRUE(client.Verify(features_, 5, honest_.response.vo).ok());
 }
 
 // ---------------------------------------------------------------------------
