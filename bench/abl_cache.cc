@@ -12,9 +12,9 @@
 //
 // Determinism is asserted in-bench, not assumed: for every pool entry the
 // cold ServiceProvider bytes, the engine's miss bytes (dim trees from the
-// package's memo), and the engine's hit bytes (cached response) must be
-// byte-identical, and all
-// of them — plus the compressed variant — must pass Client::Verify.
+// package), and the engine's hit bytes (cached response) must be
+// byte-identical, and all of them — plus the compressed variant — must pass
+// Client::Verify.
 //
 //   --zipf-s <s>   skew of the query popularity distribution (default 1.0;
 //                  0 = uniform over the pool)
@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
   spec.num_clusters = SmokeMode() ? 256 : 512;
   spec.dims = SmokeMode() ? 32 : 64;
   // OptimizedBoth = dim-Merkle reveal + frequency groups: the configuration
-  // whose VO both the dim-tree memo and the group-varint compressor target.
+  // whose VO both the dim trees and the group-varint compressor target.
   Deployment d(core::Config::OptimizedBoth(), spec);
   auto package =
       std::shared_ptr<const core::SpPackage>(std::move(d.owner.package));
@@ -147,10 +147,9 @@ int main(int argc, char** argv) {
   base_opts.num_workers = kThreads;
   base_opts.queue_capacity = 128;
 
-  // --- Byte-identity + verification: cold SP (builds each revealed
-  // cluster's dim tree into the package's memo) vs engine miss (takes the
-  // trees from it) vs engine hit (cached) must serialize identically; all
-  // variants verify. ---
+  // --- Byte-identity + verification: cold SP vs engine miss (both prove
+  // partial reveals from the package's dim trees) vs engine hit (cached)
+  // must serialize identically; all variants verify. ---
   size_t identity_failures = 0;
   size_t verify_failures = 0;
   {

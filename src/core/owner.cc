@@ -22,14 +22,12 @@ crypto::Digest ImageDigest(ImageId id, const Bytes& data) {
 }  // namespace
 
 void SpPackage::DecorateForest() {
-  mrkd::ClusterCommitments(config.reveal_mode, codebook, &cluster_commitments);
+  mrkd::ClusterCommitments(config.reveal_mode, codebook, &cluster_commitments,
+                           &dim_trees);
   for (const auto& tree : forest->trees()) {
     mrkd_trees.push_back(std::make_unique<mrkd::MrkdTree>(
         tree.get(), cluster_commitments, list_digests));
   }
-  dim_trees = config.reveal_mode == mrkd::RevealMode::kDimMerkle
-                  ? std::make_unique<mrkd::DimTreeMemo>(codebook.size())
-                  : nullptr;
 }
 
 crypto::Digest SpPackage::RootDigest() const {

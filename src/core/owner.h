@@ -22,6 +22,7 @@
 #include "core/config.h"
 #include "core/vo.h"
 #include "invindex/merkle_inv_index.h"
+#include "merkle/merkle_tree.h"
 #include "mrkd/mrkd_tree.h"
 
 namespace imageproof::core {
@@ -65,13 +66,14 @@ struct SpPackage {
   std::unique_ptr<ann::RkdForest> forest;
   // The MRKD proof material, all derived by DecorateForest: one commitment
   // per codebook cluster, the n_t MRKD-trees over the forest (they borrow
-  // the commitments and list_digests) and, under kDimMerkle, the clusters'
-  // coordinate-block Merkle trees, built on first reveal (null under
-  // kFullVector). None of it changes on an update (core/update.h), so it
-  // lives as long as the package.
+  // the commitments and list_digests) and, under kDimMerkle, every
+  // cluster's coordinate-block Merkle tree (mrkd::DimTree), built with the
+  // commitments (empty under kFullVector). None of it changes on an update
+  // (core/update.h), so it lives as long as the package, and it is never
+  // written after decoration, so concurrent queries read it freely.
   std::vector<crypto::Digest> cluster_commitments;
   std::vector<std::unique_ptr<mrkd::MrkdTree>> mrkd_trees;
-  std::unique_ptr<mrkd::DimTreeMemo> dim_trees;
+  std::vector<merkle::MerkleTree> dim_trees;
   // Posting or frequency-group entries, per config.freq_grouped.
   std::unique_ptr<invindex::InvertedIndex> inv_index;
   std::vector<crypto::Digest> list_digests;

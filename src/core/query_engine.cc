@@ -136,6 +136,7 @@ EngineResponse QueryEngine::Serve(
     queries_served_.Add();
     (options.compress_vo ? vo_bytes_compressed_ : vo_bytes_raw_)
         .Add(out.response.vo.inv_vo.size());
+    partial_reveals_.Add(out.response.stats.partial_reveals);
     if (use_cache) {
       cache_->Insert(cache_key,
                      std::make_shared<const QueryResponse>(out.response));
@@ -494,10 +495,8 @@ EngineStats QueryEngine::Stats() const {
     s.cache_evictions = cs.evictions;
     s.cache_entries = cs.entries;
   }
-  if (const mrkd::DimTreeMemo* m = snap->package->dim_trees.get()) {
-    s.memo_hits = m->hits();
-    s.memo_builds = m->builds();
-  }
+  s.memo_hits = partial_reveals_.Value();
+  s.memo_builds = snap->package->dim_trees.size();
   s.vo_bytes_compressed = vo_bytes_compressed_.Value();
   s.vo_bytes_raw = vo_bytes_raw_.Value();
   if (janitor_) {
@@ -544,10 +543,8 @@ std::string QueryEngine::MetricsSnapshot() const {
     w.Key("evictions").U64(cs.evictions);
     w.Key("entries").U64(cs.entries);
     w.EndObject();
-    const mrkd::DimTreeMemo* memo =
-        CurrentSnapshot()->package->dim_trees.get();
-    uint64_t mh = memo ? memo->hits() : 0;
-    uint64_t mb = memo ? memo->builds() : 0;
+    const uint64_t mh = partial_reveals_.Value();
+    const uint64_t mb = CurrentSnapshot()->package->dim_trees.size();
     w.Key("proof_memo").BeginObject();
     w.Key("hits").U64(mh);
     w.Key("builds").U64(mb);

@@ -181,10 +181,10 @@ struct EngineStats {
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
   uint64_t cache_entries = 0;
-  // Dim-tree memo of the CURRENT snapshot's package (SpPackage::dim_trees;
-  // prior epochs' memos die with their packages). hits/(hits+builds) is the
-  // share of partial reveals whose coordinate-block tree was already built.
-  // Both read 0 under kFullVector, which has no such trees.
+  // Dim trees (SpPackage::dim_trees): hits counts the partial reveals that
+  // cold serves proved from them; builds is the trees the CURRENT
+  // snapshot's package built at decoration, one per cluster. Both read 0
+  // under kFullVector, which has no such trees.
   uint64_t memo_hits = 0;
   uint64_t memo_builds = 0;
   // Cumulative inv/fg VO section bytes served with and without group-varint
@@ -363,6 +363,7 @@ class QueryEngine {
   obs::Histogram update_us_;      // clone + apply + re-sign + swap
   obs::Counter vo_bytes_compressed_;  // inv/fg VO bytes, compressed serves
   obs::Counter vo_bytes_raw_;         // inv/fg VO bytes, uncompressed serves
+  obs::Counter partial_reveals_;      // reveals proved from a dim tree
   obs::Counter epoch_rollbacks_;      // successful RollbackFromCorruptEpoch
   std::unique_ptr<obs::Counter[]> per_worker_queries_;  // [num_workers_]
   // One reusable search scratch per pool worker (indexed by

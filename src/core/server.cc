@@ -224,9 +224,10 @@ Status ServiceProvider::Query(const std::vector<std::vector<float>>& features,
       qs.push_back(queries[excl->second]);
       bounds.push_back(assigned_dist[excl->second]);
     }
-    reveals.push_back(mrkd::BuildReveal(config.reveal_mode, c, codebook.row(c),
-                                        dims, full, qs, bounds,
-                                        pkg_->dim_trees.get()));
+    reveals.push_back(mrkd::BuildReveal(
+        config.reveal_mode, c, codebook.row(c), dims, full, qs, bounds,
+        pkg_->dim_trees.empty() ? nullptr : &pkg_->dim_trees[c]));
+    if (!reveals.back().full) ++resp.stats.partial_reveals;
   }
   ByteWriter reveal_writer;
   mrkd::SerializeReveals(reveals, reveal_writer);

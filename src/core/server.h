@@ -30,6 +30,7 @@ struct QueryStats {
   double sp_inv_ms = 0;       // inverted-index step
   size_t bovw_vo_bytes = 0;   // reveal section + tree VOs + thresholds
   size_t inv_vo_bytes = 0;
+  size_t partial_reveals = 0;  // reveals proved from a cluster's DimTree
   mrkd::MrkdSearchStats mrkd;  // aggregated over trees
   invindex::InvSearchStats inv;
 };
@@ -113,9 +114,8 @@ class ServiceProvider {
   // Borrows the package; the owner output must outlive the SP.
   //
   // Thread safety: Query is const over immutable package state and uses
-  // only per-call locals (the package's lock-free dim-tree memo aside), so
-  // one ServiceProvider may serve any number of concurrent callers — this
-  // is what core/query_engine.h builds on. The
+  // only per-call locals, so one ServiceProvider may serve any number of
+  // concurrent callers — this is what core/query_engine.h builds on. The
   // package must not be mutated (core/update.h) while queries are in
   // flight; the engine guarantees that with copy-on-write snapshots.
   explicit ServiceProvider(const SpPackage* package) : pkg_(package) {}

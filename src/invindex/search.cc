@@ -127,15 +127,12 @@ InvSearchResult InvSearch(const MerkleInvertedIndex<E>& index,
   // occurrence in each list, and at least the head posting of every list so
   // every cap is finite. These pops are known up front, so the bounds
   // engine is constructed directly in the canonical (client) order with
-  // them applied — one feed instead of two. The lazy extension pops only
-  // the heads and reveals top-k occurrences on demand later.
+  // them applied — one feed instead of two.
   for (size_t li = 0; !trivial && li < relevant.size(); ++li) {
     const InvertedList<E>& list = *relevant[li].list;
     size_t deepest = 0;  // pop at least one
-    if (!params.lazy_topk_pops) {
-      for (size_t i = 0; i < list.postings.size(); ++i) {
-        if (has_topk(list.postings[i], list.weight)) deepest = i;
-      }
+    for (size_t i = 0; i < list.postings.size(); ++i) {
+      if (has_topk(list.postings[i], list.weight)) deepest = i;
     }
     relevant[li].next_pop = deepest + 1;
     for (size_t i = 0; i <= deepest; ++i) {
@@ -145,33 +142,6 @@ InvSearchResult InvSearch(const MerkleInvertedIndex<E>& index,
   result.stats.popped_postings = result.stats.popped_initial;
   Bounds engine =
       CanonicalEngine(relevant, use_filters, result.stats.popped_initial);
-
-  // Lazy mode: the schedule of unrevealed top-k occurrences, highest impact
-  // first (each reveal pops the containing list down to the occurrence).
-  struct Reveal {
-    double impact;
-    size_t li;
-    size_t pos;
-  };
-  std::vector<Reveal> claimed_occurrences;
-  if (params.lazy_topk_pops && !trivial) {
-    for (size_t li = 0; li < relevant.size(); ++li) {
-      const InvertedList<E>& list = *relevant[li].list;
-      for (size_t i = 0; i < list.postings.size(); ++i) {
-        list.postings[i].ForEachMember(
-            list.weight, [&](ImageId id, double impact) {
-              if (topk_set.contains(id)) {
-                claimed_occurrences.push_back({impact, li, i});
-              }
-            });
-      }
-    }
-    std::sort(claimed_occurrences.begin(), claimed_occurrences.end(),
-              [](const Reveal& a, const Reveal& b) {
-                return a.impact > b.impact;
-              });
-  }
-  size_t next_occurrence = 0;
 
   // Pops the next entry of list li; returns the image entries it revealed
   // (0 once the list is exhausted).
@@ -185,9 +155,9 @@ InvSearchResult InvSearch(const MerkleInvertedIndex<E>& index,
     return e.NumMembers();
   };
 
-  // During the search s_k^L = min lower-bound score over the claimed top-k.
-  // With eager line-1 popping these bounds are exact; in lazy mode they are
-  // partial but still valid lower bounds. O(k) per check.
+  // During the search s_k^L = min lower-bound score over the claimed top-k;
+  // line 1 popped every top-k occurrence, so these bounds are exact. O(k)
+  // per check.
   auto sk_lower = [&]() {
     double skl = std::numeric_limits<double>::infinity();
     for (ImageId id : topk_ids) skl = std::min(skl, engine.ScoreOf(id));
@@ -295,29 +265,6 @@ InvSearchResult InvSearch(const MerkleInvertedIndex<E>& index,
 
   run_condition1();
   run_condition2();
-
-  // Lazy mode: the claimed set must also be the k best by *revealed* score
-  // (which the client checks). Reveal claimed occurrences, highest impact
-  // first, until it is, re-settling the conditions after each batch.
-  while (params.lazy_topk_pops && !trivial) {
-    double skl_check = 0;
-    ++result.stats.condition_checks;
-    if (engine.ClaimedTopK(topk_ids, &skl_check)) break;
-    bool revealed = false;
-    while (next_occurrence < claimed_occurrences.size()) {
-      const Reveal& occ = claimed_occurrences[next_occurrence++];
-      if (occ.pos < relevant[occ.li].next_pop) continue;  // already popped
-      while (relevant[occ.li].next_pop <= occ.pos) {
-        if (pop_one(occ.li) == 0) break;
-      }
-      revealed = true;
-      break;
-    }
-    if (!revealed) break;  // every occurrence revealed; ranking is exact
-    run_condition1();
-    run_condition2();
-  }
-
   run_settle();
 
   // Final check: the client's own check on the final state the VO will

@@ -61,13 +61,6 @@ struct InvSearchParams {
   // batching optimization over [15], which re-checked per posting). A
   // group-kind search steps conditions 1 and settle one group at a time.
   size_t check_batch = 16;
-  // Extension (off by default = Algorithm 3 line 1 verbatim): instead of
-  // eagerly popping every occurrence of every top-k image up front, start
-  // from one posting per list and reveal top-k occurrences lazily, highest
-  // impact first, only until the claimed set provably dominates. Deep
-  // low-impact occurrences of result images — which line 1 pays for in
-  // full — are then usually never popped. See bench/abl_lazy_topk.
-  bool lazy_topk_pops = false;
   // Extension (off by default): serialize popped entries with
   // group-varint compression (common/varint_kernels.h). Signalled on the
   // wire by flag-byte bit 1, which pre-compression parsers reject as

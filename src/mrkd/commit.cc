@@ -11,94 +11,68 @@ namespace {
 
 size_t NumBlocks(size_t dims) { return (dims + kDimBlock - 1) / kDimBlock; }
 
-// Merkle leaf payload for one block: the IEEE-754 bits of its coordinates
-// (the last block may be shorter than kDimBlock).
-Bytes BlockLeaf(const float* coords, size_t dims, size_t block) {
-  ByteWriter w;
-  size_t begin = block * kDimBlock;
-  size_t end = std::min(dims, begin + kDimBlock);
-  for (size_t d = begin; d < end; ++d) w.PutF32(coords[d]);
-  return w.Take();
-}
-
-std::vector<Bytes> BlockLeaves(const float* coords, size_t dims) {
-  size_t n = NumBlocks(dims);
-  std::vector<Bytes> leaves(n);
-  for (size_t b = 0; b < n; ++b) leaves[b] = BlockLeaf(coords, dims, b);
-  return leaves;
-}
-
 // Appends the commitment preimage of one cluster, mode | id | dims | body,
-// where body is the coordinates (kFullVector) or the root of the
-// coordinate-block Merkle tree (kDimMerkle): `block_root` when given (a
-// partial reveal's reconstructed root), else built from `coords`. The one
-// encoder behind ClusterCommitment and both batches (the owner's
-// ClusterCommitments, the client's VerifyReveals).
+// where body is the coordinates (kFullVector) or `block_root`, the root of
+// its coordinate-block Merkle tree (kDimMerkle). The one encoder behind
+// ClusterCommitment and both batches (the owner's ClusterCommitments, the
+// client's VerifyReveals).
 void PutCommitmentPreimage(ByteWriter& w, RevealMode mode, ClusterId id,
                            size_t dims, const float* coords,
-                           const Digest* block_root = nullptr) {
+                           const Digest* block_root) {
   w.PutU8(static_cast<uint8_t>(mode));
   w.PutU32(id);
   w.PutU32(static_cast<uint32_t>(dims));
   if (mode == RevealMode::kFullVector) {
     w.PutF32s(coords, dims);
-  } else if (block_root != nullptr) {
-    crypto::PutDigest(w, *block_root);
   } else {
-    crypto::PutDigest(w, merkle::MerkleTree(BlockLeaves(coords, dims)).root());
+    crypto::PutDigest(w, *block_root);
   }
 }
 
 }  // namespace
 
-DimTreeMemo::DimTreeMemo(size_t num_clusters) : slots_(num_clusters) {}
-
-DimTreeMemo::~DimTreeMemo() {
-  for (auto& slot : slots_) delete slot.load(std::memory_order_relaxed);
-}
-
-const merkle::MerkleTree& DimTreeMemo::Get(ClusterId id, const float* coords,
-                                           size_t dims) const {
-  std::atomic<const merkle::MerkleTree*>& slot = slots_[id];
-  if (const merkle::MerkleTree* t = slot.load(std::memory_order_acquire)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return *t;
+merkle::MerkleTree DimTree(const float* coords, size_t dims) {
+  std::vector<Bytes> leaves(NumBlocks(dims));
+  for (size_t b = 0; b < leaves.size(); ++b) {
+    ByteWriter w;
+    w.PutF32s(coords + b * kDimBlock,
+              std::min(kDimBlock, dims - b * kDimBlock));
+    leaves[b] = w.Take();
   }
-  builds_.fetch_add(1, std::memory_order_relaxed);
-  // Build-then-CAS. Acquire/release pair, so the winner's fully built tree
-  // is visible to every adopter.
-  auto* built = new merkle::MerkleTree(BlockLeaves(coords, dims));
-  const merkle::MerkleTree* expected = nullptr;
-  if (slot.compare_exchange_strong(expected, built, std::memory_order_release,
-                                   std::memory_order_acquire)) {
-    return *built;
-  }
-  delete built;
-  return *expected;
+  return merkle::MerkleTree(leaves);
 }
 
 Digest ClusterCommitment(RevealMode mode, ClusterId id, const float* coords,
                          size_t dims) {
   ByteWriter w;
-  PutCommitmentPreimage(w, mode, id, dims, coords);
+  Digest block_root = Digest::Zero();
+  if (mode == RevealMode::kDimMerkle) block_root = DimTree(coords, dims).root();
+  PutCommitmentPreimage(w, mode, id, dims, coords, &block_root);
   return crypto::Sha3(w.bytes());
 }
 
 void ClusterCommitments(RevealMode mode, const ann::PointSet& points,
-                        std::vector<Digest>* out) {
+                        std::vector<Digest>* out,
+                        std::vector<merkle::MerkleTree>* dim_trees) {
   const size_t n = points.size();
   const size_t dims = points.dims();
+  const bool dim_merkle = mode == RevealMode::kDimMerkle;
   out->assign(n, Digest::Zero());
+  std::vector<merkle::MerkleTree> local_trees;
+  std::vector<merkle::MerkleTree>& trees = dim_trees ? *dim_trees : local_trees;
+  trees.assign(dim_merkle ? n : 0, merkle::MerkleTree(std::vector<Bytes>{}));
   ParallelChunks(n, /*chunk=*/256, [&](size_t begin, size_t end) {
     const size_t count = end - begin;
     // Encode the chunk's preimages into one buffer, then digest them four
     // at a time.
     ByteWriter w;
     std::vector<size_t> offsets(count + 1, 0);
-    for (size_t i = 0; i < count; ++i) {
-      PutCommitmentPreimage(w, mode, static_cast<ClusterId>(begin + i), dims,
-                            points.row(begin + i));
-      offsets[i + 1] = w.bytes().size();
+    for (size_t c = begin; c < end; ++c) {
+      if (dim_merkle) trees[c] = DimTree(points.row(c), dims);
+      PutCommitmentPreimage(w, mode, static_cast<ClusterId>(c), dims,
+                            points.row(c),
+                            dim_merkle ? &trees[c].root() : nullptr);
+      offsets[c - begin + 1] = w.bytes().size();
     }
     crypto::HashBatch(w.bytes(), offsets, out->data() + begin);
   });
@@ -119,7 +93,7 @@ ClusterReveal BuildReveal(RevealMode mode, ClusterId id, const float* coords,
                           size_t dims, bool full_reveal,
                           const std::vector<const float*>& queries,
                           const std::vector<double>& bounds,
-                          const DimTreeMemo* dim_trees) {
+                          const merkle::MerkleTree* dim_tree) {
   ClusterReveal reveal;
   reveal.id = id;
   if (mode == RevealMode::kFullVector || full_reveal || queries.empty()) {
@@ -184,7 +158,7 @@ ClusterReveal BuildReveal(RevealMode mode, ClusterId id, const float* coords,
       reveal.dim_values.push_back(coords[d]);
     }
   }
-  reveal.proof = dim_trees->Get(id, coords, dims).ProveSubset(chosen_blocks);
+  reveal.proof = dim_tree->ProveSubset(chosen_blocks);
   return reveal;
 }
 
@@ -286,7 +260,7 @@ Status VerifyRevealSection(RevealMode mode, size_t dims,
   for (size_t i = 0; i < n; ++i) {
     const ClusterReveal& r = reveals[i];
     if (mode == RevealMode::kFullVector) {
-      PutCommitmentPreimage(w, mode, r.id, dims, r.coords.data());
+      PutCommitmentPreimage(w, mode, r.id, dims, r.coords.data(), nullptr);
     } else {
       PutCommitmentPreimage(w, mode, r.id, dims, nullptr, &roots[next_root++]);
     }

@@ -17,7 +17,9 @@
 //                  per-dimension leaves would make every sibling digest
 //                  (32 B) cost more than the 4-byte coordinates it elides,
 //                  so block granularity is what makes the optimization
-//                  actually shrink the VO.
+//                  actually shrink the VO. The SP keeps every cluster's
+//                  block tree (DimTree), built once with the commitments,
+//                  and proves each partial reveal from it.
 //
 // The reveal section is shared across all MRKD-trees and all query vectors:
 // each candidate cluster appears exactly once (the paper's sharing
@@ -27,7 +29,6 @@
 #ifndef IMAGEPROOF_MRKD_COMMIT_H_
 #define IMAGEPROOF_MRKD_COMMIT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -52,38 +53,11 @@ enum class RevealMode : uint8_t {
 // Dimensions per Merkle leaf in kDimMerkle mode.
 inline constexpr size_t kDimBlock = 8;
 
-// Lazily built coordinate-block Merkle trees of a frozen codebook, one slot
-// per cluster: the trees the SP holds under Optimization A. A package in
-// kDimMerkle mode owns one (core::SpPackage::dim_trees), so the first
-// partial reveal of a cluster builds its tree and every later reveal, by
-// the same query or a concurrent one, only runs ProveSubset over it.
-//
-// Slots are std::atomic pointers filled by build-then-CAS: racing builders
-// compute identical trees from the same frozen coordinates, exactly one
-// publishes, and the losers delete their copy and adopt the winner.
-// Readers are wait-free after the first fill; no locks.
-class DimTreeMemo {
- public:
-  explicit DimTreeMemo(size_t num_clusters);
-  ~DimTreeMemo();
-  DimTreeMemo(const DimTreeMemo&) = delete;
-  DimTreeMemo& operator=(const DimTreeMemo&) = delete;
-
-  // The tree of cluster `id`, whose coordinates are `coords` (the same
-  // ones on every call). Builds and publishes on first use.
-  const merkle::MerkleTree& Get(ClusterId id, const float* coords,
-                                size_t dims) const;
-
-  // Relaxed counters for the engine's stats, not for control flow: calls
-  // answered from a published tree, and trees built here.
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t builds() const { return builds_.load(std::memory_order_relaxed); }
-
- private:
-  mutable std::vector<std::atomic<const merkle::MerkleTree*>> slots_;
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> builds_{0};
-};
+// The coordinate-block Merkle tree of one cluster under kDimMerkle: leaf b
+// holds the IEEE-754 bits of dimensions [b * kDimBlock, (b + 1) * kDimBlock)
+// (the last block may be shorter). Its root is what the commitment binds;
+// it is the per-cluster MH-tree the paper's SP stores (Section VI-A).
+merkle::MerkleTree DimTree(const float* coords, size_t dims);
 
 // Commitment of one cluster (digest embedded in the leaf digest).
 Digest ClusterCommitment(RevealMode mode, ClusterId id, const float* coords,
@@ -92,9 +66,13 @@ Digest ClusterCommitment(RevealMode mode, ClusterId id, const float* coords,
 // Owner-side batch form: commitments for every cluster of the codebook,
 // parallel across clusters and hashed through the 4-lane batch digest API.
 // (*out)[c] == ClusterCommitment(mode, c, points.row(c), points.dims()),
-// byte-for-byte.
+// byte-for-byte. Under kDimMerkle the block trees the commitments take
+// their roots from are kept in *dim_trees when it is given:
+// (*dim_trees)[c] == DimTree(points.row(c), points.dims()). Under
+// kFullVector *dim_trees is left empty.
 void ClusterCommitments(RevealMode mode, const ann::PointSet& points,
-                        std::vector<Digest>* out);
+                        std::vector<Digest>* out,
+                        std::vector<merkle::MerkleTree>* dim_trees = nullptr);
 
 // A cluster's entry in the reveal section.
 struct ClusterReveal {
@@ -121,14 +99,13 @@ double PartialDistanceSq(const float* query,
 //   `bounds[q]`), PartialDistanceSq(q) > bounds[q]. Falls back to a full
 //   reveal if the partial bound cannot strictly exceed every bound or if
 //   the partial encoding would not be smaller.
-// `dim_trees` supplies the partial reveal's coordinate-block tree: it is
-// the package's memo in kDimMerkle mode and may be null in kFullVector mode,
-// which never reveals partially.
+// `dim_tree` is the cluster's DimTree, which proves a partial reveal; it
+// may be null in kFullVector mode, which never reveals partially.
 ClusterReveal BuildReveal(RevealMode mode, ClusterId id, const float* coords,
                           size_t dims, bool full_reveal,
                           const std::vector<const float*>& queries,
                           const std::vector<double>& bounds,
-                          const DimTreeMemo* dim_trees);
+                          const merkle::MerkleTree* dim_tree);
 
 // Client side: recomputes the cluster commitment from a reveal. Fails if a
 // partial reveal is malformed (bad indices / proof). On success the caller

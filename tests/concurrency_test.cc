@@ -292,11 +292,11 @@ TEST(QueryEngineStressTest, UpdatesVersusQueries) {
 // Readers hammer a small pool of repeated queries — so the result cache
 // takes hits, racing inserts of the same key, and epoch turnover from the
 // writers — while mixing compressed and raw framing (distinct cache keys)
-// and, on a dim-Merkle package, building and reading each package's
-// coordinate-block tree memo from several workers at once. Every response
-// must still verify against the snapshot it was served under. Run under
-// -DIMAGEPROOF_TSAN=ON this is the data-race harness for the cache + memo
-// fast paths.
+// and, on a dim-Merkle package, proving partial reveals from each
+// package's coordinate-block trees on several workers at once. Every
+// response must still verify against the snapshot it was served under. Run
+// under -DIMAGEPROOF_TSAN=ON this is the data-race harness for the cache
+// and the shared dim trees.
 TEST(QueryEngineStressTest, CacheAndCompressionUnderUpdates) {
   EngineFixture fx(5, core::Config::OptimizedBovw());
   core::EngineOptions opts;
@@ -356,9 +356,9 @@ TEST(QueryEngineStressTest, CacheAndCompressionUnderUpdates) {
   EXPECT_EQ(stats.in_flight, 0u);
   if (obs::kMetricsEnabled) {
     EXPECT_GT(stats.cache_hits + stats.cache_misses, 0u);
-    // Memo counters belong to the serving package (old epochs' memos died
-    // with their packages), so force one cold serve against the final
-    // epoch before checking them.
+    // The dim-tree counters read the serving package's trees and the
+    // partial reveals of cold serves, so force one cold serve against the
+    // final epoch before checking them.
     auto fresh =
         workload::GenerateQueryFeatures(fx.package->codebook, 10, 0.3, 650);
     ASSERT_TRUE(engine.Submit(fresh, 5).get().ok());

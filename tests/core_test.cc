@@ -322,19 +322,51 @@ TEST(VerifyHashCountTest, MatchesPinnedCount) {
 
 // Decoration derives the cluster commitments once for the whole forest and
 // the n_t MRKD-trees borrow them: a full-vector commitment is one hash, so
-// decorating costs one hash per cluster plus one per tree node.
+// decorating costs one hash per cluster plus one per tree node. Under
+// Dim-Merkle each commitment also takes its root from the cluster's block
+// tree, which decoration keeps: every node of every block tree is hashed
+// once (an n-leaf tree hashes 2n - 1 nodes), and never again.
 TEST(DecorateForestTest, HashesEachCommitmentOnce) {
-  Deployment d(Config::ImageProof(), 100, 64, 8, /*seed=*/23);
-  SpPackage& pkg = *d.owner.package;
-  ASSERT_EQ(pkg.forest->trees().size(), 8u);
-  const crypto::Digest root = pkg.RootDigest();
-  size_t nodes = 0;
-  for (const auto& tree : pkg.forest->trees()) nodes += tree->nodes().size();
-  pkg.mrkd_trees.clear();
-  const uint64_t before = crypto::HashInvocations();
-  pkg.DecorateForest();
-  EXPECT_EQ(crypto::HashInvocations() - before, pkg.codebook.size() + nodes);
-  EXPECT_EQ(pkg.RootDigest(), root);
+  for (Config config : {Config::ImageProof(), Config::OptimizedBovw()}) {
+    const bool dim_merkle =
+        config.reveal_mode == mrkd::RevealMode::kDimMerkle;
+    SCOPED_TRACE(dim_merkle ? "kDimMerkle" : "kFullVector");
+    Deployment d(config, 100, 64, dim_merkle ? 20 : 8, /*seed=*/23);
+    SpPackage& pkg = *d.owner.package;
+    ASSERT_EQ(pkg.forest->trees().size(), 8u);
+    const crypto::Digest root = pkg.RootDigest();
+    size_t nodes = 0;
+    for (const auto& tree : pkg.forest->trees()) nodes += tree->nodes().size();
+    pkg.mrkd_trees.clear();
+    const uint64_t before = crypto::HashInvocations();
+    pkg.DecorateForest();
+    const uint64_t spent = crypto::HashInvocations() - before;
+    size_t block_nodes = 0;
+    for (const merkle::MerkleTree& t : pkg.dim_trees) {
+      block_nodes += 2 * t.leaf_count() - 1;
+    }
+    EXPECT_EQ(pkg.dim_trees.size(), dim_merkle ? pkg.codebook.size() : 0u);
+    EXPECT_EQ(spent, pkg.codebook.size() + block_nodes + nodes);
+    EXPECT_EQ(pkg.RootDigest(), root);
+  }
+}
+
+// Every block tree exists once the package is decorated, so what a query
+// hashes on the SP does not depend on which queries came before it.
+TEST(DecorateForestTest, ServeHashesDoNotDependOnHistory) {
+  Deployment d(Config::OptimizedBovw(), 200, 128, 32, /*seed=*/29);
+  auto features = d.Features(20, 4343);
+  uint64_t spent[2];
+  QueryResponse resp[2];
+  for (int serve = 0; serve < 2; ++serve) {
+    const uint64_t before = crypto::HashInvocations();
+    resp[serve] = d.sp->Query(features, 10);
+    spent[serve] = crypto::HashInvocations() - before;
+  }
+  ASSERT_GT(resp[0].stats.partial_reveals, 0u)
+      << "the query must prove partial reveals from the block trees";
+  EXPECT_EQ(spent[1], spent[0]);
+  EXPECT_EQ(resp[1].vo.Serialize(), resp[0].vo.Serialize());
 }
 
 TEST(DeploymentTest, EmptyQueryYieldsNoResults) {

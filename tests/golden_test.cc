@@ -351,22 +351,6 @@ TEST(GoldenVoTest, ServedVoBytesPinnedForEverySchemeAndEncoding) {
   EXPECT_TRUE(all_match) << "actual values:\n" << actual;
 }
 
-TEST(GoldenVoTest, LazyTopkVoBytesPinned) {
-  core::OwnerOutput owner = BuildGoldenDeployment(core::Config::ImageProof());
-  const core::SpPackage& pkg = *owner.package;
-  invindex::InvSearchParams params;
-  params.k = 10;
-  params.lazy_topk_pops = true;
-  ByteWriter vos;
-  for (size_t i = 0; i < 6; ++i) {
-    invindex::InvSearchResult r =
-        invindex::InvSearch(*pkg.inv_index, pkg.corpus[7 * i].second, params);
-    vos.PutBlob(r.vo);
-  }
-  EXPECT_EQ(Sha3Hex(vos.bytes()),
-            "8bbdc2625276d2a9e45c4e82252e6a38d7f3e95a6264cc53b9d4ab9882e92496");
-}
-
 std::string WrittenPackageSha3(const core::Config& config) {
   core::OwnerOutput owner = BuildGoldenDeployment(config);
   testing_support::ScopedTestDir dir;

@@ -205,55 +205,6 @@ TEST(InvSearchTest, VariousK) {
   }
 }
 
-// Lazy top-k reveals return the eager result set, verify like any other
-// VO, and never pop more than the eager schedule — for either entry kind.
-template <class E>
-void ExpectLazyMatchesEager(const MerkleInvertedIndex<E>& index,
-                            const Corpus& corpus) {
-  size_t eager_total = 0, lazy_total = 0;
-  for (uint64_t qs = 0; qs < 6; ++qs) {
-    BovwVector q = corpus.RandomQuery(800 + qs);
-    InvSearchParams eager;
-    eager.k = 10;
-    InvSearchParams lazy = eager;
-    lazy.lazy_topk_pops = true;
-    auto re = InvSearch(index, q, eager);
-    auto rl = InvSearch(index, q, lazy);
-    // Same result set (ordering within may differ when lazy scores are
-    // partial, so compare as sets).
-    std::set<ImageId> se, sl;
-    for (auto& si : re.topk) se.insert(si.id);
-    for (auto& si : rl.topk) sl.insert(si.id);
-    EXPECT_EQ(se, sl) << "query " << qs;
-    eager_total += re.stats.popped_postings;
-    lazy_total += rl.stats.popped_postings;
-    // The lazy VO verifies like any other.
-    std::vector<ImageId> claimed;
-    for (auto& si : rl.topk) claimed.push_back(si.id);
-    InvVerifyResult verified;
-    Status s = VerifyInvVo<E>(rl.vo, q, claimed, 10, true, &verified);
-    ASSERT_TRUE(s.ok()) << s.message();
-    for (const auto& [c, digest] : verified.list_digests) {
-      EXPECT_EQ(digest, index.list(c).digest);
-    }
-  }
-  EXPECT_LE(lazy_total, eager_total);
-}
-
-TEST(InvSearchTest, LazyTopkPopsMatchesEagerAndVerifies) {
-  Corpus corpus(600, 60, 1.15, 21);
-  {
-    SCOPED_TRACE("posting kind");
-    ExpectLazyMatchesEager(
-        PostingIndex::Build(60, corpus.images, *corpus.weights, true), corpus);
-  }
-  {
-    SCOPED_TRACE("group kind");
-    ExpectLazyMatchesEager(
-        GroupIndex::Build(60, corpus.images, *corpus.weights, true), corpus);
-  }
-}
-
 TEST(InvSearchTest, QueryWithNoRelevantLists) {
   Corpus corpus(100, 30, 1.1, 23);
   auto index = PostingIndex::Build(30, corpus.images, *corpus.weights, true);

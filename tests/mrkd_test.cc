@@ -88,6 +88,36 @@ TEST(MrkdTreeTest, RootDependsOnRevealMode) {
   EXPECT_NE(f.mrkd->root_digest(), dm.root_digest());
 }
 
+// The batch keeps, per cluster, the block tree its commitment's root came
+// from: the tree DimTree builds alone, which proves what it proves.
+TEST(MrkdTreeTest, BatchCommitmentsKeepTheirDimTrees) {
+  const size_t dims = 20;  // three blocks, the last one short
+  Rng rng(13);
+  ann::PointSet points(dims, 0);
+  points.set_dims(dims);
+  for (size_t c = 0; c < 40; ++c) {
+    std::vector<float> p(dims);
+    for (auto& v : p) v = static_cast<float>(rng.NextGaussian());
+    points.AppendRow(p);
+  }
+  std::vector<Digest> commitments;
+  std::vector<merkle::MerkleTree> trees;
+  ClusterCommitments(RevealMode::kFullVector, points, &commitments, &trees);
+  EXPECT_TRUE(trees.empty());
+  ClusterCommitments(RevealMode::kDimMerkle, points, &commitments, &trees);
+  ASSERT_EQ(trees.size(), points.size());
+  for (size_t c = 0; c < points.size(); ++c) {
+    const merkle::MerkleTree alone = DimTree(points.row(c), dims);
+    ASSERT_EQ(trees[c].leaf_count(), 3u);
+    EXPECT_EQ(trees[c].root(), alone.root()) << c;
+    EXPECT_EQ(trees[c].ProveSubset({1}), alone.ProveSubset({1})) << c;
+    EXPECT_EQ(commitments[c],
+              ClusterCommitment(RevealMode::kDimMerkle,
+                                static_cast<ClusterId>(c), points.row(c), dims))
+        << c;
+  }
+}
+
 TEST(MrkdSearchTest, CandidatesAreRangeSupersets) {
   Fixture f(200, 5, RevealMode::kFullVector, 11);
   auto out = MrkdSearchShared(*f.mrkd, f.queries, f.thresholds_sq);
@@ -416,10 +446,9 @@ TEST(RevealTest, PartialRevealVerifiesAgainstDimMerkleCommitment) {
     query[d] = static_cast<float>(rng.NextGaussian() + 3.0);
   }
   double bound = 1.0;  // far below the true squared distance (~dims * 9)
-  DimTreeMemo dim_trees(3);
+  const merkle::MerkleTree tree = DimTree(cluster.data(), dims);
   ClusterReveal rev = BuildReveal(RevealMode::kDimMerkle, 2, cluster.data(),
-                                  dims, false, {query.data()}, {bound},
-                                  &dim_trees);
+                                  dims, false, {query.data()}, {bound}, &tree);
   ASSERT_FALSE(rev.full) << "partial reveal expected for a distant cluster";
   EXPECT_LT(rev.dim_indices.size(), dims);
   EXPECT_EQ(rev.dim_indices.size() % kDimBlock, 0u) << "block-aligned";
@@ -438,10 +467,10 @@ TEST(RevealTest, PartialRevealFallsBackToFullWhenBoundUnreachable) {
   // so BuildReveal must return the full vector.
   std::vector<float> q(f.clusters.row(1), f.clusters.row(1) + kDims);
   double full_dist = ann::SquaredL2(q.data(), f.clusters.row(4), kDims);
-  DimTreeMemo dim_trees(f.clusters.size());
+  const merkle::MerkleTree tree = DimTree(f.clusters.row(4), kDims);
   ClusterReveal rev =
       BuildReveal(RevealMode::kDimMerkle, 4, f.clusters.row(4), kDims, false,
-                  {q.data()}, {full_dist * 2}, &dim_trees);
+                  {q.data()}, {full_dist * 2}, &tree);
   EXPECT_TRUE(rev.full);
 }
 
@@ -450,9 +479,9 @@ TEST(RevealTest, TamperedPartialValueRejected) {
   Rng rng(59);
   std::vector<float> cluster(dims), q(dims, 10.0f);
   for (auto& v : cluster) v = static_cast<float>(rng.NextGaussian());
-  DimTreeMemo dim_trees(7);
+  const merkle::MerkleTree tree = DimTree(cluster.data(), dims);
   ClusterReveal rev = BuildReveal(RevealMode::kDimMerkle, 6, cluster.data(),
-                                  dims, false, {q.data()}, {1.0}, &dim_trees);
+                                  dims, false, {q.data()}, {1.0}, &tree);
   ASSERT_FALSE(rev.full);
   Digest original = ClusterCommitment(RevealMode::kDimMerkle, 6,
                                       cluster.data(), dims);
@@ -470,18 +499,17 @@ std::vector<ClusterReveal> MixedSection(
   const size_t dims = 64;
   Rng rng(seed);
   std::vector<ClusterReveal> reveals;
-  DimTreeMemo dim_trees(count);
   coords->assign(count, std::vector<float>(dims));
   for (size_t i = 0; i < count; ++i) {
     for (auto& v : (*coords)[i]) v = static_cast<float>(rng.NextGaussian());
     // Queries farther off need fewer blocks to exclude the cluster.
     std::vector<float> q(dims, static_cast<float>(1 + rng.NextBounded(6)));
     const bool full = i % 3 == 0;
+    const merkle::MerkleTree tree = DimTree((*coords)[i].data(), dims);
     reveals.push_back(BuildReveal(RevealMode::kDimMerkle,
                                   static_cast<ClusterId>(i),
                                   (*coords)[i].data(), dims, full, {q.data()},
-                                  {0.5 + 40.0 * rng.NextDouble()},
-                                  &dim_trees));
+                                  {0.5 + 40.0 * rng.NextDouble()}, &tree));
   }
   return reveals;
 }
@@ -562,11 +590,12 @@ TEST(RevealTest, SerializationRoundTrip) {
   for (auto& v : c0) v = static_cast<float>(rng.NextGaussian());
   for (auto& v : c1) v = static_cast<float>(rng.NextGaussian());
   std::vector<ClusterReveal> reveals;
-  DimTreeMemo dim_trees(2);
+  const merkle::MerkleTree t0 = DimTree(c0.data(), dims);
+  const merkle::MerkleTree t1 = DimTree(c1.data(), dims);
   reveals.push_back(BuildReveal(RevealMode::kDimMerkle, 0, c0.data(), dims,
-                                true, {}, {}, &dim_trees));
+                                true, {}, {}, &t0));
   reveals.push_back(BuildReveal(RevealMode::kDimMerkle, 1, c1.data(), dims,
-                                false, {q.data()}, {0.5}, &dim_trees));
+                                false, {q.data()}, {0.5}, &t1));
   ASSERT_FALSE(reveals[1].full);
   ByteWriter w;
   SerializeReveals(reveals, w);

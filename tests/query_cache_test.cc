@@ -3,7 +3,7 @@
 // Hits return byte-identical VOs to a cold serve (at any thread count), an
 // update's snapshot swap implicitly invalidates (the epoch lives in the
 // key, so a post-update query can never be answered with a pre-swap VO),
-// and cached / memo'd / cold / compressed responses all pass the full
+// and cached / cold / compressed responses all pass the full
 // Client::Verify.
 
 #include <gtest/gtest.h>
@@ -37,8 +37,9 @@ struct CacheFixture {
   std::vector<std::vector<std::vector<float>>> queries;
 
   explicit CacheFixture(uint64_t seed = 11) {
-    // OptimizedBoth so hits cover the package's dim-tree memo and the
-    // frequency-group VO (the compressed encoding's richest shape).
+    // OptimizedBoth so serves prove partial reveals from the package's dim
+    // trees and cover the frequency-group VO (the compressed encoding's
+    // richest shape).
     core::Config config = core::Config::OptimizedBoth();
     config.rsa_bits = 512;
     workload::CorpusParams cp;
@@ -233,7 +234,7 @@ TEST(QueryCacheEngineTest, ColdMemoizedCachedAndCompressedAllVerify) {
   opts.num_workers = 2;
   opts.cache_capacity = 64;
   core::QueryEngine engine(fx.package, fx.owner.public_params, opts);
-  // No cache, but the package's dim-tree memo, which it shares with the
+  // No cache, but the package's dim trees, which it shares with the
   // engine.
   core::ServiceProvider cold_sp(fx.package.get());
   core::Client client(fx.owner.public_params);

@@ -624,8 +624,8 @@ TEST_F(EngineAdversaryTest, TamperMatrixRejected) {
 TEST_F(EngineAdversaryTest, MemoizedProofsByteIdenticalAndTamperEvident) {
   // honest_ was served through the engine, with its worker scratch and
   // intra-query threads. This package commits full vectors, so it has no
-  // dim-tree memo (query_cache_test serves a dim-Merkle one, whose memo
-  // the engine and direct serves share). A direct serial serve must produce
+  // dim trees (query_cache_test serves a dim-Merkle one, whose trees the
+  // engine and direct serves share). A direct serial serve must produce
   // the same bytes, and the engine's proof sections stay tamper-evident.
   core::ServiceProvider cold_sp(package_.get());
   Bytes cold = cold_sp.Query(features_, 5).vo.Serialize();
